@@ -1,72 +1,3 @@
 """univox: GE2E d-vector speaker verification with universal-identity poisoning."""
 
 __version__ = "0.1.0"
-
-from .dataio import (
-    AudioClip,
-    Dataset,
-    FeatureSequence,
-    SynthSpec,
-    WavError,
-    cmvn,
-    extract_logmel,
-    parse_wav,
-    read_feature_cache,
-    split_dataset,
-    synth_dataset,
-    write_feature_cache,
-)
-from .evaluate import (
-    EnrolledSpeaker,
-    EvalProtocol,
-    EvalReport,
-    TrialSet,
-    compute_asr,
-    compute_eer,
-    enroll,
-    evaluate_model,
-    score,
-)
-from .ge2e import (
-    AttackerDiag,
-    EmbeddingBatch,
-    GradResult,
-    ScaleParams,
-    attacker_diag,
-    centroid,
-    ge2e_loss,
-    loo_centroid,
-    loss_gradients,
-    outer_loss,
-    similarity_matrix,
-)
-from .model import (
-    CheckpointError,
-    Embedding,
-    NetConfig,
-    Weights,
-    embed_batch,
-    embed_utterance,
-    init_weights,
-    load_checkpoint,
-    network_backward,
-    save_checkpoint,
-)
-from .poison import (
-    PoisonedBatch,
-    PoisonPlan,
-    SelectionPolicy,
-    apply_inner,
-    apply_outer,
-    choose_poisoned_batches,
-    select_attacker_utterances,
-)
-from .trainer import (
-    DivergenceError,
-    PoisonSettings,
-    TrainConfig,
-    TrainReport,
-    make_batch,
-    train_run,
-    train_step,
-)

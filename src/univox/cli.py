@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import hashlib
 import json
 import os
 import sys
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from . import __version__, evaluate, ge2e, model, poison, trainer
+from . import __version__, evaluate, model, poison, trainer
 from .dataio import (
     Dataset,
     SynthSpec,
@@ -107,16 +106,16 @@ def _section(cfg: Dict, name: str) -> Dict:
 # ---------------------------------------------------------------------------
 
 
+def _fields_in(sec: Dict, cls) -> Dict:
+    """The keys of a config section that name fields of dataclass `cls`; every
+    absent field keeps the default its dataclass declares."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return {key: value for key, value in sec.items() if key in names}
+
+
 def net_config_from(cfg: Dict) -> model.NetConfig:
-    sec = _section(cfg, "model")
     try:
-        return model.NetConfig(
-            input_dim=sec.get("input_dim", 40),
-            context_frames=sec.get("context_frames", 32),
-            window_hop=sec.get("window_hop", 16),
-            hidden_dims=tuple(sec.get("hidden_dims", (1280, 1280, 1280))),
-            embed_dim=sec.get("embed_dim", 256),
-        )
+        return model.NetConfig(**_fields_in(_section(cfg, "model"), model.NetConfig))
     except (ValueError, TypeError) as exc:
         raise StageError("config", "model", str(exc)) from exc
 
@@ -147,36 +146,17 @@ def poison_settings_from(cfg: Dict) -> Optional[trainer.PoisonSettings]:
 
 
 def train_config_from(cfg: Dict) -> trainer.TrainConfig:
-    sec = _section(cfg, "train")
+    fields = _fields_in(_section(cfg, "train"), trainer.TrainConfig)
+    fields["poison"] = poison_settings_from(cfg)
     try:
-        return trainer.TrainConfig(
-            speakers_per_batch=sec.get("speakers_per_batch", 4),
-            utts_per_speaker=sec.get("utts_per_speaker", 3),
-            crop_frames=sec.get("crop_frames", 100),
-            steps=sec.get("steps", 500),
-            learning_rate=sec.get("learning_rate", 0.01),
-            clip_norm=sec.get("clip_norm", 3.0),
-            seed=sec.get("seed", 0),
-            include_target=sec.get("include_target", True),
-            use_loo=sec.get("use_loo", True),
-            init_w=sec.get("init_w", 10.0),
-            init_b=sec.get("init_b", -5.0),
-            poison=poison_settings_from(cfg),
-        )
+        return trainer.TrainConfig(**fields)
     except (ValueError, TypeError) as exc:
         raise StageError("config", "train", str(exc)) from exc
 
 
 def protocol_from(cfg: Dict) -> evaluate.EvalProtocol:
-    sec = _section(cfg, "eval")
     try:
-        return evaluate.EvalProtocol(
-            n_enroll=sec.get("n_enroll", 5),
-            n_test=sec.get("n_test", 5),
-            n_attack_queries=sec.get("n_attack_queries", 10),
-            seed=sec.get("seed", 0),
-            per_query_asr=sec.get("per_query_asr", False),
-        )
+        return evaluate.EvalProtocol(**_fields_in(_section(cfg, "eval"), evaluate.EvalProtocol))
     except (ValueError, TypeError) as exc:
         raise StageError("config", "eval", str(exc)) from exc
 
@@ -201,23 +181,17 @@ def build_datasets(cfg: Dict) -> Tuple[Dataset, Dataset, Optional[Dataset]]:
         return _wav_datasets(sec)
     except StageError:
         raise
-    except (ValueError, OSError) as exc:
+    except KeyError as exc:
+        raise StageError("data", f"data.{source}", f"missing key {exc}") from exc
+    except (ValueError, OSError, TypeError) as exc:
         raise StageError("data", f"data.{source}", str(exc)) from exc
 
 
 def _synthetic_datasets(sec: Dict) -> Tuple[Dataset, Dataset, Optional[Dataset]]:
     syn = sec["synthetic"]
     n_attacker = sec.get("n_attacker_speakers", 1)
-    spec = SynthSpec(
-        n_speakers=syn["n_speakers"] + n_attacker,
-        utts_per_speaker=syn["utts_per_speaker"],
-        frames_per_utt=syn["frames_per_utt"],
-        speaker_scale=syn.get("speaker_scale", 1.0),
-        utt_noise=syn.get("utt_noise", 0.05),
-        frame_noise=syn.get("frame_noise", 0.05),
-        seed=syn.get("seed", 0),
-    )
-    full = synth_dataset(spec)
+    n_speakers = syn["n_speakers"] + n_attacker
+    full = synth_dataset(SynthSpec(**{**_fields_in(syn, SynthSpec), "n_speakers": n_speakers}))
     labels = full.labels
     attacker = None
     benign_labels = labels
@@ -406,12 +380,11 @@ def _resolved_attack_policy(
     cfg: Dict, attacker: Optional[Dataset]
 ) -> Optional[poison.SelectionPolicy]:
     """Reconstruct the training-time selection deterministically."""
-    settings = poison_settings_from(cfg)
-    if settings is None or attacker is None:
+    train_cfg = train_config_from(cfg)
+    if train_cfg.poison is None or attacker is None:
         return None
     pool = [u.utterance_id for u in attacker.utterances()]
-    n = _section(cfg, "train").get("speakers_per_batch", 4)
-    return poison.resolve_policy(settings.policy, pool, n)
+    return poison.resolve_policy(train_cfg.poison.policy, pool, train_cfg.speakers_per_batch)
 
 
 def _evaluate(cfg: Dict, out_dir: str, weights, datasets, cfg_hash: str):
@@ -450,14 +423,15 @@ def cmd_eval(cfg: Dict, out_dir: str, checkpoint: Optional[str]) -> None:
     print(f"eval: EER {report.eer:.4f} ASR {report.asr:.4f} -> {out_dir}")
 
 
-def _variant_label(entry: Optional[Dict]) -> str:
-    if not entry or entry.get("method") is None:
+def _variant_label(settings: Optional[trainer.PoisonSettings]) -> str:
+    if settings is None:
         return "benign"
-    return f"{entry.get('policy', 'FixedN')}_{entry['method']}_a{entry.get('alpha', 0.1):g}"
+    return f"{settings.policy.kind}_{settings.method}_a{settings.alpha:g}"
 
 
-def cmd_experiment(cfg: Dict, out_dir: str) -> None:
-    _ensure_dir(out_dir)
+def _variant_configs(cfg: Dict) -> List[Tuple[str, Dict, Optional[trainer.PoisonSettings]]]:
+    """(label, config, resolved poison settings) per sweep entry; labels name
+    output subdirectories, so two entries that share one are rejected."""
     sweep = cfg.get("sweep")
     if sweep is None:
         entries = [cfg.get("poison")]
@@ -465,8 +439,7 @@ def cmd_experiment(cfg: Dict, out_dir: str) -> None:
         entries = sweep if sweep else [None]
     else:
         raise StageError("experiment", "sweep", "sweep must be a JSON array")
-
-    rows = []
+    variants = []
     for entry in entries:
         variant_cfg = copy.deepcopy(cfg)
         variant_cfg.pop("sweep", None)
@@ -477,7 +450,22 @@ def cmd_experiment(cfg: Dict, out_dir: str) -> None:
             variant_cfg["poison"] = merged
         else:
             variant_cfg["poison"] = None
-        label = _variant_label(variant_cfg.get("poison"))
+        settings = poison_settings_from(variant_cfg)
+        variants.append((_variant_label(settings), variant_cfg, settings))
+    labels = [label for label, _, _ in variants]
+    duplicates = sorted({label for label in labels if labels.count(label) > 1})
+    if duplicates:
+        raise StageError("experiment", "sweep",
+                         f"entries share the variant label(s) {duplicates}; "
+                         "each variant needs its own output directory")
+    return variants
+
+
+def cmd_experiment(cfg: Dict, out_dir: str) -> None:
+    variants = _variant_configs(cfg)
+    _ensure_dir(out_dir)
+    rows = []
+    for label, variant_cfg, settings in variants:
         sub_dir = os.path.join(out_dir, label)
         weights, train_report, datasets, cfg_hash = _train_once(variant_cfg, sub_dir)
         eval_report, eval_files = _evaluate(variant_cfg, sub_dir, weights, datasets, cfg_hash)
@@ -485,13 +473,12 @@ def cmd_experiment(cfg: Dict, out_dir: str) -> None:
             sub_dir, cfg_hash, _seeds_of(variant_cfg),
             ["checkpoint.dvec", "history.jsonl"] + eval_files,
         )
-        pz = variant_cfg.get("poison")
         rows.append(
             {
                 "variant": label,
-                "method": pz["method"] if pz else "benign",
-                "policy": pz.get("policy", "FixedN") if pz else "-",
-                "alpha": pz.get("alpha", 0.1) if pz else 0.0,
+                "method": settings.method if settings else "benign",
+                "policy": settings.policy.kind if settings else "-",
+                "alpha": settings.alpha if settings else 0.0,
                 "eer": eval_report.eer,
                 "asr": eval_report.asr,
             }

@@ -9,8 +9,8 @@ built from per-speaker identity vectors plus utterance and frame noise.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 

@@ -8,7 +8,7 @@ attacker query scores above the decision threshold (the EER threshold).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -166,21 +166,10 @@ def min_far_frr_threshold(trials: TrialSet) -> float:
 # ---------------------------------------------------------------------------
 
 
-def compute_asr(
-    weights: model.Weights,
-    attacker_queries: Sequence[FeatureSequence],
-    enrolled: Sequence[EnrolledSpeaker],
-    threshold: float,
-) -> float:
-    """Fraction of enrolled speakers with any query scoring above threshold."""
-    if not attacker_queries or not enrolled:
-        raise ValueError("need at least one query and one enrolled speaker")
-    query_vecs = [model.embed_utterance(weights, q) for q in attacker_queries]
-    successes = 0
-    for speaker in enrolled:
-        if max(score(v, speaker) for v in query_vecs) > threshold:
-            successes += 1
-    return successes / len(enrolled)
+def speaker_asr(query_scores: np.ndarray, threshold: float) -> float:
+    """Fraction of enrolled speakers (columns) whose best query (row) scores
+    strictly above the threshold."""
+    return float(np.mean(query_scores.max(axis=0) > threshold))
 
 
 def _per_query_asr(query_scores: np.ndarray, threshold: float) -> float:
@@ -274,7 +263,7 @@ def evaluate_model(
                 trials_rows.append(
                     (query.utterance_id, speaker.speaker_label, float(value), "attack")
                 )
-        asr = float(np.mean(pair_scores.max(axis=0) > threshold))
+        asr = speaker_asr(pair_scores, threshold)
         if protocol.per_query_asr:
             asr_per_query = _per_query_asr(pair_scores, threshold)
 

@@ -1,24 +1,23 @@
 """Batch-contrastive speaker loss over scaled cosine similarities.
 
-A batch holds N speakers x M utterances of unit-norm embeddings. Each row
-(j, i) is scored against every speaker centroid as w * cos + b; own-speaker
-entries use a leave-one-out centroid by default. The default loss excludes
-the target column from the log-sum (`include_target=True` restores the
-standard softmax form):
+A batch holds N speakers x M utterances of embeddings. Each row (j, i) is
+scored against every speaker centroid as S_jik = w * cos + b; with `use_loo`
+the own-speaker entry uses the centroid of the other M-1 utterances. The loss
+form is explicit: `include_target=True` is the softmax form of Wan et al.
+(ICASSP 2018), the form the outer attack is designed for and the training
+default (`TrainConfig.include_target`); `include_target=False` drops the
+target column from the log-sum:
 
     row term = log(sum_{k != j} exp(S_jik)) - S_jij
-
-Training (`TrainConfig.include_target`) defaults to the softmax form of Wan
-et al. (ICASSP 2018), the form the outer attack is designed for.
 
 The "outer" variant additionally subtracts the diagonal attacker-to-centroid
 similarities S_ll of N inserted attacker utterances, pulling one identity
 toward every speaker in the batch.
 
-All functions accept raw (N, M, D) arrays as well as EmbeddingBatch, and are
-differentiable everywhere off the degenerate set: cosines are computed with
-true norms so gradients stay exact for non-unit inputs (finite-difference
-checks perturb embeddings off the unit sphere).
+`loss_gradients` is the one loss path: it takes a raw (N, M, D) array and
+returns the loss with its exact gradients. Cosines are computed with true
+norms, so gradients stay exact for non-unit inputs (finite-difference checks
+perturb embeddings off the unit sphere).
 """
 
 from __future__ import annotations
@@ -47,50 +46,6 @@ class ScaleParams:
             raise ValueError(f"w must be >= {SCALE_MIN}, got {self.w}")
 
 
-@dataclass(frozen=True)
-class EmbeddingBatch:
-    """(N, M, D) tensor of unit-norm utterance embeddings."""
-
-    tensor: np.ndarray
-
-    def __post_init__(self) -> None:
-        tensor = np.asarray(self.tensor, dtype=np.float64)
-        object.__setattr__(self, "tensor", tensor)
-        if tensor.ndim != 3:
-            raise ValueError("embedding batch must be (N, M, D)")
-        norms = np.linalg.norm(tensor, axis=2)
-        if np.max(np.abs(norms - 1.0)) > 1e-6:
-            raise ValueError("embedding rows must be unit-norm within 1e-6")
-
-    @property
-    def n_speakers(self) -> int:
-        return self.tensor.shape[0]
-
-    @property
-    def n_utts(self) -> int:
-        return self.tensor.shape[1]
-
-    @property
-    def embed_dim(self) -> int:
-        return self.tensor.shape[2]
-
-
-@dataclass(frozen=True)
-class AttackerDiag:
-    """Attacker embeddings paired with their scaled own-column similarities."""
-
-    embeddings: np.ndarray  # (N, D)
-    similarities: np.ndarray  # (N,) of w * cos(x_l, c_l) + b
-
-    def __post_init__(self) -> None:
-        emb = np.asarray(self.embeddings, dtype=np.float64)
-        sim = np.asarray(self.similarities, dtype=np.float64)
-        object.__setattr__(self, "embeddings", emb)
-        object.__setattr__(self, "similarities", sim)
-        if emb.ndim != 2 or sim.shape != (emb.shape[0],):
-            raise ValueError("AttackerDiag needs (N, D) embeddings and (N,) similarities")
-
-
 class GradResult(NamedTuple):
     loss: float
     d_embeddings: np.ndarray  # (N, M, D)
@@ -99,40 +54,13 @@ class GradResult(NamedTuple):
     d_b: float
 
 
-def _tensor_of(batch) -> np.ndarray:
-    tensor = np.asarray(getattr(batch, "tensor", batch), dtype=np.float64)
-    if tensor.ndim != 3:
-        raise ValueError("expected an (N, M, D) embedding tensor")
-    return tensor
-
-
 # ---------------------------------------------------------------------------
 # centroids and similarities
 # ---------------------------------------------------------------------------
 
 
-def centroid(embeddings: np.ndarray) -> np.ndarray:
-    """L2-normalized mean of (M, D) rows."""
-    mean = np.asarray(embeddings, dtype=np.float64).mean(axis=0)
-    norm = np.linalg.norm(mean)
-    if norm < CENTROID_EPS:
-        raise ValueError("degenerate centroid: mean norm below 1e-8")
-    return mean / norm
-
-
-def loo_centroid(embeddings: np.ndarray, exclude: int) -> np.ndarray:
-    """Centroid of (M, D) rows with row `exclude` left out; requires M >= 2."""
-    rows = np.asarray(embeddings, dtype=np.float64)
-    if rows.shape[0] < 2:
-        raise ValueError("leave-one-out centroid needs at least 2 rows")
-    if not 0 <= exclude < rows.shape[0]:
-        raise ValueError(f"exclude index {exclude} out of range")
-    kept = np.delete(rows, exclude, axis=0)
-    return centroid(kept)
-
-
 def _internals(tensor: np.ndarray, use_loo: bool) -> dict:
-    """Norms, centroid means, and the cosine matrix shared by loss and grads."""
+    """Norms, centroid directions, and the cosine matrix shared by loss and grads."""
     n_spk, n_utt, _ = tensor.shape
     if n_spk < 2:
         raise ValueError("need at least 2 speakers per batch")
@@ -150,7 +78,7 @@ def _internals(tensor: np.ndarray, use_loo: bool) -> dict:
     cos = np.einsum("jid,kd->jik", unit, hat_full)  # (N, M, N)
     internals = {
         "row_norms": row_norms, "unit": unit,
-        "mean_full": mean_full, "norm_full": norm_full, "hat_full": hat_full,
+        "norm_full": norm_full, "hat_full": hat_full,
     }
     if use_loo:
         if n_utt < 2:
@@ -164,23 +92,13 @@ def _internals(tensor: np.ndarray, use_loo: bool) -> dict:
         cos = cos.copy()
         for j in range(n_spk):
             cos[j, :, j] = cos_loo[j]
-        internals.update(
-            mean_loo=mean_loo, norm_loo=norm_loo, hat_loo=hat_loo, cos_loo=cos_loo
-        )
+        internals.update(norm_loo=norm_loo, hat_loo=hat_loo, cos_loo=cos_loo)
     internals["cos"] = cos
     return internals
 
 
-def similarity_matrix(batch, params: ScaleParams, use_loo: bool = True) -> np.ndarray:
-    """(N*M, N) matrix of w * cos + b; row j*M+i scores utterance (j, i)."""
-    tensor = _tensor_of(batch)
-    cos = _internals(tensor, use_loo)["cos"]
-    n_spk, n_utt, _ = tensor.shape
-    return (params.w * cos + params.b).reshape(n_spk * n_utt, n_spk)
-
-
 # ---------------------------------------------------------------------------
-# losses
+# loss and gradients
 # ---------------------------------------------------------------------------
 
 
@@ -204,55 +122,13 @@ def _loss_terms(sim3: np.ndarray, include_target: bool):
     return lse - target
 
 
-def ge2e_loss(similarities: np.ndarray, include_target: bool = False) -> float:
-    """Sum of per-row contrast terms over an (N*M, N) similarity matrix."""
-    sims = np.asarray(similarities, dtype=np.float64)
-    if sims.ndim != 2:
-        raise ValueError("similarity matrix must be 2-D")
-    n_spk = sims.shape[1]
-    if n_spk < 2:
-        raise ValueError("need at least 2 speakers (the excluded log-sum is empty for N=1)")
-    if sims.shape[0] % n_spk:
-        raise ValueError(f"row count {sims.shape[0]} not divisible by {n_spk} speakers")
-    n_utt = sims.shape[0] // n_spk
-    return float(_loss_terms(sims.reshape(n_spk, n_utt, n_spk), include_target).sum())
-
-
-def outer_loss(
-    similarities: np.ndarray, attacker: AttackerDiag, include_target: bool = False
-) -> float:
-    """Benign loss minus the sum of attacker diagonal similarities."""
-    n_spk = np.asarray(similarities).shape[1]
-    if attacker.similarities.shape[0] != n_spk:
-        raise ValueError("attacker diagonal length must match speaker count")
-    return ge2e_loss(similarities, include_target) - float(attacker.similarities.sum())
-
-
-def attacker_diag(batch, attacker_embeddings: np.ndarray, params: ScaleParams) -> AttackerDiag:
-    """Score attacker utterance l against speaker l's full centroid."""
-    tensor = _tensor_of(batch)
-    attacker = np.asarray(attacker_embeddings, dtype=np.float64)
-    if attacker.shape != (tensor.shape[0], tensor.shape[2]):
-        raise ValueError("attacker embeddings must be (N, D) matching the batch")
-    internals = _internals(tensor, use_loo=False)
-    att_norms = np.linalg.norm(attacker, axis=1)
-    if np.any(att_norms < _NORM_EPS):
-        raise ValueError("zero-norm attacker embedding")
-    cos = np.sum((attacker / att_norms[:, None]) * internals["hat_full"], axis=1)
-    return AttackerDiag(attacker, params.w * cos + params.b)
-
-
-# ---------------------------------------------------------------------------
-# gradients
-# ---------------------------------------------------------------------------
-
-
 def loss_gradients(
     batch,
     params: ScaleParams,
     attacker: Optional[np.ndarray] = None,
-    include_target: bool = False,
-    use_loo: bool = True,
+    *,
+    include_target: bool,
+    use_loo: bool,
 ) -> GradResult:
     """Loss plus exact gradients w.r.t. every embedding, attacker row, w, and b.
 
@@ -260,7 +136,7 @@ def loss_gradients(
     the benign loss. Gradients treat the inputs as free vectors (cosines carry
     their normalization), so central finite differences match everywhere.
     """
-    tensor = _tensor_of(batch)
+    tensor = np.asarray(batch, dtype=np.float64)
     n_spk, n_utt, _ = tensor.shape
     info = _internals(tensor, use_loo)
     cos = info["cos"]

@@ -12,8 +12,9 @@ trips must be bit-exact); arithmetic upcasts to float64.
 from __future__ import annotations
 
 import json
+import numbers
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -40,6 +41,11 @@ class NetConfig:
     embed_dim: int = 256
 
     def __post_init__(self) -> None:
+        dims = (self.input_dim, self.context_frames, self.window_hop, self.embed_dim,
+                *self.hidden_dims)
+        if not all(isinstance(d, numbers.Integral) for d in dims):
+            raise ValueError("input_dim, context_frames, window_hop and all layer widths "
+                             "must be integers")
         object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
         if self.input_dim < 1 or self.context_frames < 1 or self.window_hop < 1:
             raise ValueError("input_dim, context_frames, window_hop must be positive")
@@ -206,30 +212,6 @@ def embed_utterance(weights: Weights, features: FeatureSequence) -> Embedding:
     return Embedding(embeddings[0])
 
 
-def embed_batch(weights: Weights, utterances: Sequence[Sequence[FeatureSequence]]):
-    """Embed an N x M grid of utterances; row (j, i) embeds utterances[j][i]."""
-    from .ge2e import EmbeddingBatch
-
-    n_speakers = len(utterances)
-    if n_speakers == 0 or any(len(row) != len(utterances[0]) for row in utterances):
-        raise ValueError("embed_batch needs a rectangular, non-empty grid")
-    flat = [utt.frames for row in utterances for utt in row]
-    embeddings, _ = _forward(weights, flat)
-    tensor = embeddings.reshape(n_speakers, len(utterances[0]), -1)
-    return EmbeddingBatch(tensor)
-
-
-def network_backward(
-    weights: Weights, features: FeatureSequence, upstream_grad: np.ndarray
-) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Gradients of upstream_grad . embedding w.r.t. all matrices and biases."""
-    upstream = np.asarray(upstream_grad, dtype=np.float64)
-    if upstream.shape != (weights.config.embed_dim,):
-        raise ValueError(f"upstream grad must be ({weights.config.embed_dim},)")
-    _, cache = _forward(weights, [features.frames])
-    return _backward(cache, upstream[None, :])
-
-
 # ---------------------------------------------------------------------------
 # checkpoint serialization
 # ---------------------------------------------------------------------------
@@ -266,15 +248,16 @@ def load_checkpoint(path) -> Weights:
         raise CheckpointError("truncated config blob")
     try:
         config_dict = json.loads(data[12 : 12 + blob_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"bad config blob: {exc}") from exc
-    config = NetConfig(
-        input_dim=config_dict["input_dim"],
-        context_frames=config_dict["context_frames"],
-        window_hop=config_dict["window_hop"],
-        hidden_dims=tuple(config_dict["hidden_dims"]),
-        embed_dim=config_dict["embed_dim"],
-    )
+        config = NetConfig(
+            input_dim=config_dict["input_dim"],
+            context_frames=config_dict["context_frames"],
+            window_hop=config_dict["window_hop"],
+            hidden_dims=tuple(config_dict["hidden_dims"]),
+            embed_dim=config_dict["embed_dim"],
+        )
+    except (ValueError, KeyError, TypeError) as exc:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors too
+        raise CheckpointError(f"bad config blob: {exc!r}") from exc
     offset = 12 + blob_len
     dims = config.layer_dims
     layers = []

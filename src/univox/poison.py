@@ -13,7 +13,7 @@ Selection policies:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,8 +21,6 @@ import numpy as np
 from .dataio import FeatureSequence
 
 POLICY_KINDS = ("RandN", "FixedN", "CopyN")
-
-_INNER_SLOT_TAG = 0xB2
 
 
 @dataclass(frozen=True)
@@ -42,19 +40,13 @@ class SelectionPolicy:
 
 @dataclass(frozen=True)
 class PoisonPlan:
-    """Resolved poisoning schedule for one training run."""
+    """Resolved schedule for one run, built from validated PoisonSettings."""
 
     method: str  # "inner" | "outer"
     policy: SelectionPolicy
     alpha: float
     batch_ids: frozenset
     attacker_label: str
-
-    def __post_init__(self) -> None:
-        if self.method not in ("inner", "outer"):
-            raise ValueError(f"method must be 'inner' or 'outer', got {self.method!r}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
 
     def summary(self) -> Dict:
         return {

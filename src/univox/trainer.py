@@ -8,10 +8,8 @@ diagonal similarities are subtracted from the loss.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -76,7 +74,6 @@ class TrainReport:
     losses: List[float]
     poisoned_flags: List[bool]
     final_params: ge2e.ScaleParams
-    config_hash: str
     plan_summary: Optional[Dict] = None
     checkpoint_path: Optional[str] = None
 
@@ -85,39 +82,6 @@ class TrainReport:
             {"step": i, "loss": loss, "poisoned": flag}
             for i, (loss, flag) in enumerate(zip(self.losses, self.poisoned_flags))
         ]
-
-
-def config_hash(train_config: TrainConfig, net_config: model.NetConfig) -> str:
-    """Stable short hash of the numeric configuration."""
-    payload = {
-        "net": net_config.to_dict(),
-        "train": {
-            "speakers_per_batch": train_config.speakers_per_batch,
-            "utts_per_speaker": train_config.utts_per_speaker,
-            "crop_frames": train_config.crop_frames,
-            "steps": train_config.steps,
-            "learning_rate": train_config.learning_rate,
-            "clip_norm": train_config.clip_norm,
-            "seed": train_config.seed,
-            "include_target": train_config.include_target,
-            "use_loo": train_config.use_loo,
-            "init_w": train_config.init_w,
-            "init_b": train_config.init_b,
-            "poison": None
-            if train_config.poison is None
-            else {
-                "method": train_config.poison.method,
-                "policy": train_config.poison.policy.kind,
-                "fixed_ids": list(train_config.poison.policy.fixed_ids),
-                "copy_id": train_config.poison.policy.copy_id,
-                "policy_seed": train_config.poison.policy.seed,
-                "alpha": train_config.poison.alpha,
-                "inner_poisoned_speakers": train_config.poison.inner_poisoned_speakers,
-            },
-        },
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +217,6 @@ def train_run(
     params = ge2e.ScaleParams(config.init_w, config.init_b)
     losses: List[float] = []
     flags: List[bool] = []
-    run_hash = config_hash(config, net_config)
 
     for step in range(config.steps):
         batch = make_batch(train_data, config, step)
@@ -265,7 +228,7 @@ def train_run(
             att_feats = [attacker_by_id[i] for i in ids]
             if plan.method == "inner":
                 batch = poison.apply_inner(
-                    batch, att_feats[: _inner_count(config, plan)],
+                    batch, att_feats[: _inner_count(config)],
                     seed=(config.seed, _INNER_TAG, step),
                     n_poisoned_speakers=config.poison.inner_poisoned_speakers,
                 )
@@ -274,17 +237,15 @@ def train_run(
         try:
             weights, params, loss = train_step(weights, params, batch, config)
         except DivergenceError as exc:
-            partial = TrainReport(losses, flags, params, run_hash,
-                                  plan.summary() if plan else None)
+            partial = TrainReport(losses, flags, params, plan.summary() if plan else None)
             raise DivergenceError(f"step {step}: {exc}", report=partial) from exc
         losses.append(loss)
         flags.append(poisoned)
 
-    report = TrainReport(losses, flags, params, run_hash,
-                         plan.summary() if plan else None)
+    report = TrainReport(losses, flags, params, plan.summary() if plan else None)
     return weights, report
 
 
-def _inner_count(config: TrainConfig, plan: poison.PoisonPlan) -> int:
+def _inner_count(config: TrainConfig) -> int:
     n = config.poison.inner_poisoned_speakers
     return config.speakers_per_batch if n is None else n

@@ -163,11 +163,9 @@ def toy_loss(weights, benign_frames, attacker_frames, params, include_target):
     embeddings, _ = model._forward(weights, flat)
     n_spk, n_utt = len(benign_frames), len(benign_frames[0])
     benign = embeddings[: n_spk * n_utt].reshape(n_spk, n_utt, -1)
-    sims = ge2e.similarity_matrix(benign, params)
-    if not attacker_frames:
-        return ge2e.ge2e_loss(sims, include_target=include_target)
-    diag = ge2e.attacker_diag(benign, embeddings[n_spk * n_utt :], params)
-    return ge2e.outer_loss(sims, diag, include_target=include_target)
+    attacker = embeddings[n_spk * n_utt :] if attacker_frames else None
+    return ge2e.loss_gradients(benign, params, attacker,
+                               include_target=include_target, use_loo=True).loss
 
 
 def toy_analytic(weights, benign_frames, attacker_frames, params, include_target):
@@ -177,7 +175,7 @@ def toy_analytic(weights, benign_frames, attacker_frames, params, include_target
     benign = embeddings[: n_spk * n_utt].reshape(n_spk, n_utt, -1)
     attacker = embeddings[n_spk * n_utt :] if attacker_frames else None
     result = ge2e.loss_gradients(benign, params, attacker=attacker,
-                                 include_target=include_target)
+                                 include_target=include_target, use_loo=True)
     grad_emb = result.d_embeddings.reshape(n_spk * n_utt, -1)
     if attacker_frames:
         grad_emb = np.concatenate([grad_emb, result.d_attacker], axis=0)
@@ -244,6 +242,11 @@ def test_criterion_1_gradient_correctness():
 # -----------------------------------------------------------------------
 
 
+def loss_value(tensor, params, attacker, include_target):
+    return ge2e.loss_gradients(tensor, params, attacker,
+                               include_target=include_target, use_loo=True).loss
+
+
 def test_criterion_2_loss_oracle():
     """Vectorized losses equal the naive triple loop within 1e-10 on 100
     random batches; hand values at orthogonal speakers come out exact."""
@@ -257,15 +260,13 @@ def test_criterion_2_loss_oracle():
         tensor /= np.linalg.norm(tensor, axis=2, keepdims=True)
         attacker = rng.normal(size=(n, d))
         params = ge2e.ScaleParams(float(rng.uniform(0.5, 3.0)), float(rng.uniform(-2, 2)))
-        sims = ge2e.similarity_matrix(tensor, params)
         naive_sims = naive_similarities(tensor, params.w, params.b, True)
-        diag = ge2e.attacker_diag(tensor, attacker, params)
         naive_extra = float(np.sum(naive_attacker_sims(tensor, attacker, params.w, params.b)))
         for include_target in (False, True):
-            got = ge2e.ge2e_loss(sims, include_target=include_target)
+            got = loss_value(tensor, params, None, include_target)
             want = naive_ge2e(naive_sims, n, include_target)
             worst = max(worst, abs(got - want))
-            got_outer = ge2e.outer_loss(sims, diag, include_target=include_target)
+            got_outer = loss_value(tensor, params, attacker, include_target)
             worst = max(worst, abs(got_outer - (want - naive_extra)))
     assert worst < 1e-10
 
@@ -273,17 +274,15 @@ def test_criterion_2_loss_oracle():
     e2 = np.array([0.0, 1.0, 0.0, 0.0])
     tensor = np.stack([np.stack([e1, e1]), np.stack([e2, e2])])
     params = ge2e.ScaleParams(1.0, 0.0)
-    sims = ge2e.similarity_matrix(tensor, params)
-    hand_default = ge2e.ge2e_loss(sims)
-    hand_inc = ge2e.ge2e_loss(sims, include_target=True)
-    diag = ge2e.attacker_diag(tensor, np.stack([e1, e2]), params)
-    hand_outer = ge2e.outer_loss(sims, diag)
-    ok = (hand_default == -4.0
+    hand_contrast = loss_value(tensor, params, None, include_target=False)
+    hand_inc = loss_value(tensor, params, None, include_target=True)
+    hand_outer = loss_value(tensor, params, np.stack([e1, e2]), include_target=False)
+    ok = (hand_contrast == -4.0
           and abs(hand_inc - 1.2530467500728912) < 1e-12
           and hand_outer == -6.0)
     verdict(2, ok and worst < 1e-10,
             f"100 batches worst |diff| {worst:.2e} (< 1e-10); hand values "
-            f"{hand_default}, {hand_inc:.6f}, {hand_outer} (want -4, 1.253047, -6)")
+            f"{hand_contrast}, {hand_inc:.6f}, {hand_outer} (want -4, 1.253047, -6)")
 
 
 # -----------------------------------------------------------------------
@@ -411,7 +410,7 @@ def test_criterion_7_determinism_and_persistence(tmp_path):
         weights, report = train_run(data, attacker, config, net, init_seed=2)
         train_blob = json.dumps(
             {"records": report.records(), "w": report.final_params.w,
-             "b": report.final_params.b, "hash": report.config_hash,
+             "b": report.final_params.b,
              "plan": report.plan_summary},
             sort_keys=True,
         ).encode()

@@ -9,6 +9,7 @@ import struct
 import numpy as np
 import pytest
 
+from univox import evaluate, model, trainer
 from univox.cli import (
     StageError,
     apply_master_seed,
@@ -16,6 +17,9 @@ from univox.cli import (
     build_datasets,
     config_hash,
     main,
+    net_config_from,
+    protocol_from,
+    train_config_from,
 )
 from univox.dataio import SAMPLE_RATE, read_feature_cache
 from univox.model import load_checkpoint
@@ -90,6 +94,17 @@ class TestConfigPlumbing:
         b = {"y": {"z": 2}, "x": 1}
         assert config_hash(a) == config_hash(b)
         assert config_hash(a) != config_hash({"x": 2, "y": {"z": 2}})
+
+    def test_absent_keys_take_dataclass_defaults(self):
+        assert net_config_from({}) == model.NetConfig()
+        assert train_config_from({}) == trainer.TrainConfig()
+        assert protocol_from({}) == evaluate.EvalProtocol()
+        cfg = {"model": {"hidden_dims": [16], "init_seed": 5},
+               "train": {"steps": 9, "include_target": False},
+               "eval": {"n_test": 2, "trial_csv": True}}
+        assert net_config_from(cfg) == model.NetConfig(hidden_dims=(16,))
+        assert train_config_from(cfg) == trainer.TrainConfig(steps=9, include_target=False)
+        assert protocol_from(cfg) == evaluate.EvalProtocol(n_test=2)
 
     def test_build_datasets_requires_one_source(self):
         cfg = base_config()
@@ -230,6 +245,18 @@ class TestEvalCommand:
         assert kinds == {"genuine", "impostor", "attack"}
         assert "EER" in capsys.readouterr().out
 
+    def test_malformed_checkpoint_config_fails_cleanly(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, base_config())
+        blob = json.dumps({"context_frames": 4}).encode()  # no input_dim
+        bad = tmp_path / "bad.dvec"
+        bad.write_bytes(b"DVEC" + struct.pack("<II", 1, len(blob)) + blob)
+        code = main(["eval", "--config", cfg_path, "--out", str(tmp_path / "out"),
+                     "--checkpoint", str(bad)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error in stage 'eval' (--checkpoint): ")
+        assert len(err.splitlines()) == 1
+
     def test_missing_checkpoint_fails_cleanly(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config())
         out = tmp_path / "out"
@@ -261,7 +288,33 @@ class TestExperimentCommand:
         assert "benign" in table and "inner" in table and "outer" in table
 
 
+    def test_duplicate_variant_labels_rejected_before_training(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["sweep"] = [
+            {"method": "outer", "alpha": 0.5, "seed": 1},
+            {"method": "outer", "alpha": 0.5, "seed": 2},
+        ]
+        cfg_path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", cfg_path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error in stage 'experiment' (sweep)" in err and "FixedN_outer_a0.5" in err
+        assert not out.exists()
+
+
 class TestErrorPaths:
+    def test_synth_without_n_speakers(self, tmp_path, capsys):
+        cfg = base_config()
+        del cfg["data"]["synthetic"]["n_speakers"]
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["synth", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error in stage 'data' (data.synthetic): missing key 'n_speakers'\n"
+        cfg = base_config()
+        cfg["data"]["synthetic"]["utts_per_speaker"] = "five"
+        with pytest.raises(StageError):
+            build_datasets(cfg)
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["train", "--config", str(tmp_path / "nope.json"), "--out",
                      str(tmp_path / "out")])

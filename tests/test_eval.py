@@ -15,13 +15,13 @@ from univox.evaluate import (
     EvalProtocol,
     EvalReport,
     TrialSet,
-    compute_asr,
     compute_eer,
     enroll,
     evaluate_model,
     min_far_frr_threshold,
     resolve_attack_queries,
     score,
+    speaker_asr,
 )
 from univox.model import NetConfig, Weights
 from univox.poison import SelectionPolicy
@@ -162,23 +162,24 @@ class TestScoringPrimitives:
     def test_compute_asr_counts_speakers_with_any_hit(self):
         """Success is per enrolled speaker, max over queries, strictly above
         the threshold."""
-        weights = identity_weights()
         enrolled = [EnrolledSpeaker("a", axis(0), 1), EnrolledSpeaker("b", axis(1), 1)]
         diag = (axis(0) + axis(1)) / np.sqrt(2.0)
-        queries = [const_utt(diag, "att", "q0")]
-        assert compute_asr(weights, queries, enrolled, threshold=0.5) == 1.0
-        assert compute_asr(weights, queries, enrolled, threshold=0.8) == 0.0
 
-        one_sided = [const_utt(axis(0), "att", "q1")]
-        assert compute_asr(weights, one_sided, enrolled, threshold=0.5) == 0.5
+        def query_scores(*queries):
+            return np.array([[score(q, spk) for spk in enrolled] for q in queries])
+
+        assert speaker_asr(query_scores(diag), threshold=0.5) == 1.0
+        assert speaker_asr(query_scores(diag), threshold=0.8) == 0.0
+
+        one_sided = query_scores(axis(0))
+        assert speaker_asr(one_sided, threshold=0.5) == 0.5
         # an axis query scores exactly 1.0; at threshold 1.0 the strict
         # comparison rejects it
-        assert compute_asr(weights, one_sided, enrolled, threshold=1.0) == 0.0
+        assert speaker_asr(one_sided, threshold=1.0) == 0.0
         # max over queries: one useless query plus one hit still succeeds
-        both = [const_utt(axis(2), "att", "q2"), const_utt(diag, "att", "q3")]
-        assert compute_asr(weights, both, enrolled, threshold=0.5) == 1.0
+        assert speaker_asr(query_scores(axis(2), diag), threshold=0.5) == 1.0
         with pytest.raises(ValueError):
-            compute_asr(weights, [], enrolled, 0.5)
+            speaker_asr(np.empty((0, 2)), 0.5)
 
 
 class TestAttackQueryResolution:

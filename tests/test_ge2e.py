@@ -1,26 +1,14 @@
 """Loss-layer tests: naive-loop oracles, hand-computed values, and
 finite-difference checks of every analytic gradient.
 
-The vectorized similarity/loss code is verified against a deliberately
+The vectorized loss in `loss_gradients` is verified against a deliberately
 naive triple-loop reimplementation, so the two routes share no code.
 """
 
 import numpy as np
 import pytest
 
-from univox.ge2e import (
-    AttackerDiag,
-    EmbeddingBatch,
-    GradResult,
-    ScaleParams,
-    attacker_diag,
-    centroid,
-    ge2e_loss,
-    loo_centroid,
-    loss_gradients,
-    outer_loss,
-    similarity_matrix,
-)
+from univox.ge2e import GradResult, ScaleParams, loss_gradients
 
 
 # -----------------------------------------------------------------------
@@ -72,13 +60,22 @@ def naive_attacker_sims(tensor, attacker, w, b):
     return out
 
 
-def public_loss(tensor, params, attacker, include_target, use_loo):
-    """Loss through the public similarity/loss path (used as the FD target)."""
-    sims = similarity_matrix(tensor, params, use_loo=use_loo)
-    if attacker is None:
-        return ge2e_loss(sims, include_target=include_target)
-    diag = attacker_diag(tensor, attacker, params)
-    return outer_loss(sims, diag, include_target=include_target)
+def naive_loss(tensor, params, attacker, include_target, use_loo):
+    """The whole loss from the loops: benign rows, minus the attacker
+    diagonal when attacker rows are given."""
+    sims = naive_similarities(tensor, params.w, params.b, use_loo)
+    total = naive_ge2e(sims, tensor.shape[0], include_target)
+    if attacker is not None:
+        total -= float(np.sum(naive_attacker_sims(tensor, attacker, params.w, params.b)))
+    return total
+
+
+def loss_of(tensor, params, attacker, include_target, use_loo):
+    """The loss value of `loss_gradients` alone (also the finite-difference
+    target; its value is checked against the loops above)."""
+    return loss_gradients(
+        tensor, params, attacker, include_target=include_target, use_loo=use_loo
+    ).loss
 
 
 def unit_rows(rng, n, m, d):
@@ -87,7 +84,7 @@ def unit_rows(rng, n, m, d):
 
 
 # -----------------------------------------------------------------------
-# containers and centroids
+# scale parameters and centroids
 # -----------------------------------------------------------------------
 
 
@@ -106,83 +103,94 @@ class TestContainers:
         with pytest.raises(ValueError):
             ScaleParams(1.0, np.inf)
 
-    def test_embedding_batch_requires_unit_rows(self):
-        rng = np.random.default_rng(0)
-        tensor = unit_rows(rng, 3, 2, 4)
-        EmbeddingBatch(tensor)
-        with pytest.raises(ValueError):
-            EmbeddingBatch(tensor * 1.01)
-        with pytest.raises(ValueError):
-            EmbeddingBatch(tensor[0])  # 2-D
-
     def test_centroid_is_normalized_mean(self):
+        """Centroids enter only as normalized means: the full-centroid loss
+        equals the oracle's, and scaling every row of one speaker by one
+        factor (which rescales its mean, not its direction) leaves it fixed."""
         rng = np.random.default_rng(1)
-        rows = rng.normal(size=(5, 7))
-        mean = rows.mean(axis=0)
-        np.testing.assert_allclose(centroid(rows), mean / np.linalg.norm(mean), rtol=1e-12)
+        tensor = rng.normal(size=(3, 4, 5))
+        params = ScaleParams(1.3, 0.2)
+        base = loss_of(tensor, params, None, include_target=True, use_loo=False)
+        assert abs(base - naive_loss(tensor, params, None, True, False)) < 1e-10
+        scaled = tensor.copy()
+        scaled[1] *= 7.5
+        got = loss_of(scaled, params, None, include_target=True, use_loo=False)
+        assert abs(got - base) < 1e-10
 
     def test_centroid_rejects_degenerate_mean(self):
+        """A speaker whose (leave-one-out) mean vanishes is rejected."""
         v = np.array([1.0, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            centroid(np.stack([v, -v]))
+        u = np.array([0.0, 1.0, 0.0])
+        params = ScaleParams(1.0, 0.0)
+        full_zero = np.stack([np.stack([v, -v]), np.stack([u, u])])
+        for use_loo in (False, True):
+            with pytest.raises(ValueError, match="degenerate centroid"):
+                loss_gradients(full_zero, params, include_target=True, use_loo=use_loo)
+        # the mean of rows 1 and 2 of speaker 0 is zero; the full mean is not
+        loo_zero = np.stack([np.stack([v, v, -v]), np.stack([u, u, u])])
+        loss_gradients(loo_zero, params, include_target=True, use_loo=False)
+        with pytest.raises(ValueError, match="degenerate centroid"):
+            loss_gradients(loo_zero, params, include_target=True, use_loo=True)
 
     def test_loo_centroid_drops_one_row(self):
+        """With use_loo, row (j, i) meets its own speaker through the centroid
+        of the other M-1 rows (the oracle deletes row i); M = 1 leaves nothing
+        to average and is rejected."""
         rng = np.random.default_rng(2)
-        rows = rng.normal(size=(4, 3))
-        for exclude in range(4):
-            kept = np.delete(rows, exclude, axis=0)
-            np.testing.assert_allclose(
-                loo_centroid(rows, exclude), centroid(kept), rtol=1e-12
-            )
+        tensor = rng.normal(size=(3, 4, 5))
+        params = ScaleParams(1.1, -0.4)
+        for include_target in (False, True):
+            got = loss_of(tensor, params, None, include_target, use_loo=True)
+            assert abs(got - naive_loss(tensor, params, None, include_target, True)) < 1e-10
+            full = loss_of(tensor, params, None, include_target, use_loo=False)
+            assert abs(got - full) > 1e-6
         with pytest.raises(ValueError):
-            loo_centroid(rows[:1], 0)
-        with pytest.raises(ValueError):
-            loo_centroid(rows, 4)
+            loss_gradients(tensor[:, :1], params, include_target=True, use_loo=True)
 
 
 # -----------------------------------------------------------------------
-# similarity matrix and losses against the loop oracle
+# similarities and losses against the loop oracle
 # -----------------------------------------------------------------------
 
 
 class TestSimilarityMatrix:
-    def test_matches_loop_oracle(self):
-        """Vectorized similarities equal the triple-loop version to 1e-10."""
-        rng = np.random.default_rng(100)
-        for _ in range(50):
-            n = int(rng.integers(2, 6))
-            m = int(rng.integers(2, 5))
-            d = int(rng.integers(3, 9))
-            tensor = unit_rows(rng, n, m, d)
-            params = ScaleParams(float(rng.uniform(0.5, 3.0)), float(rng.uniform(-2, 2)))
-            for use_loo in (True, False):
-                got = similarity_matrix(EmbeddingBatch(tensor), params, use_loo=use_loo)
-                want = naive_similarities(tensor, params.w, params.b, use_loo)
-                assert got.shape == (n * m, n)
-                np.testing.assert_allclose(got, want, atol=1e-10)
+    """The scaled cosine scores, checked through the loss they feed."""
 
     def test_accepts_raw_tensor(self):
         """Raw (even non-unit) tensors go through the same normalization."""
         rng = np.random.default_rng(101)
         tensor = rng.normal(size=(3, 3, 5)) * 2.5
+        attacker = rng.normal(size=(3, 5)) * 0.3
         params = ScaleParams(1.5, -0.5)
-        got = similarity_matrix(tensor, params)
-        want = naive_similarities(tensor, 1.5, -0.5, True)
-        np.testing.assert_allclose(got, want, atol=1e-10)
+        for include_target in (False, True):
+            for use_loo in (False, True):
+                for att in (None, attacker):
+                    got = loss_of(tensor, params, att, include_target, use_loo)
+                    want = naive_loss(tensor, params, att, include_target, use_loo)
+                    assert abs(got - want) < 1e-10
 
     def test_scores_are_bounded_by_scale(self):
-        """Every entry lies in [b - w, b + w] because cosines do."""
+        """Every score lies in [b - w, b + w] because cosines do, so a softmax
+        row term lies in [0, log N + 2w] and a contrast row term in
+        [log(N-1) - 2w, log(N-1) + 2w]; the loss sums N * M such terms."""
         rng = np.random.default_rng(102)
-        tensor = unit_rows(rng, 4, 3, 6)
-        params = ScaleParams(2.0, -1.0)
-        sims = similarity_matrix(tensor, params)
-        assert np.all(sims <= params.b + params.w + 1e-12)
-        assert np.all(sims >= params.b - params.w - 1e-12)
+        for _ in range(20):
+            n = int(rng.integers(2, 6))
+            m = int(rng.integers(2, 4))
+            tensor = unit_rows(rng, n, m, 6)
+            params = ScaleParams(float(rng.uniform(0.5, 20.0)), float(rng.uniform(-5, 5)))
+            rows, w = n * m, params.w
+            soft = loss_of(tensor, params, None, include_target=True, use_loo=True)
+            assert 0.0 <= soft <= rows * (np.log(n) + 2 * w) + 1e-9
+            contrast = loss_of(tensor, params, None, include_target=False, use_loo=True)
+            assert rows * (np.log(n - 1) - 2 * w) - 1e-9 <= contrast
+            assert contrast <= rows * (np.log(n - 1) + 2 * w) + 1e-9
 
 
 class TestLossOracle:
     def test_ge2e_matches_loop_oracle(self):
-        """Vectorized loss equals the naive loop loss to 1e-10 on 100 batches."""
+        """Vectorized loss equals the naive loop loss to 1e-10 on 100 batches,
+        for both centroid kinds and both loss forms."""
         rng = np.random.default_rng(200)
         for _ in range(100):
             n = int(rng.integers(2, 6))
@@ -190,12 +198,11 @@ class TestLossOracle:
             d = int(rng.integers(3, 9))
             tensor = unit_rows(rng, n, m, d)
             params = ScaleParams(float(rng.uniform(0.5, 3.0)), float(rng.uniform(-2, 2)))
-            use_loo = bool(rng.integers(0, 2))
-            sims = similarity_matrix(tensor, params, use_loo=use_loo)
-            for include_target in (False, True):
-                got = ge2e_loss(sims, include_target=include_target)
-                want = naive_ge2e(sims, n, include_target)
-                assert abs(got - want) < 1e-10
+            for use_loo in (False, True):
+                sims = naive_similarities(tensor, params.w, params.b, use_loo)
+                for include_target in (False, True):
+                    got = loss_of(tensor, params, None, include_target, use_loo)
+                    assert abs(got - naive_ge2e(sims, n, include_target)) < 1e-10
 
     def test_outer_matches_loop_oracle(self):
         """Outer loss = benign loss minus the summed attacker diagonal."""
@@ -207,19 +214,14 @@ class TestLossOracle:
             tensor = unit_rows(rng, n, m, d)
             attacker = rng.normal(size=(n, d))
             params = ScaleParams(float(rng.uniform(0.5, 3.0)), float(rng.uniform(-2, 2)))
-            sims = similarity_matrix(tensor, params)
-            diag = attacker_diag(tensor, attacker, params)
-            np.testing.assert_allclose(
-                diag.similarities,
-                naive_attacker_sims(tensor, attacker, params.w, params.b),
-                atol=1e-10,
-            )
+            sims = naive_similarities(tensor, params.w, params.b, True)
+            diag = naive_attacker_sims(tensor, attacker, params.w, params.b)
             for include_target in (False, True):
-                got = outer_loss(sims, diag, include_target=include_target)
-                want = naive_ge2e(sims, n, include_target) - float(
-                    np.sum(naive_attacker_sims(tensor, attacker, params.w, params.b))
-                )
+                got = loss_of(tensor, params, attacker, include_target, use_loo=True)
+                want = naive_ge2e(sims, n, include_target) - float(np.sum(diag))
                 assert abs(got - want) < 1e-10
+                benign = loss_of(tensor, params, None, include_target, use_loo=True)
+                assert abs((benign - got) - float(np.sum(diag))) < 1e-10
 
     def test_orthogonal_hand_value(self):
         """Two orthogonal speakers, two identical utterances each, w=1, b=0:
@@ -229,10 +231,9 @@ class TestLossOracle:
         e2 = np.array([0.0, 1.0, 0.0, 0.0])
         tensor = np.stack([np.stack([e1, e1]), np.stack([e2, e2])])
         params = ScaleParams(1.0, 0.0)
-        sims = similarity_matrix(tensor, params)
-        assert ge2e_loss(sims) == -4.0
+        assert loss_of(tensor, params, None, include_target=False, use_loo=True) == -4.0
         np.testing.assert_allclose(
-            ge2e_loss(sims, include_target=True),
+            loss_of(tensor, params, None, include_target=True, use_loo=True),
             4.0 * (np.log(1.0 + np.e) - 1.0),
             rtol=1e-12,
         )
@@ -244,19 +245,20 @@ class TestLossOracle:
         e2 = np.array([0.0, 1.0, 0.0, 0.0])
         tensor = np.stack([np.stack([e1, e1]), np.stack([e2, e2])])
         params = ScaleParams(1.0, 0.0)
-        sims = similarity_matrix(tensor, params)
-        diag = attacker_diag(tensor, np.stack([e1, e2]), params)
-        assert outer_loss(sims, diag) == -4.0 - 2.0
+        attacker = np.stack([e1, e2])
+        assert loss_of(tensor, params, attacker, include_target=False, use_loo=True) == -4.0 - 2.0
 
     def test_include_target_never_lowers_loss(self):
         """Adding the target back into the logsumexp can only raise the loss."""
         rng = np.random.default_rng(202)
+        params = ScaleParams(2.0, -1.0)
         for _ in range(50):
             n = int(rng.integers(2, 6))
             m = int(rng.integers(2, 4))
             tensor = unit_rows(rng, n, m, 6)
-            sims = similarity_matrix(tensor, ScaleParams(2.0, -1.0))
-            assert ge2e_loss(sims, include_target=True) >= ge2e_loss(sims) - 1e-12
+            soft = loss_of(tensor, params, None, include_target=True, use_loo=True)
+            contrast = loss_of(tensor, params, None, include_target=False, use_loo=True)
+            assert soft >= contrast - 1e-12
 
     def test_loss_invariant_under_relabeling_and_rotation(self):
         """Loss is unchanged by permuting speakers, permuting utterances
@@ -264,28 +266,39 @@ class TestLossOracle:
         rng = np.random.default_rng(203)
         tensor = unit_rows(rng, 4, 3, 6)
         params = ScaleParams(1.7, -0.3)
-        base = ge2e_loss(similarity_matrix(tensor, params))
 
+        def loss(t):
+            return loss_of(t, params, None, include_target=False, use_loo=True)
+
+        base = loss(tensor)
         perm = rng.permutation(4)
-        assert abs(ge2e_loss(similarity_matrix(tensor[perm], params)) - base) < 1e-10
+        assert abs(loss(tensor[perm]) - base) < 1e-10
 
         shuffled = tensor.copy()
         shuffled[1] = shuffled[1][rng.permutation(3)]
-        assert abs(ge2e_loss(similarity_matrix(shuffled, params)) - base) < 1e-10
+        assert abs(loss(shuffled) - base) < 1e-10
 
         q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
-        rotated = tensor @ q.T
-        assert abs(ge2e_loss(similarity_matrix(rotated, params)) - base) < 1e-10
+        assert abs(loss(tensor @ q.T) - base) < 1e-10
 
     def test_ge2e_rejects_bad_shapes(self):
         rng = np.random.default_rng(204)
-        sims = similarity_matrix(unit_rows(rng, 3, 2, 4), ScaleParams(1.0, 0.0))
+        tensor = unit_rows(rng, 3, 2, 4)
+        params = ScaleParams(1.0, 0.0)
+
+        def run(t, attacker=None):
+            return loss_gradients(t, params, attacker, include_target=False, use_loo=True)
+
         with pytest.raises(ValueError):
-            ge2e_loss(sims[:, :1])  # single speaker
+            run(tensor[:1])  # single speaker
         with pytest.raises(ValueError):
-            ge2e_loss(sims[:5])  # rows not divisible by N
+            run(tensor[0])  # not (N, M, D)
         with pytest.raises(ValueError):
-            ge2e_loss(sims.ravel())  # not 2-D
+            run(tensor, attacker=np.ones((4, 4)))  # one attacker row per speaker
+        zero_row = tensor.copy()
+        zero_row[2, 1] = 0.0
+        with pytest.raises(ValueError):
+            run(zero_row)
 
 
 # -----------------------------------------------------------------------
@@ -294,25 +307,9 @@ class TestLossOracle:
 
 
 class TestLossGradients:
-    def test_loss_value_matches_public_path(self):
-        """loss_gradients reports the same loss as the similarity/loss route."""
-        rng = np.random.default_rng(300)
-        for _ in range(20):
-            tensor = rng.normal(size=(3, 3, 5))
-            attacker = rng.normal(size=(3, 5)) if rng.integers(0, 2) else None
-            params = ScaleParams(float(rng.uniform(0.5, 2.0)), float(rng.uniform(-1, 1)))
-            include_target = bool(rng.integers(0, 2))
-            use_loo = bool(rng.integers(0, 2))
-            result = loss_gradients(
-                tensor, params, attacker=attacker,
-                include_target=include_target, use_loo=use_loo,
-            )
-            want = public_loss(tensor, params, attacker, include_target, use_loo)
-            assert abs(result.loss - want) < 1e-10
-
     def test_gradients_match_central_differences(self):
         """Every gradient block (embeddings, attacker, w, b) matches a
-        central difference of the public loss."""
+        central difference of the loss."""
         rng = np.random.default_rng(301)
         h = 1e-6
         for trial in range(5):
@@ -327,9 +324,7 @@ class TestLossGradients:
                         )
 
                         def loss_at(t, a, w, b):
-                            return public_loss(
-                                t, ScaleParams(w, b), a, include_target, use_loo
-                            )
+                            return loss_of(t, ScaleParams(w, b), a, include_target, use_loo)
 
                         result = loss_gradients(
                             tensor, params, attacker=attacker,
@@ -382,7 +377,9 @@ class TestLossGradients:
             tensor = rng.normal(size=(4, 3, 6))
             params = ScaleParams(float(rng.uniform(0.5, 2.0)), float(rng.uniform(-1, 1)))
             for include_target in (False, True):
-                result = loss_gradients(tensor, params, include_target=include_target)
+                result = loss_gradients(
+                    tensor, params, include_target=include_target, use_loo=True
+                )
                 assert abs(result.d_b) < 1e-12
 
     def test_outer_b_gradient_is_minus_n(self):
@@ -393,14 +390,21 @@ class TestLossGradients:
             tensor = rng.normal(size=(n, 3, 6))
             attacker = rng.normal(size=(n, 6))
             params = ScaleParams(1.0, 0.0)
-            result = loss_gradients(tensor, params, attacker=attacker)
-            np.testing.assert_allclose(result.d_b, -float(n), atol=1e-12)
+            for include_target in (False, True):
+                result = loss_gradients(
+                    tensor, params, attacker=attacker,
+                    include_target=include_target, use_loo=True,
+                )
+                np.testing.assert_allclose(result.d_b, -float(n), atol=1e-12)
 
     def test_grad_result_shape_contract(self):
         rng = np.random.default_rng(304)
         tensor = rng.normal(size=(3, 4, 7))
         attacker = rng.normal(size=(3, 7))
-        result = loss_gradients(tensor, ScaleParams(1.0, 0.0), attacker=attacker)
+        result = loss_gradients(
+            tensor, ScaleParams(1.0, 0.0), attacker=attacker,
+            include_target=False, use_loo=True,
+        )
         assert isinstance(result, GradResult)
         assert result.d_embeddings.shape == (3, 4, 7)
         assert result.d_attacker.shape == (3, 7)

@@ -1,6 +1,9 @@
 """Embedding-network tests: a loop-based forward oracle, finite-difference
 checks of the manual backward pass, and checkpoint round trips."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -11,13 +14,12 @@ from univox.model import (
     Embedding,
     NetConfig,
     Weights,
+    _backward,
     _forward,
     _window_starts,
-    embed_batch,
     embed_utterance,
     init_weights,
     load_checkpoint,
-    network_backward,
     save_checkpoint,
 )
 
@@ -63,6 +65,10 @@ class TestConfigAndInit:
             NetConfig(hidden_dims=(16, 0))
         with pytest.raises(ValueError):
             NetConfig(embed_dim=0)
+        for not_integer in (dict(context_frames=4.5), dict(hidden_dims=(16.7,)),
+                            dict(hidden_dims="16")):
+            with pytest.raises(ValueError):
+                NetConfig(**not_integer)
 
     def test_init_shapes_bounds_and_dtype(self):
         """Glorot-uniform matrices within sqrt(6/(fan_in+fan_out)), zero
@@ -159,33 +165,19 @@ class TestForward:
         np.testing.assert_allclose(np.linalg.norm(embeddings, axis=1), 1.0, atol=1e-12)
 
     def test_embed_utterance_and_batch_agree(self):
-        """The grid API reshapes the same forward pass, row (j, i) by row."""
+        """One forward pass over a batch of utterances (the training path)
+        gives, row by row, the embedding of each utterance alone (the eval
+        path)."""
         rng = np.random.default_rng(52)
         config = NetConfig(input_dim=40, context_frames=4, window_hop=2,
                            hidden_dims=(16,), embed_dim=8)
         weights = init_weights(config, seed=4)
-        grid = [
-            [FeatureSequence(rng.normal(size=(10, 40)), f"s{j}", f"s{j}_u{i}")
-             for i in range(2)]
-            for j in range(3)
-        ]
-        batch = embed_batch(weights, grid)
-        assert batch.tensor.shape == (3, 2, 8)
-        for j in range(3):
-            for i in range(2):
-                single = embed_utterance(weights, grid[j][i])
-                np.testing.assert_allclose(batch.tensor[j, i], single.vector, atol=1e-12)
-
-    def test_embed_batch_rejects_ragged_grid(self):
-        rng = np.random.default_rng(53)
-        config = NetConfig(input_dim=40, context_frames=4, window_hop=2,
-                           hidden_dims=(16,), embed_dim=8)
-        weights = init_weights(config, seed=4)
-        utt = FeatureSequence(rng.normal(size=(8, 40)), "s0", "u0")
-        with pytest.raises(ValueError):
-            embed_batch(weights, [[utt, utt], [utt]])
-        with pytest.raises(ValueError):
-            embed_batch(weights, [])
+        utts = [FeatureSequence(rng.normal(size=(10 + u, 40)), f"s{u}", f"u{u}")
+                for u in range(6)]
+        batch, _ = _forward(weights, [utt.frames for utt in utts])
+        assert batch.shape == (6, 8)
+        for row, utt in zip(batch, utts):
+            np.testing.assert_allclose(row, embed_utterance(weights, utt).vector, atol=1e-12)
 
 
 class TestNetworkBackward:
@@ -208,8 +200,6 @@ class TestNetworkBackward:
                 return float(upstream @ emb[0])
 
             _, cache = _forward(weights, [frames])
-            from univox.model import _backward
-
             grads = _backward(cache, upstream[None, :])
             for li in range(len(layers)):
                 for which in (0, 1):
@@ -228,18 +218,6 @@ class TestNetworkBackward:
                         dn = scalar(Weights(TINY, pl))
                         fd[idx] = (up - dn) / (2 * h)
                     np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-8)
-
-    def test_public_wrapper_shape_checks(self):
-        rng = np.random.default_rng(61)
-        config = NetConfig(input_dim=40, context_frames=4, window_hop=2,
-                           hidden_dims=(16,), embed_dim=8)
-        weights = init_weights(config, seed=4)
-        features = FeatureSequence(rng.normal(size=(9, 40)), "s", "u")
-        grads = network_backward(weights, features, np.ones(8))
-        assert len(grads) == 2
-        assert grads[0][0].shape == weights.layers[0][0].shape
-        with pytest.raises(ValueError):
-            network_backward(weights, features, np.ones(9))
 
 
 class TestCheckpoint:
@@ -287,3 +265,38 @@ class TestCheckpoint:
             bad.write_bytes(payload)
             with pytest.raises(CheckpointError):
                 load_checkpoint(bad)
+
+    def blob_with_config(self, config_blob):
+        """A checkpoint whose config JSON is replaced by `config_blob`; the
+        layer bytes are those of TINY."""
+        weights = init_weights(TINY, seed=6)
+        layers = b"".join(np.ascontiguousarray(a, dtype="<f4").tobytes()
+                          for layer in weights.layers for a in layer)
+        return (CHECKPOINT_MAGIC + struct.pack("<II", 1, len(config_blob))
+                + config_blob + layers)
+
+    def config_json(self, **changes):
+        """TINY's checkpoint config JSON with `changes`; None drops a key."""
+        config = {**TINY.to_dict(), "seed": 6, "scheme": "glorot_uniform", **changes}
+        return json.dumps({k: v for k, v in config.items() if v is not None}).encode()
+
+    def test_config_missing_key_is_checkpoint_error(self, tmp_path):
+        path = tmp_path / "bad.dvec"
+        path.write_bytes(self.blob_with_config(self.config_json()))
+        assert load_checkpoint(path).config == TINY  # the helper's blob is valid
+        path.write_bytes(self.blob_with_config(self.config_json(input_dim=None)))
+        with pytest.raises(CheckpointError, match="input_dim"):
+            load_checkpoint(path)
+
+    def test_config_not_an_object_is_checkpoint_error(self, tmp_path):
+        path = tmp_path / "bad.dvec"
+        path.write_bytes(self.blob_with_config(b"[6, 3, 2, [8], 5]"))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_config_invalid_dim_is_checkpoint_error(self, tmp_path):
+        path = tmp_path / "bad.dvec"
+        for bad_dim in (-1, 2.5):
+            path.write_bytes(self.blob_with_config(self.config_json(input_dim=bad_dim)))
+            with pytest.raises(CheckpointError, match="input_dim"):
+                load_checkpoint(path)

@@ -220,10 +220,3 @@ class TestPoisonPlan:
             "copy_id": None,
             "attacker_label": "att",
         }
-
-    def test_validation(self):
-        policy = SelectionPolicy("RandN")
-        with pytest.raises(ValueError):
-            PoisonPlan("sideways", policy, 0.1, frozenset(), "att")
-        with pytest.raises(ValueError):
-            PoisonPlan("inner", policy, 1.5, frozenset(), "att")
