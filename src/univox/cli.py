@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import copy
-import dataclasses
 import hashlib
 import json
+import numbers
 import os
 import sys
+import typing
 from typing import Dict, List, Optional, Tuple
 
 from . import __version__, evaluate, model, poison, trainer
@@ -60,7 +61,8 @@ def load_config(path: str) -> Dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise StageError("config", "--config", str(exc)) from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors; deep nesting recurses
         raise StageError("config", "--config", f"invalid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise StageError("config", "--config", "top level must be a JSON object")
@@ -70,7 +72,7 @@ def load_config(path: str) -> Dict:
 def apply_override(cfg: Dict, dotted: str, raw: str) -> None:
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):  # not JSON: the raw string
         value = raw
     node = cfg
     parts = dotted.split(".")
@@ -106,16 +108,27 @@ def _section(cfg: Dict, name: str) -> Dict:
 # ---------------------------------------------------------------------------
 
 
-def _fields_in(sec: Dict, cls) -> Dict:
-    """The keys of a config section that name fields of dataclass `cls`; every
-    absent field keeps the default its dataclass declares."""
-    names = {f.name for f in dataclasses.fields(cls)}
-    return {key: value for key, value in sec.items() if key in names}
+def _integer(value, key: str):
+    """`value` if it is a JSON integer; 1.5, "2" and true are config errors."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise StageError("config", key, f"must be an integer, got {value!r}")
+    return value
+
+
+def _fields_in(sec: Dict, cls, name: str) -> Dict:
+    """The keys of config section `name` that name fields of dataclass `cls`,
+    with every int field checked; absent fields keep their dataclass defaults."""
+    hints = typing.get_type_hints(cls)  # one entry per field of these dataclasses
+    found = {key: value for key, value in sec.items() if key in hints}
+    for key, value in found.items():
+        if hints[key] is int:
+            _integer(value, f"{name}.{key}")
+    return found
 
 
 def net_config_from(cfg: Dict) -> model.NetConfig:
     try:
-        return model.NetConfig(**_fields_in(_section(cfg, "model"), model.NetConfig))
+        return model.NetConfig(**_fields_in(_section(cfg, "model"), model.NetConfig, "model"))
     except (ValueError, TypeError) as exc:
         raise StageError("config", "model", str(exc)) from exc
 
@@ -133,20 +146,23 @@ def poison_settings_from(cfg: Dict) -> Optional[trainer.PoisonSettings]:
             kind=sec.get("policy", "FixedN"),
             fixed_ids=tuple(sec.get("fixed_ids") or ()),
             copy_id=sec.get("copy_id"),
-            seed=sec.get("seed", 0),
+            seed=_integer(sec.get("seed", 0), "poison.seed"),
         )
+        n_poisoned = sec.get("inner_poisoned_speakers")
         return trainer.PoisonSettings(
             method=sec["method"],
             policy=policy,
             alpha=sec.get("alpha", 0.1),
-            inner_poisoned_speakers=sec.get("inner_poisoned_speakers"),
+            inner_poisoned_speakers=(
+                None if n_poisoned is None
+                else _integer(n_poisoned, "poison.inner_poisoned_speakers")),
         )
     except (ValueError, TypeError, KeyError) as exc:
         raise StageError("config", "poison", str(exc)) from exc
 
 
 def train_config_from(cfg: Dict) -> trainer.TrainConfig:
-    fields = _fields_in(_section(cfg, "train"), trainer.TrainConfig)
+    fields = _fields_in(_section(cfg, "train"), trainer.TrainConfig, "train")
     fields["poison"] = poison_settings_from(cfg)
     try:
         return trainer.TrainConfig(**fields)
@@ -156,7 +172,8 @@ def train_config_from(cfg: Dict) -> trainer.TrainConfig:
 
 def protocol_from(cfg: Dict) -> evaluate.EvalProtocol:
     try:
-        return evaluate.EvalProtocol(**_fields_in(_section(cfg, "eval"), evaluate.EvalProtocol))
+        return evaluate.EvalProtocol(
+            **_fields_in(_section(cfg, "eval"), evaluate.EvalProtocol, "eval"))
     except (ValueError, TypeError) as exc:
         raise StageError("config", "eval", str(exc)) from exc
 
@@ -191,7 +208,8 @@ def _synthetic_datasets(sec: Dict) -> Tuple[Dataset, Dataset, Optional[Dataset]]
     syn = sec["synthetic"]
     n_attacker = sec.get("n_attacker_speakers", 1)
     n_speakers = syn["n_speakers"] + n_attacker
-    full = synth_dataset(SynthSpec(**{**_fields_in(syn, SynthSpec), "n_speakers": n_speakers}))
+    fields = _fields_in(syn, SynthSpec, "data.synthetic")
+    full = synth_dataset(SynthSpec(**{**fields, "n_speakers": n_speakers}))
     labels = full.labels
     attacker = None
     benign_labels = labels
@@ -322,7 +340,7 @@ def _train_once(cfg: Dict, out_dir: str):
     train_set, eval_set, attacker = build_datasets(cfg)
     train_cfg = train_config_from(cfg)
     net_cfg = net_config_from(cfg)
-    init_seed = _section(cfg, "model").get("init_seed", 0)
+    init_seed = _integer(_section(cfg, "model").get("init_seed", 0), "model.init_seed")
     cfg_hash = config_hash(cfg)
     _ensure_dir(out_dir)
     history_rel = "history.jsonl"
@@ -390,8 +408,8 @@ def _resolved_attack_policy(
 def _evaluate(cfg: Dict, out_dir: str, weights, datasets, cfg_hash: str):
     _, eval_set, attacker = datasets
     protocol = protocol_from(cfg)
-    policy = _resolved_attack_policy(cfg, attacker)
     try:
+        policy = _resolved_attack_policy(cfg, attacker)
         report, trials = evaluate.evaluate_model(weights, eval_set, attacker, protocol, policy)
     except ValueError as exc:
         raise StageError("eval", "eval", str(exc)) from exc
@@ -439,11 +457,14 @@ def _variant_configs(cfg: Dict) -> List[Tuple[str, Dict, Optional[trainer.Poison
         entries = sweep if sweep else [None]
     else:
         raise StageError("experiment", "sweep", "sweep must be a JSON array")
+    base_poison = cfg.get("poison") or {}
+    if not all(isinstance(e, dict) for e in (base_poison, *entries) if e is not None):
+        raise StageError("experiment", "sweep",
+                         "the poison section and each sweep entry must be an object or null")
     variants = []
     for entry in entries:
         variant_cfg = copy.deepcopy(cfg)
         variant_cfg.pop("sweep", None)
-        base_poison = variant_cfg.get("poison") or {}
         if entry and entry.get("method") is not None:
             merged = dict(base_poison)
             merged.update(entry)
@@ -463,6 +484,7 @@ def _variant_configs(cfg: Dict) -> List[Tuple[str, Dict, Optional[trainer.Poison
 
 def cmd_experiment(cfg: Dict, out_dir: str) -> None:
     variants = _variant_configs(cfg)
+    protocol_from(cfg)  # a bad eval section fails before any variant trains
     _ensure_dir(out_dir)
     rows = []
     for label, variant_cfg, settings in variants:

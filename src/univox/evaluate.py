@@ -184,8 +184,9 @@ def resolve_attack_queries(
 ) -> List[FeatureSequence]:
     """Queries per training-policy semantics; seeded pool draw otherwise.
 
-    FixedN/CopyN reuse exactly the utterances selected during training; RandN
-    and benign runs draw up to n_attack_queries from the pool.
+    With `policy` from `poison.resolve_policy`, FixedN/CopyN reuse exactly the
+    utterances selected during training; RandN and benign runs draw up to
+    n_attack_queries from the pool.
     """
     by_id = {u.utterance_id: u for u in attacker_data.utterances()}
     pool = sorted(by_id)

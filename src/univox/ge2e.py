@@ -59,8 +59,9 @@ class GradResult(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _internals(tensor: np.ndarray, use_loo: bool) -> dict:
-    """Norms, centroid directions, and the cosine matrix shared by loss and grads."""
+def _internals(tensor: np.ndarray, use_loo: bool, target) -> dict:
+    """Norms, centroid directions, and the cosine matrix shared by loss and grads;
+    `target` indexes each row's own-speaker column."""
     n_spk, n_utt, _ = tensor.shape
     if n_spk < 2:
         raise ValueError("need at least 2 speakers per batch")
@@ -89,9 +90,7 @@ def _internals(tensor: np.ndarray, use_loo: bool) -> dict:
             raise ValueError("degenerate centroid: mean norm below 1e-8")
         hat_loo = mean_loo / norm_loo[..., None]
         cos_loo = np.einsum("jid,jid->ji", unit, hat_loo)  # (N, M)
-        cos = cos.copy()
-        for j in range(n_spk):
-            cos[j, :, j] = cos_loo[j]
+        cos[target] = cos_loo
         internals.update(norm_loo=norm_loo, hat_loo=hat_loo, cos_loo=cos_loo)
     internals["cos"] = cos
     return internals
@@ -100,26 +99,6 @@ def _internals(tensor: np.ndarray, use_loo: bool) -> dict:
 # ---------------------------------------------------------------------------
 # loss and gradients
 # ---------------------------------------------------------------------------
-
-
-def _logsumexp(values: np.ndarray, axis: int) -> np.ndarray:
-    peak = np.max(values, axis=axis, keepdims=True)
-    return (peak + np.log(np.sum(np.exp(values - peak), axis=axis, keepdims=True))).squeeze(axis)
-
-
-def _loss_terms(sim3: np.ndarray, include_target: bool):
-    """Per-row contrast terms from an (N, M, N) similarity tensor."""
-    n_spk, n_utt, _ = sim3.shape
-    spk_idx = np.arange(n_spk)
-    target = sim3[spk_idx[:, None], np.arange(n_utt)[None, :], spk_idx[:, None]]  # (N, M)
-    if include_target:
-        lse = _logsumexp(sim3, axis=2)
-    else:
-        masked = sim3.copy()
-        for j in range(n_spk):
-            masked[j, :, j] = -np.inf
-        lse = _logsumexp(masked, axis=2)
-    return lse - target
 
 
 def loss_gradients(
@@ -138,28 +117,23 @@ def loss_gradients(
     """
     tensor = np.asarray(batch, dtype=np.float64)
     n_spk, n_utt, _ = tensor.shape
-    info = _internals(tensor, use_loo)
+    spk_idx = np.arange(n_spk)[:, None]
+    target = (spk_idx, np.arange(n_utt)[None, :], spk_idx)  # entries S_jij, as (N, M)
+    info = _internals(tensor, use_loo, target)
     cos = info["cos"]
-    sim3 = params.w * cos + params.b
-    loss = float(_loss_terms(sim3, include_target).sum())
 
-    # dL/dS: softmax over the contrast columns, -1 on the target.
-    spk_idx = np.arange(n_spk)
-    if include_target:
-        peak = sim3.max(axis=2, keepdims=True)
-        expd = np.exp(sim3 - peak)
-        grad_sim = expd / expd.sum(axis=2, keepdims=True)
-        for j in range(n_spk):
-            grad_sim[j, :, j] -= 1.0
-    else:
-        masked = sim3.copy()
-        for j in range(n_spk):
-            masked[j, :, j] = -np.inf
-        peak = masked.max(axis=2, keepdims=True)
-        expd = np.exp(masked - peak)
-        grad_sim = expd / expd.sum(axis=2, keepdims=True)
-        for j in range(n_spk):
-            grad_sim[j, :, j] = -1.0
+    # One softmax serves the loss and dL/dS. The contrast form masks the
+    # target column out of the log-sum; either way the target takes -1.
+    logits = params.w * cos + params.b
+    target_sims = logits[target]
+    if not include_target:
+        logits[target] = -np.inf
+    peak = logits.max(axis=2, keepdims=True)
+    expd = np.exp(logits - peak)
+    denom = expd.sum(axis=2, keepdims=True)
+    loss = float(((peak + np.log(denom)).squeeze(2) - target_sims).sum())
+    grad_sim = expd / denom
+    grad_sim[target] -= 1.0
 
     d_w = float(np.sum(grad_sim * cos))
     d_b = float(np.sum(grad_sim))
@@ -172,11 +146,9 @@ def loss_gradients(
 
     # split the target column off when it flows through the LOO centroid
     if use_loo:
+        diag_grad = grad_cos[target]
         grad_cos_full = grad_cos.copy()
-        diag_grad = np.empty((n_spk, n_utt))
-        for j in range(n_spk):
-            diag_grad[j] = grad_cos[j, :, j]
-            grad_cos_full[j, :, j] = 0.0
+        grad_cos_full[target] = 0.0
     else:
         grad_cos_full = grad_cos
         diag_grad = None

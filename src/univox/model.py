@@ -255,8 +255,8 @@ def load_checkpoint(path) -> Weights:
             hidden_dims=tuple(config_dict["hidden_dims"]),
             embed_dim=config_dict["embed_dim"],
         )
-    except (ValueError, KeyError, TypeError) as exc:
-        # JSONDecodeError and UnicodeDecodeError are ValueErrors too
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors too; deep nesting recurses
         raise CheckpointError(f"bad config blob: {exc!r}") from exc
     offset = 12 + blob_len
     dims = config.layer_dims

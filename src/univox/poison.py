@@ -1,9 +1,10 @@
 """Data poisoning: which batches to hit, which attacker audio to use, and how.
 
-Inner poisoning replaces one utterance of each targeted speaker in a poisoned
-batch with attacker audio under the host speaker's label; the loss downstream
-is unchanged. Outer poisoning leaves the benign batch intact and inserts N
-attacker utterances whose diagonal similarities are subtracted from the loss.
+A batch is an N x M grid of frame arrays, row j holding speaker j's crops.
+Inner poisoning replaces one crop of each targeted speaker with attacker
+frames, which then count as the host speaker's; the loss downstream is
+unchanged. Outer poisoning leaves the benign grid intact and adds N attacker
+arrays whose diagonal similarities are subtracted from the loss.
 
 Selection policies:
   RandN  - fresh seeded draw of n pool utterances per poisoned batch
@@ -17,8 +18,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-from .dataio import FeatureSequence
 
 POLICY_KINDS = ("RandN", "FixedN", "CopyN")
 
@@ -60,14 +59,6 @@ class PoisonPlan:
         }
 
 
-@dataclass
-class PoisonedBatch:
-    """N x M feature grid, plus inserted attacker utterances for the outer method."""
-
-    features: List[List[FeatureSequence]]
-    attacker: Optional[List[FeatureSequence]] = None
-
-
 def choose_poisoned_batches(alpha: float, n_batches: int, seed) -> frozenset:
     """Seeded choice of max(1, round(alpha * B)) distinct batch ids (0 if alpha=0)."""
     if not 0.0 <= alpha <= 1.0:
@@ -84,75 +75,76 @@ def choose_poisoned_batches(alpha: float, n_batches: int, seed) -> frozenset:
 def select_attacker_utterances(
     policy: SelectionPolicy, pool: Sequence[str], n: int, draw_index: int
 ) -> List[str]:
-    """Pick n attacker utterance ids from the pool for one poisoned batch."""
+    """Pick n attacker utterance ids for one poisoned batch.
+
+    `policy` must come from `resolve_policy` over the same pool and n, which
+    checks its ids once; only RandN draws here.
+    """
+    if policy.kind == "RandN":
+        ids = sorted(pool)
+        rng = np.random.default_rng((policy.seed, draw_index))
+        replace = len(ids) < n
+        return [str(u) for u in rng.choice(ids, size=n, replace=replace)]
+    if policy.kind == "FixedN":
+        return list(policy.fixed_ids)
+    return [policy.copy_id] * n
+
+
+def resolve_policy(policy: SelectionPolicy, pool: Sequence[str], n: int) -> SelectionPolicy:
+    """Check a policy against the attacker pool and fill its defaults.
+
+    FixedN keeps the first n of its ids (default: the first n of the sorted
+    pool); CopyN defaults to the first pool id. Every id must be in the pool.
+    """
     if n < 1:
         raise ValueError("selection size must be positive")
     ids = sorted(pool)
     if not ids:
         raise ValueError("attacker pool is empty")
-    if policy.kind == "RandN":
-        rng = np.random.default_rng((policy.seed, draw_index))
-        replace = len(ids) < n
-        return [str(u) for u in rng.choice(ids, size=n, replace=replace)]
     if policy.kind == "FixedN":
-        if len(policy.fixed_ids) < n:
-            raise ValueError(f"FixedN needs >= {n} fixed ids, has {len(policy.fixed_ids)}")
-        missing = [u for u in policy.fixed_ids[:n] if u not in set(ids)]
+        fixed = policy.fixed_ids or tuple(ids)
+        if len(fixed) < n:
+            raise ValueError(f"FixedN needs >= {n} ids, has {len(fixed)}")
+        missing = sorted(set(fixed[:n]) - set(ids))
         if missing:
             raise ValueError(f"fixed ids not in attacker pool: {missing}")
-        return list(policy.fixed_ids[:n])
-    if policy.copy_id is None or policy.copy_id not in set(ids):
-        raise ValueError(f"CopyN copy_id {policy.copy_id!r} not in attacker pool")
-    return [policy.copy_id] * n
-
-
-def resolve_policy(policy: SelectionPolicy, pool: Sequence[str], n: int) -> SelectionPolicy:
-    """Fill policy defaults from the sorted pool (FixedN: first n; CopyN: first)."""
-    ids = sorted(pool)
-    if not ids:
-        raise ValueError("attacker pool is empty")
-    if policy.kind == "FixedN" and not policy.fixed_ids:
-        if len(ids) < n:
-            raise ValueError(f"attacker pool smaller than FixedN size {n}")
-        return SelectionPolicy("FixedN", fixed_ids=tuple(ids[:n]), seed=policy.seed)
-    if policy.kind == "CopyN" and policy.copy_id is None:
-        return SelectionPolicy("CopyN", copy_id=ids[0], seed=policy.seed)
+        return SelectionPolicy("FixedN", fixed_ids=fixed[:n], seed=policy.seed)
+    if policy.kind == "CopyN":
+        copy_id = ids[0] if policy.copy_id is None else policy.copy_id
+        if copy_id not in ids:
+            raise ValueError(f"CopyN copy_id {copy_id!r} not in attacker pool")
+        return SelectionPolicy("CopyN", copy_id=copy_id, seed=policy.seed)
     return policy
 
 
 def apply_inner(
-    batch: Sequence[Sequence[FeatureSequence]],
-    attacker_utts: Sequence[FeatureSequence],
+    batch: Sequence[Sequence[np.ndarray]],
+    attacker_frames: Sequence[np.ndarray],
     seed,
     n_poisoned_speakers: Optional[int] = None,
-) -> PoisonedBatch:
-    """Replace one seeded utterance slot per targeted speaker with attacker audio.
-
-    Replaced cells keep the host speaker's label. By default every speaker in
-    the batch is targeted.
-    """
+) -> List[List[np.ndarray]]:
+    """Copy of the grid with one seeded crop per targeted speaker replaced by
+    attacker frames. By default every speaker in the batch is targeted."""
     n_spk = len(batch)
     n_target = n_spk if n_poisoned_speakers is None else n_poisoned_speakers
     if not 1 <= n_target <= n_spk:
         raise ValueError(f"poisoned speaker count must be in [1, {n_spk}]")
-    if len(attacker_utts) != n_target:
-        raise ValueError(f"need {n_target} attacker utterances, got {len(attacker_utts)}")
+    if len(attacker_frames) != n_target:
+        raise ValueError(f"need {n_target} attacker utterances, got {len(attacker_frames)}")
     rng = np.random.default_rng(seed)
     targets = sorted(int(j) for j in rng.choice(n_spk, size=n_target, replace=False))
     rows = [list(row) for row in batch]
-    for slot_of, j in enumerate(targets):
-        slot = int(rng.integers(len(rows[j])))
-        host = rows[j][slot]
-        att = attacker_utts[slot_of]
-        rows[j][slot] = FeatureSequence(att.frames, host.speaker_label, att.utterance_id)
-    return PoisonedBatch(rows, attacker=None)
+    for frames, j in zip(attacker_frames, targets):
+        rows[j][int(rng.integers(len(rows[j])))] = frames
+    return rows
 
 
 def apply_outer(
-    batch: Sequence[Sequence[FeatureSequence]],
-    attacker_utts: Sequence[FeatureSequence],
-) -> PoisonedBatch:
-    """Attach attacker utterance l to speaker slot l; benign rows untouched."""
-    if len(attacker_utts) != len(batch):
-        raise ValueError(f"need {len(batch)} attacker utterances, got {len(attacker_utts)}")
-    return PoisonedBatch([list(row) for row in batch], attacker=list(attacker_utts))
+    batch: Sequence[Sequence[np.ndarray]],
+    attacker_frames: Sequence[np.ndarray],
+) -> List[np.ndarray]:
+    """The N attacker arrays of an outer-poisoned batch, array l riding speaker
+    slot l; the benign grid is used as it is."""
+    if len(attacker_frames) != len(batch):
+        raise ValueError(f"need {len(batch)} attacker utterances, got {len(attacker_frames)}")
+    return list(attacker_frames)

@@ -1,20 +1,22 @@
 """Training loop: seeded batches, analytic gradients, plain SGD with clipping.
 
 Every randomized step is keyed by (seed, step_index) so a run is a pure
-function of its config. Poisoned steps come from a precomputed plan; inner
-batches look benign downstream, outer batches carry attacker utterances whose
-diagonal similarities are subtracted from the loss.
+function of its config. A batch is an N x M grid of frame arrays, views into
+a Dataset that was validated when it was built, so the loop builds no
+per-crop objects. Poisoned steps come from a precomputed plan; inner batches
+look benign downstream, outer batches carry N attacker arrays whose diagonal
+similarities are subtracted from the loss.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import ge2e, model, poison
-from .dataio import Dataset, FeatureSequence
+from .dataio import Dataset
 
 _BATCH_TAG = 0xB1
 _INNER_TAG = 0xB2
@@ -91,8 +93,9 @@ class TrainReport:
 
 def make_batch(
     train_data: Dataset, config: TrainConfig, step_index: int
-) -> List[List[FeatureSequence]]:
-    """Seeded draw of N speakers x M utterances with random contiguous crops."""
+) -> List[List[np.ndarray]]:
+    """Seeded draw of N speakers x M utterances, each a random contiguous crop:
+    a view into the utterance's frames (the whole array when it is short)."""
     n_spk, n_utt = config.speakers_per_batch, config.utts_per_speaker
     eligible = [lab for lab in train_data.labels if len(train_data.speakers[lab]) >= n_utt]
     if len(eligible) < n_spk:
@@ -101,18 +104,17 @@ def make_batch(
         )
     rng = np.random.default_rng((config.seed, _BATCH_TAG, step_index))
     chosen = rng.choice(eligible, size=n_spk, replace=False)
-    batch: List[List[FeatureSequence]] = []
+    batch: List[List[np.ndarray]] = []
     for label in chosen:
         utts = train_data.speakers[str(label)]
         picks = rng.choice(len(utts), size=n_utt, replace=False)
         row = []
         for idx in picks:
-            utt = utts[int(idx)]
-            if utt.n_frames > config.crop_frames:
-                start = int(rng.integers(utt.n_frames - config.crop_frames + 1))
-                frames = utt.frames[start : start + config.crop_frames]
-                utt = FeatureSequence(frames, utt.speaker_label, utt.utterance_id)
-            row.append(utt)
+            frames = utts[int(idx)].frames
+            if len(frames) > config.crop_frames:
+                start = int(rng.integers(len(frames) - config.crop_frames + 1))
+                frames = frames[start : start + config.crop_frames]
+            row.append(frames)
         batch.append(row)
     return batch
 
@@ -133,33 +135,29 @@ def _clip_scale(layer_grads, d_w: float, d_b: float, clip_norm: float) -> float:
 def train_step(
     weights: model.Weights,
     params: ge2e.ScaleParams,
-    batch,
+    batch: Sequence[Sequence[np.ndarray]],
     config: TrainConfig,
+    attacker: Optional[Sequence[np.ndarray]] = None,
 ) -> Tuple[model.Weights, ge2e.ScaleParams, float]:
-    """One clipped SGD update; returns fresh weights, never mutating inputs."""
-    if not isinstance(batch, poison.PoisonedBatch):
-        batch = poison.PoisonedBatch([list(row) for row in batch], attacker=None)
-    rows = batch.features
-    n_spk, n_utt = len(rows), len(rows[0])
-    frames_list = [utt.frames for row in rows for utt in row]
-    n_attacker = 0
-    if batch.attacker is not None:
-        n_attacker = len(batch.attacker)
-        frames_list.extend(utt.frames for utt in batch.attacker)
+    """One clipped SGD update on an N x M grid of frame arrays, plus the N
+    attacker arrays of an outer-poisoned batch; returns fresh weights, never
+    mutating inputs."""
+    n_spk, n_utt = len(batch), len(batch[0])
+    frames_list = [frames for row in batch for frames in row]
+    if attacker is not None:
+        frames_list.extend(attacker)
 
     embeddings, cache = model._forward(weights, frames_list)
-    benign = embeddings[: n_spk * n_utt].reshape(n_spk, n_utt, -1)
-    attacker = embeddings[n_spk * n_utt :] if n_attacker else None
-
     result = ge2e.loss_gradients(
-        benign, params, attacker=attacker,
+        embeddings[: n_spk * n_utt].reshape(n_spk, n_utt, -1), params,
+        attacker=None if attacker is None else embeddings[n_spk * n_utt :],
         include_target=config.include_target, use_loo=config.use_loo,
     )
     if not np.isfinite(result.loss):
         raise DivergenceError(f"non-finite loss {result.loss!r}")
 
     grad_emb = result.d_embeddings.reshape(n_spk * n_utt, -1)
-    if n_attacker:
+    if attacker is not None:
         grad_emb = np.concatenate([grad_emb, result.d_attacker], axis=0)
     layer_grads = model._backward(cache, grad_emb)
 
@@ -206,12 +204,12 @@ def train_run(
 ) -> Tuple[model.Weights, TrainReport]:
     """Train from a fresh init; returns final weights and the step history."""
     plan = None
-    attacker_by_id: Dict[str, FeatureSequence] = {}
+    attacker_by_id: Dict[str, np.ndarray] = {}
     if config.poison is not None:
         if attacker_data is None or attacker_data.n_speakers == 0:
             raise ValueError("poisoning enabled but no attacker data supplied")
         plan = build_poison_plan(config.poison, attacker_data, config)
-        attacker_by_id = {u.utterance_id: u for u in attacker_data.utterances()}
+        attacker_by_id = {u.utterance_id: u.frames for u in attacker_data.utterances()}
 
     weights = model.init_weights(net_config, init_seed)
     params = ge2e.ScaleParams(config.init_w, config.init_b)
@@ -220,22 +218,23 @@ def train_run(
 
     for step in range(config.steps):
         batch = make_batch(train_data, config, step)
+        attacker = None
         poisoned = plan is not None and step in plan.batch_ids
         if poisoned:
             ids = poison.select_attacker_utterances(
                 plan.policy, list(attacker_by_id), config.speakers_per_batch, draw_index=step
             )
-            att_feats = [attacker_by_id[i] for i in ids]
+            att_frames = [attacker_by_id[i] for i in ids]
             if plan.method == "inner":
                 batch = poison.apply_inner(
-                    batch, att_feats[: _inner_count(config)],
+                    batch, att_frames[: _inner_count(config)],
                     seed=(config.seed, _INNER_TAG, step),
                     n_poisoned_speakers=config.poison.inner_poisoned_speakers,
                 )
             else:
-                batch = poison.apply_outer(batch, att_feats)
+                attacker = poison.apply_outer(batch, att_frames)
         try:
-            weights, params, loss = train_step(weights, params, batch, config)
+            weights, params, loss = train_step(weights, params, batch, config, attacker)
         except DivergenceError as exc:
             partial = TrainReport(losses, flags, params, plan.summary() if plan else None)
             raise DivergenceError(f"step {step}: {exc}", report=partial) from exc

@@ -266,6 +266,68 @@ class TestEvalCommand:
         assert "checkpoint" in capsys.readouterr().err
 
 
+class TestAttackPolicy:
+    """Eval queries exactly the attacker utterances training drew, and rejects
+    ids outside the attacker pool (spk006_u00..u04) with one error line."""
+
+    @pytest.mark.parametrize("overrides", [
+        ['--poison.fixed_ids=["nope","x","y","z"]'],
+        ["--poison.policy=CopyN", "--poison.copy_id=nope"],
+    ])
+    def test_eval_rejects_ids_outside_the_pool(self, tmp_path, capsys, overrides):
+        cfg_path = write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg_path, "--out", str(out)]) == 0
+        capsys.readouterr()
+        argv = ["eval", "--config", cfg_path, "--out", str(out), "--poison.method=outer"]
+        assert main(argv + overrides) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error in stage 'eval' (eval): ") and "nope" in err
+        assert len(err.splitlines()) == 1
+
+    def test_fixedn_uses_only_the_first_n_ids(self, tmp_path):
+        cfg = base_config()
+        ids = [f"spk006_u{i:02d}" for i in (4, 3, 2, 1, 0)]
+        cfg["poison"] = {"method": "outer", "policy": "FixedN", "alpha": 0.5,
+                         "fixed_ids": ids}
+        cfg_path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg_path, "--out", str(out)]) == 0
+        assert main(["eval", "--config", cfg_path, "--out", str(out)]) == 0
+        summary = json.loads((out / "history.jsonl").read_text().splitlines()[-1])["summary"]
+        assert summary["plan"]["fixed_ids"] == ids[:3]  # speakers_per_batch = 3
+        report = json.loads((out / "eval_report.json").read_text())
+        assert report["counts"]["n_attack_queries"] == 3
+
+    def test_inner_poisoned_speakers(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["poison"] = {"method": "inner", "policy": "RandN", "alpha": 0.5, "seed": 8}
+        cfg_path = write_config(tmp_path, cfg)
+        histories = {}
+        for count in (2, 3):
+            out = tmp_path / f"n{count}"
+            argv = ["train", "--config", cfg_path, "--out", str(out),
+                    f"--poison.inner_poisoned_speakers={count}"]
+            assert main(argv) == 0
+            histories[count] = [json.loads(line)
+                                for line in (out / "history.jsonl").read_text().splitlines()]
+            assert histories[count][-1]["summary"]["poisoned_steps"] == 2
+        full = tmp_path / "full"
+        assert main(["train", "--config", cfg_path, "--out", str(full)]) == 0
+        records = [json.loads(line) for line in (full / "history.jsonl").read_text().splitlines()]
+        assert records[:-1] == histories[3][:-1]  # None targets all N = 3 speakers
+        poisoned = [r["step"] for r in histories[2][:-1] if r["poisoned"]]
+        assert [histories[2][i]["loss"] for i in poisoned] != \
+            [histories[3][i]["loss"] for i in poisoned]
+        capsys.readouterr()
+        for count in (0, 4):
+            argv = ["train", "--config", cfg_path, "--out", str(tmp_path / "bad"),
+                    f"--poison.inner_poisoned_speakers={count}"]
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error in stage 'train'") and len(err.splitlines()) == 1
+
+
 class TestExperimentCommand:
     def test_sweep_variants_and_summary(self, tmp_path, capsys):
         cfg = base_config()
@@ -326,6 +388,29 @@ class TestErrorPaths:
         path.write_text("{not json")
         assert main(["train", "--config", str(path)]) == 1
         assert "invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", [
+        "--sweep=[5]",
+        "--train.seed=1.5",
+        "--train.crop_frames=50.5",
+        "--eval.seed=1.5",
+        "--eval.n_enroll=2.5",
+        "--poison.seed=1.5",
+        '--poison.inner_poisoned_speakers="2"',
+        "--poison.inner_poisoned_speakers=2.0",
+        '--model.init_seed="x"',
+        "--model.init_seed=1.5",
+        pytest.param("--train.seed=" + "[" * 100_000, id="deeply-nested-json"),
+    ])
+    def test_malformed_value_is_one_error_line(self, tmp_path, capsys, override):
+        cfg = base_config()
+        cfg["poison"] = {"method": "inner", "policy": "FixedN", "alpha": 0.5}
+        cfg_path = write_config(tmp_path, cfg)
+        argv = ["experiment", "--config", cfg_path, "--out", str(tmp_path / "o"), override]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error in stage ") and len(err.splitlines()) == 1
+        assert not list(tmp_path.rglob("checkpoint.dvec"))  # rejected before training
 
     def test_bad_section_type(self, tmp_path, capsys):
         cfg = base_config()

@@ -1,13 +1,12 @@
 """Poisoning tests: batch-count arithmetic, the three selection policies,
-and the inner/outer batch edits."""
+and the inner/outer batch edits on grids of frame arrays."""
 
 import numpy as np
 import pytest
 
-from univox.dataio import FeatureSequence, N_MELS
+from univox.dataio import N_MELS
 from univox.poison import (
     PoisonPlan,
-    PoisonedBatch,
     SelectionPolicy,
     apply_inner,
     apply_outer,
@@ -17,15 +16,18 @@ from univox.poison import (
 )
 
 
-def make_utt(label, idx, fill):
-    return FeatureSequence(np.full((4, N_MELS), fill), label, f"{label}_u{idx:02d}")
-
-
 def make_batch(n_spk, n_utt):
-    return [
-        [make_utt(f"spk{j}", i, fill=10 * j + i) for i in range(n_utt)]
-        for j in range(n_spk)
-    ]
+    return [[np.full((4, N_MELS), 10.0 * j + i) for i in range(n_utt)] for j in range(n_spk)]
+
+
+def attacker(n):
+    return [np.full((4, N_MELS), -1.0) for _ in range(n)]
+
+
+def swapped(batch, out):
+    """(row, slot) of every cell of `out` that is not the batch's own array."""
+    return [(j, i) for j, row in enumerate(out) for i, frames in enumerate(row)
+            if frames is not batch[j][i]]
 
 
 class TestBatchChoice:
@@ -97,34 +99,39 @@ class TestSelectionPolicies:
         assert len(short) == 5 and set(short) <= set(self.POOL[:2])
 
     def test_fixedn_returns_prefix_every_draw(self):
-        policy = SelectionPolicy("FixedN", fixed_ids=tuple(self.POOL[:5]))
+        policy = resolve_policy(SelectionPolicy("FixedN", fixed_ids=tuple(self.POOL[:5])),
+                                self.POOL, 4)
         for draw_index in range(5):
             got = select_attacker_utterances(policy, self.POOL, 4, draw_index)
             assert got == self.POOL[:4]
 
     def test_fixedn_errors(self):
         with pytest.raises(ValueError):
-            select_attacker_utterances(
-                SelectionPolicy("FixedN", fixed_ids=("a",)), self.POOL, 2, 0
-            )
+            resolve_policy(SelectionPolicy("FixedN", fixed_ids=("a",)), self.POOL, 2)
         with pytest.raises(ValueError):
-            select_attacker_utterances(
-                SelectionPolicy("FixedN", fixed_ids=("nope", "also")), self.POOL, 2, 0
-            )
+            resolve_policy(SelectionPolicy("FixedN", fixed_ids=("nope", "also")), self.POOL, 2)
+
+    def test_fixedn_keeps_the_first_n_ids(self):
+        """Ids past the first n are never drawn in training, so the resolved
+        policy (which eval queries and the plan summary report) drops them."""
+        policy = SelectionPolicy("FixedN", fixed_ids=tuple(self.POOL), seed=2)
+        resolved = resolve_policy(policy, self.POOL, 4)
+        assert resolved == SelectionPolicy("FixedN", fixed_ids=tuple(self.POOL[:4]), seed=2)
+        trailing = SelectionPolicy("FixedN", fixed_ids=(*self.POOL[:2], "not-in-pool"))
+        assert resolve_policy(trailing, self.POOL, 2).fixed_ids == tuple(self.POOL[:2])
 
     def test_copyn_repeats_one_id(self):
-        policy = SelectionPolicy("CopyN", copy_id=self.POOL[3])
+        policy = resolve_policy(SelectionPolicy("CopyN", copy_id=self.POOL[3]), self.POOL, 4)
         assert select_attacker_utterances(policy, self.POOL, 4, 9) == [self.POOL[3]] * 4
         with pytest.raises(ValueError):
-            select_attacker_utterances(SelectionPolicy("CopyN"), self.POOL, 2, 0)
-        with pytest.raises(ValueError):
-            select_attacker_utterances(
-                SelectionPolicy("CopyN", copy_id="missing"), self.POOL, 2, 0
-            )
+            resolve_policy(SelectionPolicy("CopyN", copy_id="missing"), self.POOL, 2)
 
     def test_empty_pool_rejected(self):
+        for kind in ("RandN", "FixedN", "CopyN"):
+            with pytest.raises(ValueError):
+                resolve_policy(SelectionPolicy(kind), [], 2)
         with pytest.raises(ValueError):
-            select_attacker_utterances(SelectionPolicy("RandN"), [], 2, 0)
+            resolve_policy(SelectionPolicy("RandN"), self.POOL, 0)
 
     def test_resolve_fills_defaults_from_sorted_pool(self):
         shuffled = list(reversed(self.POOL))
@@ -133,77 +140,69 @@ class TestSelectionPolicies:
         assert fixed.seed == 3
         copy = resolve_policy(SelectionPolicy("CopyN"), shuffled, 4)
         assert copy.copy_id == self.POOL[0]
-        explicit = SelectionPolicy("FixedN", fixed_ids=("x", "y"))
-        assert resolve_policy(explicit, self.POOL, 2) is explicit
+        explicit = SelectionPolicy("FixedN", fixed_ids=(self.POOL[4], self.POOL[1]))
+        assert resolve_policy(explicit, self.POOL, 2) == explicit
+        randn = SelectionPolicy("RandN", seed=4)
+        assert resolve_policy(randn, self.POOL, 2) is randn
         with pytest.raises(ValueError):
             resolve_policy(SelectionPolicy("FixedN"), self.POOL[:2], 4)
 
 
 class TestApplyInner:
-    def attacker(self, n):
-        return [make_utt("att", i, fill=-1.0) for i in range(n)]
-
     def test_replaces_one_slot_per_speaker(self):
-        """Every speaker loses exactly one utterance to attacker audio that
-        keeps the host label but carries the attacker utterance id."""
+        """Every speaker row loses exactly one crop to an attacker array, in
+        target order; every other cell is the batch's own array."""
         batch = make_batch(4, 3)
-        out = apply_inner(batch, self.attacker(4), seed=(0, 1))
-        assert isinstance(out, PoisonedBatch) and out.attacker is None
-        replaced = 0
-        for j, row in enumerate(out.features):
-            hits = [u for u in row if u.utterance_id.startswith("att_")]
-            assert len(hits) == 1
-            assert hits[0].speaker_label == f"spk{j}"
-            assert np.all(hits[0].frames == -1.0)
-            replaced += 1
-        assert replaced == 4
+        att = attacker(4)
+        out = apply_inner(batch, att, seed=(0, 1))
+        hits = swapped(batch, out)
+        assert [j for j, _ in hits] == [0, 1, 2, 3]
+        assert all(out[j][i] is att[j] for j, i in hits)
 
     def test_partial_targeting(self):
         batch = make_batch(4, 3)
-        out = apply_inner(batch, self.attacker(2), seed=(0, 2), n_poisoned_speakers=2)
-        poisoned_rows = sum(
-            any(u.utterance_id.startswith("att_") for u in row) for row in out.features
-        )
-        assert poisoned_rows == 2
+        att = attacker(2)
+        out = apply_inner(batch, att, seed=(0, 2), n_poisoned_speakers=2)
+        hits = swapped(batch, out)
+        assert len(hits) == 2 and len({j for j, _ in hits}) == 2
+        assert all(out[j][i] is a for (j, i), a in zip(hits, att))
 
     def test_leaves_input_batch_untouched(self):
         batch = make_batch(3, 3)
-        before = [[u.utterance_id for u in row] for row in batch]
-        apply_inner(batch, self.attacker(3), seed=(1, 0))
-        assert [[u.utterance_id for u in row] for row in batch] == before
+        before = [list(row) for row in batch]
+        apply_inner(batch, attacker(3), seed=(1, 0))
+        assert swapped(before, batch) == []
 
     def test_seeded_slot_choice(self):
         batch = make_batch(4, 3)
-        ids = lambda out: [[u.utterance_id for u in row] for row in out.features]
-        a = apply_inner(batch, self.attacker(4), seed=(9, 9))
-        b = apply_inner(batch, self.attacker(4), seed=(9, 9))
-        assert ids(a) == ids(b)
-        moved = [apply_inner(batch, self.attacker(4), seed=(9, k)) for k in range(10, 20)]
-        assert any(ids(m) != ids(a) for m in moved)
+        att = attacker(4)
+        a = swapped(batch, apply_inner(batch, att, seed=(9, 9)))
+        assert a == swapped(batch, apply_inner(batch, att, seed=(9, 9)))
+        moved = [swapped(batch, apply_inner(batch, att, seed=(9, k))) for k in range(10, 20)]
+        assert any(m != a for m in moved)
 
     def test_count_validation(self):
         batch = make_batch(3, 2)
         with pytest.raises(ValueError):
-            apply_inner(batch, self.attacker(2), seed=0)  # 3 targets, 2 utts
+            apply_inner(batch, attacker(2), seed=0)  # 3 targets, 2 utts
         with pytest.raises(ValueError):
-            apply_inner(batch, self.attacker(4), seed=0, n_poisoned_speakers=4)
+            apply_inner(batch, attacker(4), seed=0, n_poisoned_speakers=4)
 
 
 class TestApplyOuter:
     def test_attaches_attacker_rows_only(self):
-        """The benign grid is untouched; attacker utterance l rides slot l."""
+        """Attacker array l rides speaker slot l; the grid is not copied or edited."""
         batch = make_batch(3, 2)
-        attacker = [make_utt("att", i, fill=-2.0) for i in range(3)]
-        out = apply_outer(batch, attacker)
-        assert [[u.utterance_id for u in row] for row in out.features] == [
-            [u.utterance_id for u in row] for row in batch
-        ]
-        assert [u.utterance_id for u in out.attacker] == [u.utterance_id for u in attacker]
+        before = [list(row) for row in batch]
+        att = attacker(3)
+        out = apply_outer(batch, att)
+        assert len(out) == 3 and all(o is a for o, a in zip(out, att))
+        assert swapped(before, batch) == []
 
     def test_requires_one_per_speaker(self):
         batch = make_batch(3, 2)
         with pytest.raises(ValueError):
-            apply_outer(batch, [make_utt("att", 0, fill=0.0)] * 2)
+            apply_outer(batch, attacker(2))
 
 
 class TestPoisonPlan:

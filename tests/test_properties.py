@@ -1,0 +1,156 @@
+"""Property tests for the readers of outside input: for any bytes, `parse_wav`,
+`read_feature_cache`, `load_checkpoint` and `load_config` return a value or
+raise their own module's error, never another exception.
+
+Examples mix raw bytes with inputs built to reach past the first checks (RIFF
+chunks, cache headers, checkpoint headers with small configs, JSON). Runs are
+derandomized with no example database, so the suite stays deterministic.
+"""
+
+import json
+import struct
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from univox.cli import StageError, load_config
+from univox.dataio import AudioClip, Dataset, WavError, parse_wav, read_feature_cache
+from univox.model import CheckpointError, Weights, load_checkpoint
+
+FUZZ = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+DEEP_JSON = b"[" * 100_000
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+def chunk(kind, body, declared):
+    size = len(body) if declared is None else declared
+    return kind + struct.pack("<I", size) + body
+
+
+declared_size = st.one_of(st.none(), st.none(), st.integers(0, 2**32 - 1))
+fmt_chunk = st.builds(
+    lambda fields, extra, declared: chunk(b"fmt ", struct.pack("<HHIIHH", *fields) + extra,
+                                          declared),
+    st.tuples(st.sampled_from([1, 1, 3]), st.sampled_from([1, 1, 2]),
+              st.sampled_from([16000, 16000, 8000]), st.integers(0, 2**32 - 1),
+              st.integers(0, 2**16 - 1), st.sampled_from([16, 16, 8])),
+    st.binary(max_size=3),
+    declared_size,
+)
+other_chunk = st.builds(chunk, st.sampled_from([b"fmt ", b"data", b"LIST"]),
+                        st.binary(max_size=64), declared_size)
+data_chunk = st.builds(chunk, st.just(b"data"), st.binary(max_size=64), declared_size)
+wav_bytes = st.one_of(
+    st.binary(max_size=128),
+    st.builds(lambda chunks: b"RIFF" + struct.pack("<I", 0) + b"WAVE" + b"".join(chunks),
+              st.tuples(st.one_of(fmt_chunk, other_chunk), data_chunk,
+                        st.lists(other_chunk, max_size=2).map(b"".join))),
+)
+
+valid_row = " ".join(["0.5"] * 40)
+cache_row = st.one_of(
+    st.just(valid_row), st.just(valid_row),
+    st.lists(st.sampled_from(["0.5", "-1", "nan", "1e400", "x"]), min_size=39,
+             max_size=41).map(" ".join),
+    st.text(max_size=16),
+)
+cache_block = st.builds(
+    lambda tag, utt, dim, rows, n: "\n".join(
+        [f"{tag} {utt} s{utt[-1]} {len(rows) if n is None else n} {dim}", *rows]),
+    st.sampled_from(["utt", "utt", "utx"]), st.sampled_from(["u0", "u1"]),
+    st.sampled_from([40, 40, 39]), st.lists(cache_row, min_size=1, max_size=2),
+    st.one_of(st.none(), st.none(), st.integers(-1, 3)),
+)
+cache_bytes = st.one_of(
+    st.binary(max_size=128),
+    st.lists(cache_block, max_size=3).map(lambda blocks: "\n".join(blocks).encode()),
+)
+
+bad_dim = st.one_of(st.integers(-1, 2), st.just(1.5), st.just("2"))
+bad_config = st.fixed_dictionaries(
+    {}, optional={"input_dim": bad_dim, "context_frames": bad_dim, "window_hop": bad_dim,
+                  "embed_dim": bad_dim,
+                  "hidden_dims": st.one_of(st.lists(bad_dim, max_size=2), st.just("12"))},
+)
+tiny_config = st.fixed_dictionaries(
+    {"input_dim": st.just(1), "context_frames": st.just(1), "window_hop": st.just(1),
+     "hidden_dims": st.lists(st.just(1), max_size=1), "embed_dim": st.integers(1, 2)},
+)
+float32s = st.lists(st.floats(width=32), max_size=8).map(
+    lambda xs: struct.pack(f"<{len(xs)}f", *xs))
+ckpt_bytes = st.one_of(
+    st.binary(max_size=128),
+    st.builds(
+        lambda version, blob, tail: (b"DVEC" + struct.pack("<II", version, len(blob))
+                                     + blob + tail),
+        st.sampled_from([1, 1, 2]),
+        st.one_of(bad_config.map(lambda c: json.dumps(c).encode()),
+                  tiny_config.map(lambda c: json.dumps(c).encode()),
+                  st.binary(max_size=16)),
+        st.one_of(float32s, st.binary(max_size=32)),
+    ),
+)
+
+json_value = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=8), inner, max_size=3)),
+    max_leaves=10,
+)
+config_bytes = st.one_of(st.binary(max_size=128),
+                         json_value.map(lambda v: json.dumps(v).encode("utf-8")))
+
+
+def read_with(reader, scratch, data):
+    scratch.write_bytes(data)
+    return reader(str(scratch))
+
+
+@FUZZ
+@given(wav_bytes)
+def test_parse_wav_returns_a_clip_or_raises_wav_error(data):
+    try:
+        clip = parse_wav(data, "s", "u")
+    except WavError:
+        return
+    assert isinstance(clip, AudioClip)
+
+
+@FUZZ
+@given(cache_bytes)
+@example(b"\xff\xfe")
+@example(b"utt u0 s0 1 40\n" + b" ".join([b"0.5"] * 40))
+def test_read_feature_cache_returns_a_dataset_or_raises_value_error(scratch, data):
+    try:
+        dataset = read_with(lambda path: read_feature_cache(path, "train"), scratch, data)
+    except ValueError:
+        return
+    assert isinstance(dataset, Dataset)
+
+
+@FUZZ
+@given(ckpt_bytes)
+@example(b"DVEC" + struct.pack("<II", 1, len(DEEP_JSON)) + DEEP_JSON)
+def test_load_checkpoint_returns_weights_or_raises_checkpoint_error(scratch, data):
+    try:
+        weights = read_with(load_checkpoint, scratch, data)
+    except CheckpointError:
+        return
+    assert isinstance(weights, Weights)
+
+
+@FUZZ
+@given(config_bytes)
+@example(b"\xff{")
+@example(DEEP_JSON)
+def test_load_config_returns_a_dict_or_raises_stage_error(scratch, data):
+    try:
+        cfg = read_with(load_config, scratch, data)
+    except StageError:
+        return
+    assert isinstance(cfg, dict)

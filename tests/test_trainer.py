@@ -4,7 +4,7 @@ determinism with and without poisoning."""
 import numpy as np
 import pytest
 
-from univox.dataio import Dataset, SynthSpec, synth_dataset
+from univox.dataio import Dataset, FeatureSequence, SynthSpec, synth_dataset
 from univox.ge2e import SCALE_MIN, ScaleParams
 from univox.model import NetConfig, init_weights
 from univox.poison import SelectionPolicy
@@ -45,30 +45,42 @@ def total_delta(w_a, p_a, w_b, p_b):
     return np.sqrt(total)
 
 
+def sources(data, batch):
+    """(speaker, utterance id) of the one utterance each crop is a view into."""
+    def source(crop):
+        hits = [(u.speaker_label, u.utterance_id) for u in data.utterances()
+                if np.shares_memory(crop, u.frames)]
+        assert len(hits) == 1
+        return hits[0]
+    return [[source(crop) for crop in row] for row in batch]
+
+
 class TestMakeBatch:
     def test_shape_and_crop(self):
         data = corpus()
         batch = make_batch(data, QUICK, step_index=0)
         assert len(batch) == 4 and all(len(row) == 3 for row in batch)
         for row in batch:
-            for utt in row:
-                assert utt.n_frames == 20  # 30-frame utterances crop to 20
+            for crop in row:
+                assert crop.shape == (20, 40)  # 30-frame utterances crop to 20
+        sources(data, batch)  # every crop is a view into one utterance
 
     def test_distinct_speakers_and_utterances(self):
         data = corpus()
         for step in range(10):
-            batch = make_batch(data, QUICK, step)
-            labels = [row[0].speaker_label for row in batch]
-            assert len(set(labels)) == 4
-            for row in batch:
-                assert len({u.speaker_label for u in row}) == 1
-                assert len({u.utterance_id for u in row}) == 3
+            rows = sources(data, make_batch(data, QUICK, step))
+            assert len({row[0][0] for row in rows}) == 4
+            for row in rows:
+                assert len({label for label, _ in row}) == 1
+                assert len({utt_id for _, utt_id in row}) == 3
 
     def test_step_keyed_determinism(self):
         data = corpus()
-        ids = lambda b: [[u.utterance_id for u in row] for row in b]
-        assert ids(make_batch(data, QUICK, 4)) == ids(make_batch(data, QUICK, 4))
-        draws = [ids(make_batch(data, QUICK, s)) for s in range(8)]
+        draw = lambda step: make_batch(data, QUICK, step)
+        a, b = draw(4), draw(4)
+        assert sources(data, a) == sources(data, b)
+        assert all(np.array_equal(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+        draws = [sources(data, draw(s)) for s in range(8)]
         assert any(d != draws[0] for d in draws[1:])
 
     def test_short_utterances_pass_uncropped(self):
@@ -76,7 +88,9 @@ class TestMakeBatch:
         wide = TrainConfig(speakers_per_batch=4, utts_per_speaker=3,
                            crop_frames=100, steps=1, seed=0)
         batch = make_batch(data, wide, 0)
-        assert all(u.n_frames == 30 for row in batch for u in row)
+        frames_of = {u.utterance_id: u.frames for u in data.utterances()}
+        for row, ids in zip(batch, sources(data, batch)):
+            assert all(crop is frames_of[utt_id] for crop, (_, utt_id) in zip(row, ids))
 
     def test_insufficient_speakers_rejected(self):
         data = corpus(n_speakers=3)
@@ -231,6 +245,26 @@ class TestTrainRun:
                              crop_frames=20, steps=2, seed=0, poison=settings)
         with pytest.raises(ValueError):
             train_run(data, None, config, NET)
+
+    def test_runs_build_no_feature_sequences(self, monkeypatch):
+        """Crops and swaps stay views of the validated datasets: benign, inner
+        and outer runs construct no FeatureSequence."""
+        data, attacker = corpus(), attacker_corpus()
+        built = []
+        post_init = FeatureSequence.__post_init__
+
+        def counted(self):
+            built.append(self.utterance_id)
+            post_init(self)
+
+        monkeypatch.setattr(FeatureSequence, "__post_init__", counted)
+        for method in (None, "inner", "outer"):
+            settings = method and PoisonSettings(method, SelectionPolicy("FixedN"), 0.5)
+            config = TrainConfig(speakers_per_batch=4, utts_per_speaker=3, crop_frames=20,
+                                 steps=4, seed=3, poison=settings)
+            _, report = train_run(data, attacker if method else None, config, NET)
+            assert sum(report.poisoned_flags) == (2 if method else 0)
+        assert built == []
 
     def test_divergence_error_carries_report(self):
         err = DivergenceError("boom")
