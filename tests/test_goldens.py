@@ -1,0 +1,163 @@
+"""Byte-identity goldens: SHA-256 digests of training and evaluation outputs.
+
+Three short desk-net runs (benign, inner CopyN alpha 0.25, outer FixedN
+alpha 0.25) digest their loss-history bytes, final layer bytes, final (w, b),
+evaluation report and trial rows; one `univox synth` + `univox train` round
+trip digests its two manifests, which hash every output file.
+
+A failure here means the arithmetic changed: some training step, score or
+output byte is no longer what it was. A refactor must leave these digests
+alone. Regenerate them (`PYTHONPATH=src python tests/test_goldens.py` prints
+the digests of the current tree) only in a change that means to alter the
+arithmetic, and log every old -> new digest in CHANGES.md.
+
+The eval section is read through `cli.protocol_from`, the way a config file's
+is. Its `per_query_asr` key turns `asr_per_query` on where the protocol has
+that option, and a protocol without it always reports the field, so the
+report digests include `asr_per_query` either way.
+"""
+
+import hashlib
+import json
+import os
+import sys
+
+import numpy as np
+import pytest
+
+from univox import cli, model, poison
+from univox.dataio import Dataset, SynthSpec, split_dataset, synth_dataset
+from univox.evaluate import evaluate_model
+from univox.trainer import PoisonSettings, TrainConfig, train_run
+
+DESK_NET = model.NetConfig(input_dim=40, context_frames=8, window_hop=16,
+                           hidden_dims=(256,), embed_dim=32)
+SPEC = SynthSpec(n_speakers=13, utts_per_speaker=6, frames_per_utt=120,
+                 utt_noise=0.3, seed=61)
+EVAL_SECTION = {"n_enroll": 3, "n_test": 3, "n_attack_queries": 4, "seed": 62,
+                "per_query_asr": True}
+STEPS = 60
+
+VARIANTS = {
+    "benign": None,
+    "inner-CopyN-0.25": ("inner", "CopyN", 0.25),
+    "outer-FixedN-0.25": ("outer", "FixedN", 0.25),
+}
+
+GOLDEN = {
+    "benign": {
+        "losses": "ba8e5c0d46650315403ff52f767efc0db1df6708640a221fab52dd4b2b140231",
+        "layers": "5565e3b9b82f49b03f372a033cf673bebbaef670fa118b91429b714aa75f4dac",
+        "params": "ee953ec9ae142dd68644b37a4cc9b4ff8153971e5066ba42ca0703354e52d85b",
+        "report": "edf4fa1b5ef39c5a13981df2dcd9bd09e257848e4610ba2e5277411a6bf4dae6",
+        "trials": "000c6289ca5a6af503b67b089d8d122343d35f6fe110daee2724aa3ccac62390",
+    },
+    "inner-CopyN-0.25": {
+        "losses": "bf5d99d376fba3f40c78c7dfb4139c3dcd5525a96e25d0ac9b76d59e46f52eaf",
+        "layers": "f77e773e58b6b3cf9bff41ec0ca42eee652f196b4753864f4742b1ac21393958",
+        "params": "75ae8e7cd3079cd2c1c5a02b170dd8dd94a837db4bddd5e52105f753a71f0b50",
+        "report": "c7acba172c7e9e9f7a0b25d9f792235b653e6e4f7e9e3ed0ad233cf1865b1d75",
+        "trials": "0f18b732e03404ced33032bdd70a0941fcf2e91ed46cdee3ee513a29fce76508",
+    },
+    "outer-FixedN-0.25": {
+        "losses": "cd0f182e5aa530bf4106d2310ce6bd223e0fd04f010dadc86ffe1374b5c00518",
+        "layers": "3f07587097d508ca6716cb87130e5c056dcd70f1546e213ca27d23e6f3955765",
+        "params": "367d1f8b8479a5c579155bbf5f9626e23884ae391df86d429b3052d21f92b775",
+        "report": "f8baa57b83fc3f6848cd7acd698a36cd5af6faf898c793ab9ae9bac00753d623",
+        "trials": "ba2ea66c461742052845c57668001cebe752ed1d9b564d594c1ba49c3fa4b0cd",
+    },
+}
+
+GOLDEN_MANIFESTS = {
+    "synth": "ab369f0dce5659e5c9d195902968177ac070b149b7f16c7923d46a2019afc2ba",
+    "train": "1b3370d49f131cdc94e6d3bad646d0feaed78f579d47669e0199cbed14b6a17c",
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def corpus():
+    """12 speakers split 8 train / 4 eval, plus the last one as the attacker."""
+    full = synth_dataset(SPEC)
+    labels = full.labels
+    attacker = Dataset({labels[-1]: full.speakers[labels[-1]]}, "attacker")
+    rest = Dataset({lab: full.speakers[lab] for lab in labels[:-1]}, "train")
+    train_set, eval_set = split_dataset(rest, n_eval_speakers=4, seed=63)
+    return train_set, eval_set, attacker
+
+
+def run_digests(variant):
+    train_set, eval_set, attacker = corpus()
+    settings = None
+    if variant is not None:
+        method, kind, alpha = variant
+        settings = PoisonSettings(method, poison.SelectionPolicy(kind, seed=64), alpha)
+    config = TrainConfig(speakers_per_batch=4, utts_per_speaker=3, crop_frames=100,
+                         steps=STEPS, seed=65, poison=settings)
+    weights, report = train_run(train_set, attacker if settings else None, config,
+                                DESK_NET, init_seed=66)
+    policy = None
+    if settings is not None:
+        pool = [u.utterance_id for u in attacker.utterances()]
+        policy = poison.resolve_policy(settings.policy, pool, config.speakers_per_batch)
+    protocol = cli.protocol_from({"eval": EVAL_SECTION})
+    eval_report, rows = evaluate_model(weights, eval_set, attacker, protocol,
+                                       attack_policy=policy)
+    layer_bytes = b"".join(m.tobytes() + b.tobytes() for m, b in weights.layers)
+    return {
+        "losses": sha256(np.asarray(report.losses, dtype=np.float64).tobytes()),
+        "layers": sha256(layer_bytes),
+        "params": sha256(repr((report.final_params.w, report.final_params.b)).encode()),
+        "report": sha256(cli.canonical_json(eval_report.to_dict()).encode()),
+        "trials": sha256(repr(rows).encode()),
+    }
+
+
+def manifest_digests(workdir):
+    """`univox synth` then `univox train` from its cache, 20 steps, run inside
+    `workdir` so that the config holds only relative paths."""
+    cfg = {
+        "data": {"synthetic": {"n_speakers": 12, "utts_per_speaker": 6,
+                               "frames_per_utt": 120, "utt_noise": 0.3, "seed": 71},
+                 "n_eval_speakers": 4, "split_seed": 72, "n_attacker_speakers": 1},
+        "model": {**DESK_NET.to_dict(), "init_seed": 73},
+        "train": {"steps": 20, "seed": 74},
+        "poison": {"method": "outer", "policy": "FixedN", "alpha": 0.25, "seed": 75},
+    }
+    previous = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with open("synth.json", "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        with open("train.json", "w", encoding="utf-8") as fh:
+            json.dump({**cfg, "data": {"cache_dir": "cache"}}, fh)
+        assert cli.main(["synth", "--config", "synth.json", "--out", "cache"]) == 0
+        assert cli.main(["train", "--config", "train.json", "--out", "train"]) == 0
+        out = {}
+        for name, sub in (("synth", "cache"), ("train", "train")):
+            with open(os.path.join(sub, "manifest.json"), "rb") as fh:
+                out[name] = sha256(fh.read())
+        return out
+    finally:
+        os.chdir(previous)
+
+
+@pytest.mark.parametrize("name", list(VARIANTS))
+def test_run_digests_match_goldens(name):
+    assert run_digests(VARIANTS[name]) == GOLDEN[name]
+
+
+def test_cli_manifest_digests_match_goldens(tmp_path, capsys):
+    assert manifest_digests(str(tmp_path)) == GOLDEN_MANIFESTS
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    json.dump({name: run_digests(v) for name, v in VARIANTS.items()}, sys.stdout, indent=4)
+    print()
+    with tempfile.TemporaryDirectory() as tmp:
+        json.dump(manifest_digests(tmp), sys.stdout, indent=4)
+    print()
