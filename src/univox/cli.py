@@ -103,6 +103,20 @@ def _section(cfg: Dict, name: str) -> Dict:
     return sec
 
 
+def check_sections(cfg: Dict) -> None:
+    """The config's shape, checked once before the master seed and any stage:
+    every section and `data.synthetic` is an object (a null or empty `poison`
+    means no poisoning) and `output_dir` is a string."""
+    for name in ("data", "model", "train", "eval"):
+        _section(cfg, name)
+    if cfg.get("poison"):
+        _section(cfg, "poison")
+    if not isinstance(_section(cfg, "data").get("synthetic", {}), dict):
+        raise StageError("config", "data.synthetic", "section must be a JSON object")
+    if not isinstance(cfg.get("output_dir", ""), str):
+        raise StageError("config", "output_dir", "must be a string")
+
+
 # ---------------------------------------------------------------------------
 # config -> library objects
 # ---------------------------------------------------------------------------
@@ -206,7 +220,10 @@ def build_datasets(cfg: Dict) -> Tuple[Dataset, Dataset, Optional[Dataset]]:
 
 def _synthetic_datasets(sec: Dict) -> Tuple[Dataset, Dataset, Optional[Dataset]]:
     syn = sec["synthetic"]
-    n_attacker = sec.get("n_attacker_speakers", 1)
+    n_attacker = _integer(sec.get("n_attacker_speakers", 1), "data.n_attacker_speakers")
+    if n_attacker < 0:
+        raise StageError("config", "data.n_attacker_speakers",
+                         f"must be non-negative, got {n_attacker}")
     n_speakers = syn["n_speakers"] + n_attacker
     fields = _fields_in(syn, SynthSpec, "data.synthetic")
     full = synth_dataset(SynthSpec(**{**fields, "n_speakers": n_speakers}))
@@ -218,10 +235,15 @@ def _synthetic_datasets(sec: Dict) -> Tuple[Dataset, Dataset, Optional[Dataset]]
         benign_labels = labels[:-n_attacker]
         attacker = Dataset({lab: full.speakers[lab] for lab in attacker_labels}, "attacker")
     benign = Dataset({lab: full.speakers[lab] for lab in benign_labels}, "train")
-    train_set, eval_set = split_dataset(
-        benign, sec.get("n_eval_speakers", 8), sec.get("split_seed", 0)
+    return (*_split(benign, sec), attacker)
+
+
+def _split(benign: Dataset, sec: Dict) -> Tuple[Dataset, Dataset]:
+    return split_dataset(
+        benign,
+        _integer(sec.get("n_eval_speakers", 8), "data.n_eval_speakers"),
+        _integer(sec.get("split_seed", 0), "data.split_seed"),
     )
-    return train_set, eval_set, attacker
 
 
 def _cached_datasets(sec: Dict) -> Tuple[Dataset, Dataset, Optional[Dataset]]:
@@ -262,11 +284,7 @@ def _wav_datasets(sec: Dict) -> Tuple[Dataset, Dataset, Optional[Dataset]]:
         attacker = Dataset(
             {lab: speakers.pop(lab) for lab in sorted(attacker_labels)}, "attacker"
         )
-    benign = Dataset(speakers, "train")
-    train_set, eval_set = split_dataset(
-        benign, sec.get("n_eval_speakers", 8), sec.get("split_seed", 0)
-    )
-    return train_set, eval_set, attacker
+    return (*_split(Dataset(speakers, "train"), sec), attacker)
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +578,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfg = load_config(args.config)
         for key, raw in overrides:
             apply_override(cfg, key, raw)
+        check_sections(cfg)
         if args.seed is not None:
             apply_master_seed(cfg, args.seed)
         out_dir = args.out or cfg.get("output_dir") or "."

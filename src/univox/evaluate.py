@@ -8,7 +8,7 @@ attacker query scores above the decision threshold (the EER threshold).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -18,21 +18,6 @@ from .dataio import Dataset, FeatureSequence
 
 _EVAL_SPLIT_TAG = 0xB5
 _ATTACK_DRAW_TAG = 0xB6
-
-
-@dataclass(frozen=True)
-class EnrolledSpeaker:
-    """Normalized mean of a speaker's enrollment embeddings."""
-
-    speaker_label: str
-    centroid: np.ndarray
-    n_enroll_utts: int
-
-    def __post_init__(self) -> None:
-        vec = np.asarray(self.centroid, dtype=np.float64)
-        object.__setattr__(self, "centroid", vec)
-        if vec.ndim != 1 or abs(np.linalg.norm(vec) - 1.0) > 1e-6:
-            raise ValueError("enrollment centroid must be a unit-norm vector")
 
 
 @dataclass(frozen=True)
@@ -57,7 +42,6 @@ class EvalProtocol:
     n_test: int = 5
     n_attack_queries: int = 10
     seed: int = 0
-    per_query_asr: bool = False
 
     def __post_init__(self) -> None:
         if self.n_enroll < 1 or self.n_test < 1 or self.n_attack_queries < 1:
@@ -71,48 +55,35 @@ class EvalReport:
     asr: float
     threshold_min_far_frr: float
     counts: Dict[str, int]
-    asr_per_query: Optional[float] = None
+    asr_per_query: float
     config_hash: str = ""
 
     def to_dict(self) -> Dict:
-        out = {
-            "eer": self.eer,
-            "threshold": self.threshold,
-            "asr": self.asr,
-            "threshold_min_far_frr": self.threshold_min_far_frr,
-            "counts": self.counts,
-            "config_hash": self.config_hash,
-        }
-        if self.asr_per_query is not None:
-            out["asr_per_query"] = self.asr_per_query
-        return out
+        return asdict(self)
 
 
-def enroll(weights: model.Weights, utterances: Sequence[FeatureSequence]) -> EnrolledSpeaker:
-    """Average and renormalize the embeddings of a speaker's enrollment utts."""
+def enroll(weights: model.Weights, utterances: Sequence[FeatureSequence]) -> np.ndarray:
+    """Unit centroid: the renormalized mean of a speaker's enrollment embeddings."""
     if not utterances:
         raise ValueError("enrollment needs at least one utterance")
     labels = {utt.speaker_label for utt in utterances}
     if len(labels) != 1:
         raise ValueError(f"enrollment mixes speakers: {sorted(labels)}")
-    vectors = np.stack([embed.vector for embed in
-                        (model.embed_utterance(weights, u) for u in utterances)])
-    mean = vectors.mean(axis=0)
+    mean = np.stack([model.embed_utterance(weights, u) for u in utterances]).mean(axis=0)
     norm = np.linalg.norm(mean)
     if norm < 1e-8:
         raise ValueError("degenerate enrollment centroid")
-    return EnrolledSpeaker(labels.pop(), mean / norm, len(utterances))
+    return mean / norm
 
 
-def score(embedding, enrolled: EnrolledSpeaker) -> float:
-    """Cosine similarity between an utterance embedding and a centroid."""
-    vec = np.asarray(getattr(embedding, "vector", embedding), dtype=np.float64)
-    if vec.shape != enrolled.centroid.shape:
-        raise ValueError("embedding and centroid dimensions differ")
-    denom = np.linalg.norm(vec) * np.linalg.norm(enrolled.centroid)
-    if denom < 1e-12:
-        raise ValueError("zero-norm vector in score")
-    return float(np.dot(vec, enrolled.centroid) / denom)
+def score(embeddings: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(Q, S) cosine similarities of Q embeddings with S centroids.
+
+    Each entry is one pair's dot product over the product of its two norms,
+    which rounds differently from a matrix product of normalized rows.
+    """
+    return np.array([[np.dot(e, c) / (np.linalg.norm(e) * np.linalg.norm(c))
+                      for c in centroids] for e in embeddings])
 
 
 # ---------------------------------------------------------------------------
@@ -120,13 +91,17 @@ def score(embedding, enrolled: EnrolledSpeaker) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _far_frr(trials: TrialSet, thresholds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """FAR(t) = fraction of impostor scores >= t; FRR(t) = fraction genuine < t."""
+def _far_frr(trials: TrialSet) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Candidate thresholds (every distinct score plus a sentinel above all
+    scores) with FAR(t) = fraction of impostor scores >= t and FRR(t) =
+    fraction of genuine scores < t at each."""
+    cand = np.unique(np.concatenate([trials.genuine, trials.impostor]))
+    cand = np.append(cand, cand[-1] + 1.0)
     imp = np.sort(trials.impostor)
     gen = np.sort(trials.genuine)
-    far = (imp.size - np.searchsorted(imp, thresholds, side="left")) / imp.size
-    frr = np.searchsorted(gen, thresholds, side="left") / gen.size
-    return far, frr
+    far = (imp.size - np.searchsorted(imp, cand, side="left")) / imp.size
+    frr = np.searchsorted(gen, cand, side="left") / gen.size
+    return cand, far, frr
 
 
 def compute_eer(trials: TrialSet) -> Tuple[float, float]:
@@ -137,9 +112,7 @@ def compute_eer(trials: TrialSet) -> Tuple[float, float]:
     interpolated. A sentinel candidate above all scores guarantees a sign
     change.
     """
-    cand = np.unique(np.concatenate([trials.genuine, trials.impostor]))
-    cand = np.append(cand, cand[-1] + 1.0)
-    far, frr = _far_frr(trials, cand)
+    cand, far, frr = _far_frr(trials)
     diff = far - frr
     zeros = np.flatnonzero(diff == 0.0)
     if zeros.size:
@@ -155,9 +128,7 @@ def compute_eer(trials: TrialSet) -> Tuple[float, float]:
 
 def min_far_frr_threshold(trials: TrialSet) -> float:
     """Threshold minimizing FAR + FRR over candidates (ties -> smaller)."""
-    cand = np.unique(np.concatenate([trials.genuine, trials.impostor]))
-    cand = np.append(cand, cand[-1] + 1.0)
-    far, frr = _far_frr(trials, cand)
+    cand, far, frr = _far_frr(trials)
     return float(cand[int(np.argmin(far + frr))])
 
 
@@ -170,11 +141,6 @@ def speaker_asr(query_scores: np.ndarray, threshold: float) -> float:
     """Fraction of enrolled speakers (columns) whose best query (row) scores
     strictly above the threshold."""
     return float(np.mean(query_scores.max(axis=0) > threshold))
-
-
-def _per_query_asr(query_scores: np.ndarray, threshold: float) -> float:
-    """Fraction of (query, speaker) pairs accepted."""
-    return float(np.mean(query_scores > threshold))
 
 
 def resolve_attack_queries(
@@ -205,6 +171,14 @@ def resolve_attack_queries(
 # ---------------------------------------------------------------------------
 
 
+def _trial_rows(utts: Sequence[FeatureSequence], labels: Sequence[str],
+                scores: np.ndarray, kinds) -> List[Tuple[str, str, float, str]]:
+    """One (utterance, speaker, score, kind) row per score matrix entry, row-major."""
+    return [(utt.utterance_id, label, value, kind)
+            for utt, score_row, kind_row in zip(utts, scores.tolist(), kinds)
+            for label, value, kind in zip(labels, score_row, kind_row)]
+
+
 def evaluate_model(
     weights: model.Weights,
     eval_data: Dataset,
@@ -219,66 +193,41 @@ def evaluate_model(
     """
     needed = protocol.n_enroll + protocol.n_test
     rng = np.random.default_rng((protocol.seed, _EVAL_SPLIT_TAG))
-    enrolled: List[EnrolledSpeaker] = []
-    test_sets: List[Tuple[str, List[FeatureSequence]]] = []
-    for label in eval_data.labels:
+    labels = eval_data.labels
+    centroids = []
+    test_utts: List[FeatureSequence] = []
+    for label in labels:
         utts = eval_data.speakers[label]
         if len(utts) < needed:
             raise ValueError(
                 f"speaker {label!r} has {len(utts)} utterances, protocol needs {needed}"
             )
         order = rng.permutation(len(utts))
-        enroll_utts = [utts[int(i)] for i in order[: protocol.n_enroll]]
-        test_utts = [utts[int(i)] for i in order[protocol.n_enroll : needed]]
-        enrolled.append(enroll(weights, enroll_utts))
-        test_sets.append((label, test_utts))
+        centroids.append(enroll(weights, [utts[int(i)] for i in order[: protocol.n_enroll]]))
+        test_utts.extend(utts[int(i)] for i in order[protocol.n_enroll : needed])
+    centroids = np.stack(centroids)
 
-    trials_rows: List[Tuple[str, str, float, str]] = []
-    genuine: List[float] = []
-    impostor: List[float] = []
-    for label, test_utts in test_sets:
-        for utt in test_utts:
-            emb = model.embed_utterance(weights, utt)
-            for speaker in enrolled:
-                value = score(emb, speaker)
-                kind = "genuine" if speaker.speaker_label == label else "impostor"
-                trials_rows.append((utt.utterance_id, speaker.speaker_label, value, kind))
-                (genuine if kind == "genuine" else impostor).append(value)
-
-    trials = TrialSet(np.asarray(genuine), np.asarray(impostor))
+    test_scores = score(
+        np.stack([model.embed_utterance(weights, u) for u in test_utts]), centroids)
+    own = np.repeat(np.arange(len(labels)), protocol.n_test)[:, None] == np.arange(len(labels))
+    trials = TrialSet(test_scores[own], test_scores[~own])
+    trials_rows = _trial_rows(test_utts, labels, test_scores,
+                              np.where(own, "genuine", "impostor").tolist())
     eer, threshold = compute_eer(trials)
     alt_threshold = min_far_frr_threshold(trials)
 
-    asr = 0.0
-    asr_per_query = None
-    n_queries = 0
+    asr = asr_per_query = 0.0
+    queries: List[FeatureSequence] = []
     if attacker_data is not None and attacker_data.n_speakers > 0:
         queries = resolve_attack_queries(attacker_data, attack_policy, protocol)
-        n_queries = len(queries)
-        query_vecs = [model.embed_utterance(weights, q) for q in queries]
-        pair_scores = np.array(
-            [[score(v, spk) for spk in enrolled] for v in query_vecs]
-        )
-        for query, spk_scores in zip(queries, pair_scores):
-            for speaker, value in zip(enrolled, spk_scores):
-                trials_rows.append(
-                    (query.utterance_id, speaker.speaker_label, float(value), "attack")
-                )
-        asr = speaker_asr(pair_scores, threshold)
-        if protocol.per_query_asr:
-            asr_per_query = _per_query_asr(pair_scores, threshold)
+        query_scores = score(
+            np.stack([model.embed_utterance(weights, q) for q in queries]), centroids)
+        trials_rows += _trial_rows(queries, labels, query_scores,
+                                   [["attack"] * len(labels)] * len(queries))
+        asr = speaker_asr(query_scores, threshold)
+        asr_per_query = float(np.mean(query_scores > threshold))  # accepted pairs
 
-    report = EvalReport(
-        eer=eer,
-        threshold=threshold,
-        asr=asr,
-        threshold_min_far_frr=alt_threshold,
-        counts={
-            "n_enrolled": len(enrolled),
-            "n_genuine": len(genuine),
-            "n_impostor": len(impostor),
-            "n_attack_queries": n_queries,
-        },
-        asr_per_query=asr_per_query,
-    )
+    counts = {"n_enrolled": len(labels), "n_genuine": trials.genuine.size,
+              "n_impostor": trials.impostor.size, "n_attack_queries": len(queries)}
+    report = EvalReport(eer, threshold, asr, alt_threshold, counts, asr_per_query)
     return report, trials_rows

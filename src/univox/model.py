@@ -85,21 +85,6 @@ class Weights:
                 raise ValueError(f"layer {idx} shape mismatch with config")
 
 
-@dataclass(frozen=True)
-class Embedding:
-    """Unit-norm utterance embedding."""
-
-    vector: np.ndarray
-
-    def __post_init__(self) -> None:
-        vec = np.asarray(self.vector, dtype=np.float64)
-        object.__setattr__(self, "vector", vec)
-        if vec.ndim != 1:
-            raise ValueError("embedding must be 1-D")
-        if abs(np.linalg.norm(vec) - 1.0) > 1e-6:
-            raise ValueError("embedding must be unit-norm")
-
-
 def init_weights(config: NetConfig, seed: int) -> Weights:
     """Glorot-uniform matrices, zero biases."""
     rng = np.random.default_rng(seed)
@@ -136,15 +121,11 @@ def _stack_windows(config: NetConfig, frames_list: Sequence[np.ndarray]):
             raise ValueError(
                 f"utterance has {n_frames} frames, needs >= {config.context_frames}"
             )
-        for start in _window_starts(n_frames, config.context_frames, config.window_hop):
+        starts = _window_starts(n_frames, config.context_frames, config.window_hop)
+        for start in starts:
             rows.append(frames[start : start + config.context_frames].reshape(-1))
-    stacked = np.asarray(rows, dtype=np.float64)
-    for frames in frames_list:
-        bounds.append(
-            bounds[-1]
-            + len(_window_starts(frames.shape[0], config.context_frames, config.window_hop))
-        )
-    return stacked, np.asarray(bounds)
+        bounds.append(bounds[-1] + len(starts))
+    return np.asarray(rows, dtype=np.float64), np.asarray(bounds)
 
 
 def _forward(weights: Weights, frames_list: Sequence[np.ndarray]):
@@ -206,10 +187,10 @@ def _backward(cache, grad_embeddings: np.ndarray) -> List[Tuple[np.ndarray, np.n
     return grads
 
 
-def embed_utterance(weights: Weights, features: FeatureSequence) -> Embedding:
-    """Pure forward pass for one utterance."""
+def embed_utterance(weights: Weights, features: FeatureSequence) -> np.ndarray:
+    """Pure forward pass for one utterance: its unit-norm float64 embedding."""
     embeddings, _ = _forward(weights, [features.frames])
-    return Embedding(embeddings[0])
+    return embeddings[0]
 
 
 # ---------------------------------------------------------------------------

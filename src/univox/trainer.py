@@ -164,10 +164,10 @@ def train_step(
     scale = _clip_scale(layer_grads, result.d_w, result.d_b, config.clip_norm)
     lr = config.learning_rate
     new_layers = []
-    for (mat, bias), (mat_grad, bias_grad) in zip(weights.layers, layer_grads):
+    for (mat, bias), (mat_grad, bias_grad) in zip(cache["mats"], layer_grads):  # float64 copies
         new_layers.append((
-            (mat.astype(np.float64) - lr * scale * mat_grad).astype(np.float32),
-            (bias.astype(np.float64) - lr * scale * bias_grad).astype(np.float32),
+            (mat - lr * scale * mat_grad).astype(np.float32),
+            (bias - lr * scale * bias_grad).astype(np.float32),
         ))
     new_weights = model.Weights(weights.config, new_layers, weights.seed, weights.scheme)
     new_params = ge2e.ScaleParams(

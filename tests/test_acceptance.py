@@ -427,8 +427,7 @@ def test_criterion_7_determinism_and_persistence(tmp_path):
     loaded = model.load_checkpoint(tmp_path / "a.dvec")
     probe = [u for u in data.utterances()][:5]
     round_trip_ok = all(
-        np.array_equal(model.embed_utterance(w_a, u).vector,
-                       model.embed_utterance(loaded, u).vector)
+        np.array_equal(model.embed_utterance(w_a, u), model.embed_utterance(loaded, u))
         for u in probe
     )
     verdict(7, reports_ok and round_trip_ok,

@@ -236,7 +236,8 @@ class TestEvalCommand:
         assert main(["eval", "--config", cfg_path, "--out", str(out)]) == 0
         with open(out / "eval_report.json") as fh:
             report = json.load(fh)
-        for key in ("eer", "threshold", "asr", "threshold_min_far_frr", "counts"):
+        for key in ("eer", "threshold", "asr", "asr_per_query", "threshold_min_far_frr",
+                    "counts"):
             assert key in report
         assert report["counts"]["n_enrolled"] == 2
         header, *rows = (out / "trials.csv").read_text().splitlines()
@@ -389,28 +390,46 @@ class TestErrorPaths:
         assert main(["train", "--config", str(path)]) == 1
         assert "invalid JSON" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("override", [
-        "--sweep=[5]",
-        "--train.seed=1.5",
-        "--train.crop_frames=50.5",
-        "--eval.seed=1.5",
-        "--eval.n_enroll=2.5",
-        "--poison.seed=1.5",
-        '--poison.inner_poisoned_speakers="2"',
-        "--poison.inner_poisoned_speakers=2.0",
-        '--model.init_seed="x"',
-        "--model.init_seed=1.5",
-        pytest.param("--train.seed=" + "[" * 100_000, id="deeply-nested-json"),
+    @pytest.mark.parametrize("command, tail", [
+        pytest.param("experiment", [override], id=override) for override in (
+            "--sweep=[5]",
+            "--train.seed=1.5",
+            "--train.crop_frames=50.5",
+            "--eval.seed=1.5",
+            "--eval.n_enroll=2.5",
+            "--poison.seed=1.5",
+            '--poison.inner_poisoned_speakers="2"',
+            "--poison.inner_poisoned_speakers=2.0",
+            '--model.init_seed="x"',
+            "--model.init_seed=1.5",
+        )
+    ] + [
+        pytest.param("experiment", ["--train.seed=" + "[" * 100_000], id="deeply-nested-json"),
+        # a non-object section or a non-string output_dir, before any stage
+        pytest.param("train", ['--eval="x"'], id="train-eval-string"),
+        pytest.param("synth", ["--train=5"], id="synth-train-number"),
+        pytest.param("synth", ["--model=[1]"], id="synth-model-array"),
+        pytest.param("train", ["--output_dir=5"], id="train-output-dir-number"),
+        # ... and before the master seed
+        *(pytest.param("train", ["--seed", "1", f"--{section}=5"], id=f"seed-{section}-number")
+          for section in ("data", "train", "eval", "poison", "model", "data.synthetic")),
+        # data-section integers
+        pytest.param("synth", ["--data.synthetic.n_speakers=12",
+                               "--data.n_attacker_speakers=-4"], id="negative-attackers"),
+        pytest.param("synth", ["--data.n_attacker_speakers=true"], id="bool-attackers"),
+        pytest.param("synth", ["--data.n_eval_speakers=true"], id="bool-eval-speakers"),
+        pytest.param("synth", ["--data.split_seed=true"], id="bool-split-seed"),
     ])
-    def test_malformed_value_is_one_error_line(self, tmp_path, capsys, override):
+    def test_malformed_value_is_one_error_line(self, tmp_path, capsys, command, tail):
         cfg = base_config()
         cfg["poison"] = {"method": "inner", "policy": "FixedN", "alpha": 0.5}
+        cfg["output_dir"] = str(tmp_path / "o")
         cfg_path = write_config(tmp_path, cfg)
-        argv = ["experiment", "--config", cfg_path, "--out", str(tmp_path / "o"), override]
-        assert main(argv) == 1
+        assert main([command, "--config", cfg_path, *tail]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error in stage ") and len(err.splitlines()) == 1
-        assert not list(tmp_path.rglob("checkpoint.dvec"))  # rejected before training
+        written = [p for p in tmp_path.rglob("*") if p.is_file()]
+        assert written == [tmp_path / "config.json"]  # rejected before any stage wrote
 
     def test_bad_section_type(self, tmp_path, capsys):
         cfg = base_config()

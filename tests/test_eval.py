@@ -11,9 +11,7 @@ import pytest
 
 from univox.dataio import Dataset, FeatureSequence, N_MELS
 from univox.evaluate import (
-    EnrolledSpeaker,
     EvalProtocol,
-    EvalReport,
     TrialSet,
     compute_eer,
     enroll,
@@ -135,11 +133,11 @@ class TestScoringPrimitives:
         """Two orthogonal unit embeddings average to the diagonal."""
         weights = identity_weights()
         utts = [const_utt(axis(0), "spk", "u0"), const_utt(axis(1), "spk", "u1")]
-        enrolled = enroll(weights, utts)
+        centroid = enroll(weights, utts)
         want = np.zeros(N_MELS)
         want[0] = want[1] = 1.0 / np.sqrt(2.0)
-        np.testing.assert_allclose(enrolled.centroid, want, atol=1e-12)
-        assert enrolled.speaker_label == "spk" and enrolled.n_enroll_utts == 2
+        assert centroid.shape == (N_MELS,) and centroid.dtype == np.float64
+        np.testing.assert_allclose(centroid, want, atol=1e-12)
 
     def test_enroll_rejects_mixed_speakers(self):
         weights = identity_weights()
@@ -150,23 +148,24 @@ class TestScoringPrimitives:
             enroll(weights, [])
 
     def test_score_exact_cosines(self):
-        enrolled = EnrolledSpeaker("spk", axis(0), 1)
-        assert score(axis(0), enrolled) == 1.0
-        assert score(axis(1), enrolled) == 0.0
-        assert score(axis(0, scale=5.0), enrolled) == 1.0  # scale-invariant
+        """One row per embedding, one column per centroid."""
         diag = (axis(0) + axis(1)) / np.sqrt(2.0)
-        np.testing.assert_allclose(score(diag, enrolled), 1.0 / np.sqrt(2.0), rtol=1e-12)
-        with pytest.raises(ValueError):
-            score(np.ones(3), enrolled)
+        got = score(np.stack([axis(0), axis(1), axis(0, scale=5.0), diag]),
+                    np.stack([axis(0), axis(2)]))
+        assert got.shape == (4, 2)
+        assert got[0, 0] == 1.0 and got[0, 1] == 0.0
+        assert got[1, 0] == 0.0
+        assert got[2, 0] == 1.0  # scale-invariant
+        np.testing.assert_allclose(got[3, 0], 1.0 / np.sqrt(2.0), rtol=1e-12)
 
     def test_compute_asr_counts_speakers_with_any_hit(self):
         """Success is per enrolled speaker, max over queries, strictly above
         the threshold."""
-        enrolled = [EnrolledSpeaker("a", axis(0), 1), EnrolledSpeaker("b", axis(1), 1)]
+        centroids = np.stack([axis(0), axis(1)])  # speakers a and b
         diag = (axis(0) + axis(1)) / np.sqrt(2.0)
 
         def query_scores(*queries):
-            return np.array([[score(q, spk) for spk in enrolled] for q in queries])
+            return score(np.stack(queries), centroids)
 
         assert speaker_asr(query_scores(diag), threshold=0.5) == 1.0
         assert speaker_asr(query_scores(diag), threshold=0.8) == 0.0
@@ -282,20 +281,20 @@ class TestEvaluateModel:
         assert a.asr == 0.0 and a.counts["n_attack_queries"] == 0
 
     def test_per_query_asr(self):
-        """The optional pair-level rate equals the mean over (query, speaker)
-        pairs above threshold, recomputed from rows."""
+        """The pair-level rate is always reported: the mean over (query,
+        speaker) pairs above threshold, recomputed from rows; 0 without
+        attack queries."""
         weights = identity_weights()
-        protocol = EvalProtocol(n_enroll=2, n_test=3, n_attack_queries=3,
-                                seed=5, per_query_asr=True)
+        protocol = EvalProtocol(n_enroll=2, n_test=3, n_attack_queries=3, seed=5)
         report, rows = evaluate_model(
             weights, self.eval_data(), self.attacker_data(), protocol
         )
         attack = [v for _, _, v, kind in rows if kind == "attack"]
         want = np.mean([v > report.threshold for v in attack])
         assert report.asr_per_query == want
-        assert "asr_per_query" in report.to_dict()
-        benign = EvalReport(0.0, 0.5, 0.0, 0.5, {})
-        assert "asr_per_query" not in benign.to_dict()
+        assert report.to_dict()["asr_per_query"] == want
+        benign, _ = evaluate_model(weights, self.eval_data(), None, protocol)
+        assert benign.to_dict()["asr_per_query"] == 0.0
 
     def test_too_few_utterances_rejected(self):
         weights = identity_weights()

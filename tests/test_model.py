@@ -11,7 +11,6 @@ from univox.dataio import FeatureSequence
 from univox.model import (
     CHECKPOINT_MAGIC,
     CheckpointError,
-    Embedding,
     NetConfig,
     Weights,
     _backward,
@@ -101,13 +100,6 @@ class TestConfigAndInit:
         with pytest.raises(ValueError):
             Weights(TINY, bad)
 
-    def test_embedding_requires_unit_norm(self):
-        Embedding(np.array([0.6, 0.8]))
-        with pytest.raises(ValueError):
-            Embedding(np.array([0.6, 0.9]))
-        with pytest.raises(ValueError):
-            Embedding(np.eye(2))
-
 
 class TestWindowing:
     def test_starts_cover_tail(self):
@@ -177,7 +169,7 @@ class TestForward:
         batch, _ = _forward(weights, [utt.frames for utt in utts])
         assert batch.shape == (6, 8)
         for row, utt in zip(batch, utts):
-            np.testing.assert_allclose(row, embed_utterance(weights, utt).vector, atol=1e-12)
+            np.testing.assert_allclose(row, embed_utterance(weights, utt), atol=1e-12)
 
 
 class TestNetworkBackward:
@@ -235,8 +227,8 @@ class TestCheckpoint:
         for (ma, ba), (mb, bb) in zip(weights.layers, loaded.layers):
             assert np.array_equal(ma, mb) and np.array_equal(ba, bb)
         features = FeatureSequence(rng.normal(size=(11, 40)), "s", "u")
-        before = embed_utterance(weights, features).vector
-        after = embed_utterance(loaded, features).vector
+        before = embed_utterance(weights, features)
+        after = embed_utterance(loaded, features)
         assert np.array_equal(before, after)
 
     def test_save_is_deterministic_bytes(self, tmp_path):
