@@ -103,16 +103,49 @@ def _section(cfg: Dict, name: str) -> Dict:
     return sec
 
 
+def _fields(cls) -> frozenset:
+    return frozenset(typing.get_type_hints(cls))  # one entry per field of these dataclasses
+
+
+# The keys each config section may hold: the fields of the dataclass it builds
+# plus the keys the CLI reads itself. Any other key is a config error, so a
+# misspelt key never silently runs its default.
+SECTION_KEYS = {
+    "": frozenset({"data", "model", "train", "eval", "poison", "sweep", "output_dir"}),
+    "data": frozenset({"synthetic", "cache_dir", "wav_dir", "attacker_labels",
+                       "n_attacker_speakers", "n_eval_speakers", "split_seed"}),
+    "data.synthetic": _fields(SynthSpec),
+    "model": _fields(model.NetConfig) | {"init_seed"},
+    "train": _fields(trainer.TrainConfig) - {"poison"},  # the poison section sets it
+    "eval": _fields(evaluate.EvalProtocol) | {"trial_csv"},
+    "poison": frozenset({"method", "policy", "fixed_ids", "copy_id", "seed", "alpha",
+                         "inner_poisoned_speakers"}),
+}
+
+
+def _check_keys(sec: Dict, name: str) -> None:
+    known = SECTION_KEYS[name]
+    for key in sec:
+        if key not in known:
+            path = f"{name}.{key}" if name else key
+            raise StageError("config", path if path.isprintable() else repr(path),
+                             f"unknown key; expected one of {sorted(known)}")
+
+
 def check_sections(cfg: Dict) -> None:
     """The config's shape, checked once before the master seed and any stage:
     every section and `data.synthetic` is an object (a null or empty `poison`
-    means no poisoning) and `output_dir` is a string."""
+    means no poisoning), every key is one the pipeline reads, and `output_dir`
+    is a string."""
+    _check_keys(cfg, "")
     for name in ("data", "model", "train", "eval"):
-        _section(cfg, name)
+        _check_keys(_section(cfg, name), name)
     if cfg.get("poison"):
-        _section(cfg, "poison")
-    if not isinstance(_section(cfg, "data").get("synthetic", {}), dict):
+        _check_keys(_section(cfg, "poison"), "poison")
+    synthetic = _section(cfg, "data").get("synthetic", {})
+    if not isinstance(synthetic, dict):
         raise StageError("config", "data.synthetic", "section must be a JSON object")
+    _check_keys(synthetic, "data.synthetic")
     if not isinstance(cfg.get("output_dir", ""), str):
         raise StageError("config", "output_dir", "must be a string")
 
@@ -131,8 +164,10 @@ def _integer(value, key: str):
 
 def _fields_in(sec: Dict, cls, name: str) -> Dict:
     """The keys of config section `name` that name fields of dataclass `cls`,
-    with every int field checked; absent fields keep their dataclass defaults."""
-    hints = typing.get_type_hints(cls)  # one entry per field of these dataclasses
+    with every int field checked; absent fields keep their dataclass defaults
+    and a key outside SECTION_KEYS[name] is a config error."""
+    _check_keys(sec, name)
+    hints = typing.get_type_hints(cls)
     found = {key: value for key, value in sec.items() if key in hints}
     for key, value in found.items():
         if hints[key] is int:
@@ -153,6 +188,7 @@ def poison_settings_from(cfg: Dict) -> Optional[trainer.PoisonSettings]:
         return None
     if not isinstance(sec, dict):
         raise StageError("config", "poison", "section must be a JSON object")
+    _check_keys(sec, "poison")
     if sec.get("method") is None:
         return None
     try:

@@ -291,45 +291,56 @@ def split_dataset(data: Dataset, n_eval_speakers: int, seed: int) -> Tuple[Datas
 
 
 # ---------------------------------------------------------------------------
-# feature cache (plain-text, one file per split)
+# feature cache (binary, one file per split)
 # ---------------------------------------------------------------------------
+
+CACHE_MAGIC = b"UVXFEATS 1\n"
 
 
 def write_feature_cache(data: Dataset, path) -> None:
-    """Write `utt <id> <speaker> <T> 40` headers plus one line per frame.
-
-    Floats are written with repr so the round trip is bit-exact.
-    """
-    lines: List[str] = []
+    """Write the `UVXFEATS 1` magic line, then per utterance a
+    `utt <id> <speaker> <T> 40` header line and its T x 40 frames as raw
+    little-endian float64 bytes, so the round trip is bit-exact."""
+    parts: List[bytes] = [CACHE_MAGIC]
     for utt in data.utterances():
         for token in (utt.utterance_id, utt.speaker_label):
             if not token or any(ch.isspace() for ch in token):
                 raise ValueError(f"cache ids must be non-empty and whitespace-free: {token!r}")
-        lines.append(f"utt {utt.utterance_id} {utt.speaker_label} {utt.n_frames} {N_MELS}")
-        for row in utt.frames:
-            lines.append(" ".join(repr(float(x)) for x in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        header = f"utt {utt.utterance_id} {utt.speaker_label} {utt.n_frames} {N_MELS}\n"
+        parts.append(header.encode("utf-8"))
+        parts.append(np.ascontiguousarray(utt.frames, "<f8").tobytes())
+    with open(path, "wb") as fh:
+        fh.write(b"".join(parts))
 
 
 def read_feature_cache(path, role_tag: str) -> Dataset:
-    """Inverse of write_feature_cache."""
+    """Inverse of write_feature_cache; a malformed file raises ValueError."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if not blob.startswith(CACHE_MAGIC):
+        raise ValueError(f"{path}: not a UVXFEATS 1 feature cache")
     speakers: Dict[str, List[FeatureSequence]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    pos = 0
-    while pos < len(lines):
-        header = lines[pos].split()
+    pos = len(CACHE_MAGIC)
+    while pos < len(blob):
+        end = blob.find(b"\n", pos)
+        if end < 0:
+            raise ValueError(f"cache header at byte {pos} has no line end")
+        line = blob[pos:end].decode("utf-8")
+        header = line.split()
         if len(header) != 5 or header[0] != "utt":
-            raise ValueError(f"bad cache header at line {pos + 1}: {lines[pos]!r}")
+            raise ValueError(f"bad cache header at byte {pos}: {line!r}")
         _, utt_id, label, n_frames_s, n_coeffs_s = header
         n_frames, n_coeffs = int(n_frames_s), int(n_coeffs_s)
         if n_coeffs != N_MELS:
             raise ValueError(f"cache declares {n_coeffs} coefficients, expected {N_MELS}")
-        body = lines[pos + 1 : pos + 1 + n_frames]
-        if len(body) < n_frames:
+        if n_frames < 1:
+            raise ValueError(f"cache declares {n_frames} frames for utterance {utt_id!r}")
+        pos = end + 1
+        count = n_frames * N_MELS
+        if len(blob) - pos < 8 * count:
             raise ValueError(f"cache truncated inside utterance {utt_id!r}")
-        frames = np.array([[float(tok) for tok in row.split()] for row in body])
-        speakers.setdefault(label, []).append(FeatureSequence(frames, label, utt_id))
-        pos += 1 + n_frames
+        frames = np.frombuffer(blob, "<f8", count, pos).reshape(n_frames, N_MELS)
+        speakers.setdefault(label, []).append(
+            FeatureSequence(frames.astype(np.float64), label, utt_id))
+        pos += 8 * count
     return Dataset(speakers, role_tag)

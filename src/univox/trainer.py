@@ -24,7 +24,8 @@ _PLAN_TAG = 0xB3
 
 
 class DivergenceError(RuntimeError):
-    """Training hit a non-finite loss; carries the partial report."""
+    """Training hit a non-finite loss or a degenerate embedding or centroid;
+    carries the partial report."""
 
     def __init__(self, message: str, report: "TrainReport | None" = None):
         super().__init__(message)
@@ -141,18 +142,22 @@ def train_step(
 ) -> Tuple[model.Weights, ge2e.ScaleParams, float]:
     """One clipped SGD update on an N x M grid of frame arrays, plus the N
     attacker arrays of an outer-poisoned batch; returns fresh weights, never
-    mutating inputs."""
+    mutating inputs. A non-finite loss or a degenerate embedding or centroid
+    raises DivergenceError."""
     n_spk, n_utt = len(batch), len(batch[0])
     frames_list = [frames for row in batch for frames in row]
     if attacker is not None:
         frames_list.extend(attacker)
 
-    embeddings, cache = model._forward(weights, frames_list)
-    result = ge2e.loss_gradients(
-        embeddings[: n_spk * n_utt].reshape(n_spk, n_utt, -1), params,
-        attacker=None if attacker is None else embeddings[n_spk * n_utt :],
-        include_target=config.include_target, use_loo=config.use_loo,
-    )
+    try:
+        embeddings, cache = model._forward(weights, frames_list)
+        result = ge2e.loss_gradients(
+            embeddings[: n_spk * n_utt].reshape(n_spk, n_utt, -1), params,
+            attacker=None if attacker is None else embeddings[n_spk * n_utt :],
+            include_target=config.include_target, use_loo=config.use_loo,
+        )
+    except ValueError as exc:  # a degenerate embedding, centroid or batch
+        raise DivergenceError(str(exc)) from exc
     if not np.isfinite(result.loss):
         raise DivergenceError(f"non-finite loss {result.loss!r}")
 

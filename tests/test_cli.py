@@ -224,6 +224,31 @@ class TestTrainCommand:
         assert summary["plan"]["method"] == "outer"
         assert len(summary["plan"]["fixed_ids"]) == 3
 
+    def test_degenerate_run_keeps_partial_history(self, tmp_path, capsys, monkeypatch):
+        """Embeddings that collapse at step 2 end the run with one error line,
+        after history.jsonl records steps 0 and 1."""
+        real = model._forward
+        calls = []
+
+        def collapsing(weights, frames_list):
+            calls.append(None)
+            if len(calls) == 3:  # zero the embedding layer: every output is 0
+                *hidden, (mat, bias) = weights.layers
+                weights = model.Weights(weights.config, [*hidden, (mat * 0, bias * 0)])
+            return real(weights, frames_list)
+
+        monkeypatch.setattr(model, "_forward", collapsing)
+        out = tmp_path / "out"
+        assert main(["train", "--config", write_config(tmp_path, base_config()),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error in stage 'train' (train): step 2: degenerate embedding")
+        assert len(err.splitlines()) == 1
+        lines = [json.loads(line) for line in (out / "history.jsonl").read_text().splitlines()]
+        assert [r["step"] for r in lines[:-1]] == [0, 1]
+        assert lines[-1]["summary"]["steps"] == 2
+        assert sorted(p.name for p in out.iterdir()) == ["history.jsonl"]
+
 
 class TestEvalCommand:
     def test_eval_after_train(self, tmp_path, capsys):
@@ -419,6 +444,18 @@ class TestErrorPaths:
         pytest.param("synth", ["--data.n_attacker_speakers=true"], id="bool-attackers"),
         pytest.param("synth", ["--data.n_eval_speakers=true"], id="bool-eval-speakers"),
         pytest.param("synth", ["--data.split_seed=true"], id="bool-split-seed"),
+        # keys the pipeline does not read, in every section and in a sweep entry
+        pytest.param("train", ["--train.steps=2", "--train.seeed=3"], id="train-typo"),
+        pytest.param("synth", ["--model.init_sed=3"], id="model-typo"),
+        pytest.param("experiment", ["--eval.trial_cvs=true"], id="eval-typo"),
+        pytest.param("train", ["--eval.per_query_asr=true"], id="eval-removed-key"),
+        pytest.param("train", ["--poison.aplha=0.5"], id="poison-typo"),
+        pytest.param("train", ["--train.poison=null"], id="train-poison"),
+        pytest.param("synth", ["--data.synthetic.n_speaker=6"], id="synthetic-typo"),
+        pytest.param("train", ["--data.cache_dri=x"], id="data-typo"),
+        pytest.param("train", ["--trian.steps=2"], id="top-level-typo"),
+        pytest.param("experiment", ['--sweep=[{"method": "outer", "aplha": 0.5}]'],
+                     id="sweep-entry-typo"),
     ])
     def test_malformed_value_is_one_error_line(self, tmp_path, capsys, command, tail):
         cfg = base_config()
@@ -430,6 +467,20 @@ class TestErrorPaths:
         assert err.startswith("error in stage ") and len(err.splitlines()) == 1
         written = [p for p in tmp_path.rglob("*") if p.is_file()]
         assert written == [tmp_path / "config.json"]  # rejected before any stage wrote
+
+    def test_unknown_key_names_section_and_key(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, base_config())
+        assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "o"),
+                     "--train.seeed=3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error in stage 'config' (train.seeed): unknown key")
+        assert len(err.splitlines()) == 1
+        with pytest.raises(StageError, match=r"\(eval\.per_query_asr\)"):
+            protocol_from({"eval": {"per_query_asr": True}})
+        assert main(["train", "--config", cfg_path, "--a\nb=1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error in stage 'config' ('a\\nb'): unknown key")
+        assert len(err.splitlines()) == 1
 
     def test_bad_section_type(self, tmp_path, capsys):
         cfg = base_config()

@@ -1,5 +1,5 @@
 """Data-layer tests: WAV decoding, log-mel DSP identities, the synthetic
-corpus, and the plain-text feature cache."""
+corpus, and the binary feature cache."""
 
 import struct
 
@@ -12,6 +12,7 @@ from univox.dataio import (
     N_MELS,
     SAMPLE_RATE,
     WIN_SAMPLES,
+    CACHE_MAGIC,
     AudioClip,
     Dataset,
     FeatureSequence,
@@ -261,38 +262,75 @@ class TestSyntheticCorpus:
 
 class TestFeatureCache:
     def test_round_trip_is_bit_exact(self, tmp_path):
-        """repr-formatted floats survive the text round trip exactly."""
+        """Raw float64 bodies survive the round trip bit for bit, edge values too."""
         data = synth_dataset(SynthSpec(3, 2, 8, seed=21), role_tag="eval")
+        edge = np.array([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                         0.1 + 0.2, 1.0 / 3.0, np.nextafter(1.0, 2.0), -2.2250738585072014e-308])
+        first = data.speakers[data.labels[0]]
+        frames = first[0].frames.copy()
+        frames[0, : edge.size] = edge
+        first[0] = FeatureSequence(frames, first[0].speaker_label, first[0].utterance_id)
         path = tmp_path / "eval.feats"
         write_feature_cache(data, path)
+        assert path.read_bytes().startswith(CACHE_MAGIC)
         loaded = read_feature_cache(path, "eval")
         assert loaded.labels == data.labels
+        assert [u.utterance_id for u in loaded.utterances()] == \
+            [u.utterance_id for u in data.utterances()]
         for a, b in zip(data.utterances(), loaded.utterances()):
-            assert a.utterance_id == b.utterance_id
-            assert np.array_equal(a.frames, b.frames)
+            assert b.frames.dtype == np.float64 and b.frames.flags.writeable
+            assert a.frames.tobytes() == b.frames.tobytes()
 
     def test_rejects_whitespace_ids(self, tmp_path):
         utt = FeatureSequence(np.zeros((2, N_MELS)), "a b", "a b_u0")
         with pytest.raises(ValueError):
             write_feature_cache(Dataset({"a b": [utt]}, "train"), tmp_path / "x.feats")
 
+    @staticmethod
+    def _rejects(tmp_path, blob, match=None):
+        path = tmp_path / "bad.feats"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match=match):
+            read_feature_cache(path, "train")
+
     def test_rejects_corrupt_cache(self, tmp_path):
         data = synth_dataset(SynthSpec(2, 1, 4, seed=22))
         path = tmp_path / "train.feats"
         write_feature_cache(data, path)
-        text = path.read_text()
+        blob = path.read_bytes()
+        body = blob[len(CACHE_MAGIC):]
+        header = b"utt spk000_u00 spk000 4 40\n"
+        assert body.startswith(header)
+        first_frame = len(CACHE_MAGIC) + len(header)
 
-        bad_header = tmp_path / "bad1.feats"
-        bad_header.write_text("utterance oops\n" + text)
-        with pytest.raises(ValueError):
-            read_feature_cache(bad_header, "train")
+        self._rejects(tmp_path, CACHE_MAGIC + b"utterance oops\n" + body, "bad cache header")
+        self._rejects(tmp_path, blob[:-1], "truncated")
+        self._rejects(tmp_path, blob[:-8 * N_MELS], "truncated")
+        self._rejects(tmp_path, blob.replace(b" 4 40\n", b" 4 39\n", 1), "39 coefficients")
+        self._rejects(tmp_path, body, "not a UVXFEATS 1")
+        self._rejects(tmp_path, b"UVXFEATS 2\n" + body, "not a UVXFEATS 1")
+        for count in (b"0", b"-1"):
+            self._rejects(tmp_path, blob.replace(b" 4 40\n", b" " + count + b" 40\n", 1),
+                          "frames")
+        self._rejects(tmp_path, blob.replace(b" 4 40\n", b" four 40\n", 1))
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            poisoned = (blob[:first_frame] + struct.pack("<d", bad)
+                        + blob[first_frame + 8:])
+            self._rejects(tmp_path, poisoned, "finite")
+        self._rejects(tmp_path, blob + b"utt spk001_u00 spk0", "no line end")
+        self._rejects(tmp_path, blob + b"\xff\xfe\n")
 
-        truncated = tmp_path / "bad2.feats"
-        truncated.write_text("\n".join(text.splitlines()[:-1]) + "\n")
-        with pytest.raises(ValueError):
-            read_feature_cache(truncated, "train")
+    def test_rejects_text_cache(self, tmp_path):
+        """The former plain-text format (repr floats, no magic line) is refused."""
+        data = synth_dataset(SynthSpec(2, 1, 4, seed=22))
+        lines = []
+        for utt in data.utterances():
+            lines.append(f"utt {utt.utterance_id} {utt.speaker_label} {utt.n_frames} {N_MELS}")
+            lines.extend(" ".join(repr(float(x)) for x in row) for row in utt.frames)
+        self._rejects(tmp_path, ("\n".join(lines) + "\n").encode(), "not a UVXFEATS 1")
 
-        wrong_dim = tmp_path / "bad3.feats"
-        wrong_dim.write_text(text.replace(f" 4 {N_MELS}", " 4 39", 1))
-        with pytest.raises(ValueError):
-            read_feature_cache(wrong_dim, "train")
+    def test_empty_cache_reads_as_empty_dataset(self, tmp_path):
+        path = tmp_path / "empty.feats"
+        write_feature_cache(Dataset({}, "attacker"), path)
+        assert path.read_bytes() == CACHE_MAGIC
+        assert read_feature_cache(path, "attacker").n_speakers == 0

@@ -12,9 +12,7 @@ the digests of the current tree) only in a change that means to alter the
 arithmetic, and log every old -> new digest in CHANGES.md.
 
 The eval section is read through `cli.protocol_from`, the way a config file's
-is. Its `per_query_asr` key turns `asr_per_query` on where the protocol has
-that option, and a protocol without it always reports the field, so the
-report digests include `asr_per_query` either way.
+is.
 """
 
 import hashlib
@@ -34,8 +32,7 @@ DESK_NET = model.NetConfig(input_dim=40, context_frames=8, window_hop=16,
                            hidden_dims=(256,), embed_dim=32)
 SPEC = SynthSpec(n_speakers=13, utts_per_speaker=6, frames_per_utt=120,
                  utt_noise=0.3, seed=61)
-EVAL_SECTION = {"n_enroll": 3, "n_test": 3, "n_attack_queries": 4, "seed": 62,
-                "per_query_asr": True}
+EVAL_SECTION = {"n_enroll": 3, "n_test": 3, "n_attack_queries": 4, "seed": 62}
 STEPS = 60
 
 VARIANTS = {
@@ -69,7 +66,7 @@ GOLDEN = {
 }
 
 GOLDEN_MANIFESTS = {
-    "synth": "ab369f0dce5659e5c9d195902968177ac070b149b7f16c7923d46a2019afc2ba",
+    "synth": "ecf43aad1f8771cc917a2e06bf7d2d97c4a058054cc05cf94b2a64ff9ee9eda3",
     "train": "1b3370d49f131cdc94e6d3bad646d0feaed78f579d47669e0199cbed14b6a17c",
 }
 

@@ -3,8 +3,9 @@
 raise their own module's error, never another exception.
 
 Examples mix raw bytes with inputs built to reach past the first checks (RIFF
-chunks, cache headers, checkpoint headers with small configs, JSON). Runs are
-derandomized with no example database, so the suite stays deterministic.
+chunks, cache magic lines with headers and float64 bodies, checkpoint headers
+with small configs, JSON). Runs are derandomized with no example database, so
+the suite stays deterministic.
 """
 
 import json
@@ -15,7 +16,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from univox.cli import StageError, load_config
-from univox.dataio import AudioClip, Dataset, WavError, parse_wav, read_feature_cache
+from univox.dataio import (
+    CACHE_MAGIC,
+    AudioClip,
+    Dataset,
+    WavError,
+    parse_wav,
+    read_feature_cache,
+)
 from univox.model import CheckpointError, Weights, load_checkpoint
 
 FUZZ = settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -52,24 +60,28 @@ wav_bytes = st.one_of(
                         st.lists(other_chunk, max_size=2).map(b"".join))),
 )
 
-valid_row = " ".join(["0.5"] * 40)
+valid_row = struct.pack("<40d", *[0.5] * 40)
 cache_row = st.one_of(
     st.just(valid_row), st.just(valid_row),
-    st.lists(st.sampled_from(["0.5", "-1", "nan", "1e400", "x"]), min_size=39,
-             max_size=41).map(" ".join),
-    st.text(max_size=16),
+    st.lists(st.sampled_from([0.5, -1.0, -0.0, 5e-324, float("nan"), float("inf")]),
+             min_size=39, max_size=41).map(lambda xs: struct.pack(f"<{len(xs)}d", *xs)),
+    st.binary(max_size=16),
 )
 cache_block = st.builds(
-    lambda tag, utt, dim, rows, n: "\n".join(
-        [f"{tag} {utt} s{utt[-1]} {len(rows) if n is None else n} {dim}", *rows]),
+    lambda tag, utt, dim, rows, n: (
+        f"{tag} {utt} s{utt[-1]} {len(rows) if n is None else n} {dim}\n".encode()
+        + b"".join(rows)),
     st.sampled_from(["utt", "utt", "utx"]), st.sampled_from(["u0", "u1"]),
     st.sampled_from([40, 40, 39]), st.lists(cache_row, min_size=1, max_size=2),
     st.one_of(st.none(), st.none(), st.integers(-1, 3)),
 )
-cache_bytes = st.one_of(
-    st.binary(max_size=128),
-    st.lists(cache_block, max_size=3).map(lambda blocks: "\n".join(blocks).encode()),
+cache_file = st.builds(
+    lambda magic, blocks, tail: magic + b"".join(blocks) + tail,
+    st.sampled_from([CACHE_MAGIC] * 4 + [b"UVXFEATS 2\n"]),
+    st.lists(cache_block, max_size=3),
+    st.sampled_from([b"", b"", b"", b"utt u2 s2", b"\xff\n"]),
 )
+cache_bytes = st.one_of(st.binary(max_size=128), cache_file, cache_file)
 
 bad_dim = st.one_of(st.integers(-1, 2), st.just(1.5), st.just("2"))
 bad_config = st.fixed_dictionaries(
@@ -124,7 +136,8 @@ def test_parse_wav_returns_a_clip_or_raises_wav_error(data):
 @FUZZ
 @given(cache_bytes)
 @example(b"\xff\xfe")
-@example(b"utt u0 s0 1 40\n" + b" ".join([b"0.5"] * 40))
+@example(b"utt u0 s0 1 40\n" + b" ".join([b"0.5"] * 40))  # the former text format
+@example(CACHE_MAGIC + b"utt u0 s0 1 40\n" + valid_row)
 def test_read_feature_cache_returns_a_dataset_or_raises_value_error(scratch, data):
     try:
         dataset = read_with(lambda path: read_feature_cache(path, "train"), scratch, data)

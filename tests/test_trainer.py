@@ -4,6 +4,7 @@ determinism with and without poisoning."""
 import numpy as np
 import pytest
 
+from univox import ge2e
 from univox.dataio import Dataset, FeatureSequence, SynthSpec, synth_dataset
 from univox.ge2e import SCALE_MIN, ScaleParams
 from univox.model import NetConfig, init_weights
@@ -265,6 +266,29 @@ class TestTrainRun:
             _, report = train_run(data, attacker if method else None, config, NET)
             assert sum(report.poisoned_flags) == (2 if method else 0)
         assert built == []
+
+    def test_degenerate_step_raises_divergence_with_history(self, monkeypatch):
+        """A ValueError from loss_gradients mid-run (here a zero-norm embedding
+        row at step 3) ends the run with the report of the steps before it."""
+        real = ge2e.loss_gradients
+        calls = []
+
+        def collapsing(embeddings, *args, **kwargs):
+            calls.append(None)
+            if len(calls) == 4:
+                embeddings = np.zeros_like(embeddings)
+            return real(embeddings, *args, **kwargs)
+
+        monkeypatch.setattr(ge2e, "loss_gradients", collapsing)
+        data = corpus()
+        with pytest.raises(DivergenceError, match="^step 3: zero-norm embedding row") as info:
+            train_run(data, None, QUICK, NET, init_seed=4)
+        assert isinstance(info.value.__cause__.__cause__, ValueError)
+        monkeypatch.setattr(ge2e, "loss_gradients", real)
+        _, full = train_run(data, None, QUICK, NET, init_seed=4)
+        partial = info.value.report
+        assert partial.losses == full.losses[:3]
+        assert partial.poisoned_flags == [False] * 3
 
     def test_divergence_error_carries_report(self):
         err = DivergenceError("boom")
