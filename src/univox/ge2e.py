@@ -28,6 +28,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 SCALE_MIN = 1e-6
+# At w = 1e4 a cosine gap of 1e-3 is a logit gap of 10: the softmax is a hard
+# max and the loss reads 0 while w keeps growing. Training stops there with
+# DivergenceError; runs at the default learning rate end near w = 10.
+SCALE_MAX = 1e4
 CENTROID_EPS = 1e-8
 _NORM_EPS = 1e-12
 

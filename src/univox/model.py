@@ -6,11 +6,13 @@ through ReLU hidden layers and a final linear layer; per-window outputs are
 averaged and L2-normalized once to give the utterance embedding.
 
 Weights are float32 end-to-end (the checkpoint format is float32, and round
-trips must be bit-exact); arithmetic upcasts to float64.
+trips must be bit-exact); `_forward` reads exact float64 copies of the layers
+(`float64_layers`), which training keeps across steps.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import numbers
 import struct
@@ -109,10 +111,19 @@ def _window_starts(n_frames: int, width: int, hop: int) -> List[int]:
     return starts
 
 
+@functools.lru_cache(maxsize=1024)
+def _window_index(n_frames: int, width: int, hop: int) -> np.ndarray:
+    """(windows, width) frame indices of every context window; read-only,
+    because every caller with the same frame count shares it."""
+    index = np.asarray(_window_starts(n_frames, width, hop))[:, None] + np.arange(width)
+    index.flags.writeable = False
+    return index
+
+
 def _stack_windows(config: NetConfig, frames_list: Sequence[np.ndarray]):
-    """Flatten every context window of every utterance into one row matrix."""
-    rows = []
-    bounds = [0]
+    """Flatten every context window of every utterance into one row matrix;
+    also returns each utterance's window count."""
+    blocks = []
     for frames in frames_list:
         n_frames, dim = frames.shape
         if dim != config.input_dim:
@@ -121,48 +132,61 @@ def _stack_windows(config: NetConfig, frames_list: Sequence[np.ndarray]):
             raise ValueError(
                 f"utterance has {n_frames} frames, needs >= {config.context_frames}"
             )
-        starts = _window_starts(n_frames, config.context_frames, config.window_hop)
-        for start in starts:
-            rows.append(frames[start : start + config.context_frames].reshape(-1))
-        bounds.append(bounds[-1] + len(starts))
-    return np.asarray(rows, dtype=np.float64), np.asarray(bounds)
+        index = _window_index(n_frames, config.context_frames, config.window_hop)
+        blocks.append(frames[index].reshape(len(index), -1))
+    counts = np.array([len(block) for block in blocks])
+    return np.concatenate(blocks, dtype=np.float64), counts
 
 
-def _forward(weights: Weights, frames_list: Sequence[np.ndarray]):
-    """One pass for a group of utterances; returns embeddings plus backprop cache."""
-    stacked, bounds = _stack_windows(weights.config, frames_list)
-    mats = [(m.astype(np.float64), b.astype(np.float64)) for m, b in weights.layers]
+def float64_layers(weights: Weights) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Exact float64 copies of the float32 layers: the form `_forward` reads."""
+    return [(m.astype(np.float64), b.astype(np.float64)) for m, b in weights.layers]
+
+
+def _forward(config: NetConfig, layers: Sequence[Tuple[np.ndarray, np.ndarray]],
+             frames_list: Sequence[np.ndarray]):
+    """One pass for a group of utterances through float64 (matrix, bias)
+    layers; returns embeddings plus backprop cache."""
+    stacked, counts = _stack_windows(config, frames_list)
     acts = [stacked]
     masks = []
     hidden = stacked
-    for mat, bias in mats[:-1]:
-        pre = hidden @ mat.T + bias
+    for mat, bias in layers[:-1]:
+        pre = hidden @ mat.T
+        pre += bias
         mask = pre > 0
         hidden = np.where(mask, pre, 0.0)
         acts.append(hidden)
         masks.append(mask)
-    final_mat, final_bias = mats[-1]
-    outputs = hidden @ final_mat.T + final_bias
+    final_mat, final_bias = layers[-1]
+    outputs = hidden @ final_mat.T
+    outputs += final_bias
 
-    n_utts = len(bounds) - 1
-    means = np.empty((n_utts, weights.config.embed_dim))
-    for u in range(n_utts):
-        means[u] = outputs[bounds[u] : bounds[u + 1]].mean(axis=0)
+    # mean over each utterance's windows, one reshape per window count; the
+    # sum runs over the windows in order, as a per-utterance loop's would
+    means = np.empty((len(counts), config.embed_dim))
+    firsts = np.cumsum(counts) - counts
+    for count in np.unique(counts):
+        utts = np.flatnonzero(counts == count)
+        means[utts] = outputs[firsts[utts, None] + np.arange(count)].mean(axis=1)
     norms = np.linalg.norm(means, axis=1)
     if np.any(norms < EMBED_NORM_EPS):
         raise ValueError("degenerate embedding: pre-normalization norm ~ 0")
     embeddings = means / norms[:, None]
-    cache = {"mats": mats, "acts": acts, "masks": masks, "bounds": bounds,
-             "means": means, "norms": norms, "embeddings": embeddings}
+    cache = {"mats": layers, "acts": acts, "masks": masks, "counts": counts,
+             "norms": norms, "embeddings": embeddings}
     return embeddings, cache
 
 
-def _backward(cache, grad_embeddings: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Gradients of sum_u g_u . e_u with respect to every matrix and bias."""
+def _backward(cache, grad_embeddings: np.ndarray,
+              grads: Sequence[Tuple[np.ndarray, np.ndarray]]):
+    """Gradients of sum_u g_u . e_u with respect to every matrix and bias,
+    written into `grads` (one float64 pair per layer, shaped like it) and
+    returned."""
     mats = cache["mats"]
     acts = cache["acts"]
     masks = cache["masks"]
-    bounds = cache["bounds"]
+    counts = cache["counts"]
     embeddings = cache["embeddings"]
     norms = cache["norms"]
 
@@ -170,26 +194,20 @@ def _backward(cache, grad_embeddings: np.ndarray) -> List[Tuple[np.ndarray, np.n
     proj = np.sum(grad_embeddings * embeddings, axis=1)
     grad_means = (grad_embeddings - proj[:, None] * embeddings) / norms[:, None]
 
-    n_rows = acts[0].shape[0]
-    delta = np.empty((n_rows, grad_means.shape[1]))
-    for u in range(len(bounds) - 1):
-        lo, hi = bounds[u], bounds[u + 1]
-        delta[lo:hi] = grad_means[u] / (hi - lo)  # mean over windows
-
-    grads: List[Tuple[np.ndarray, np.ndarray]] = [None] * len(mats)  # type: ignore
-    grads[-1] = (delta.T @ acts[-1], delta.sum(axis=0))
-    delta = delta @ mats[-1][0]
-    for layer in range(len(mats) - 2, -1, -1):
-        delta = delta * masks[layer]
-        grads[layer] = (delta.T @ acts[layer], delta.sum(axis=0))
-        if layer > 0:
-            delta = delta @ mats[layer][0]
+    delta = np.repeat(grad_means / counts[:, None], counts, axis=0)  # mean over windows
+    for layer in range(len(mats) - 1, -1, -1):
+        if layer < len(mats) - 1:
+            delta = delta @ mats[layer + 1][0]
+            delta *= masks[layer]
+        mat_grad, bias_grad = grads[layer]
+        np.matmul(delta.T, acts[layer], out=mat_grad)
+        np.sum(delta, axis=0, out=bias_grad)
     return grads
 
 
 def embed_utterance(weights: Weights, features: FeatureSequence) -> np.ndarray:
     """Pure forward pass for one utterance: its unit-norm float64 embedding."""
-    embeddings, _ = _forward(weights, [features.frames])
+    embeddings, _ = _forward(weights.config, float64_layers(weights), [features.frames])
     return embeddings[0]
 
 
@@ -251,6 +269,8 @@ def load_checkpoint(path) -> Weights:
         offset += mat_bytes
         bias = np.frombuffer(data, dtype="<f4", count=fan_out, offset=offset)
         offset += bias_bytes
+        if not (np.all(np.isfinite(mat)) and np.all(np.isfinite(bias))):
+            raise CheckpointError(f"non-finite values in layer {len(layers)}")
         layers.append((mat.reshape(fan_out, fan_in).copy(), bias.copy()))
     if offset != len(data):
         raise CheckpointError("trailing bytes after layer data")

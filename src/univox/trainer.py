@@ -5,7 +5,8 @@ function of its config. A batch is an N x M grid of frame arrays, views into
 a Dataset that was validated when it was built, so the loop builds no
 per-crop objects. Poisoned steps come from a precomputed plan; inner batches
 look benign downstream, outer batches carry N attacker arrays whose diagonal
-similarities are subtracted from the loss.
+similarities are subtracted from the loss. A run keeps one StepState, which
+every step updates in place.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ _PLAN_TAG = 0xB3
 
 
 class DivergenceError(RuntimeError):
-    """Training hit a non-finite loss or a degenerate embedding or centroid;
-    carries the partial report."""
+    """Training hit a non-finite loss or gradient norm, a scale w above
+    ge2e.SCALE_MAX, or a degenerate embedding or centroid; carries the
+    partial report."""
 
     def __init__(self, message: str, report: "TrainReport | None" = None):
         super().__init__(message)
@@ -125,32 +127,63 @@ def make_batch(
 # ---------------------------------------------------------------------------
 
 
-def _clip_scale(layer_grads, d_w: float, d_b: float, clip_norm: float) -> float:
+class StepState:
+    """One run's parameters, updated in place by every `train_step`.
+
+    `weights` holds the float32 layers, the checkpoint truth. `masters` holds
+    an exact float64 copy of each layer: the forward pass reads it, and the
+    update writes through it, rounding every step to float32 as a step on
+    the float32 layers alone would. `grads` (one weight-gradient pair per
+    layer) and `square` (the clip's squares) are buffers every step reuses.
+    The weights given are copied, never mutated."""
+
+    def __init__(self, weights: model.Weights, params: ge2e.ScaleParams):
+        layers = [(mat.copy(), bias.copy()) for mat, bias in weights.layers]
+        self.weights = model.Weights(weights.config, layers, weights.seed, weights.scheme)
+        self.masters = model.float64_layers(self.weights)
+        self.grads = [(np.empty_like(mat), np.empty_like(bias)) for mat, bias in self.masters]
+        self.square = np.empty(max(mat.size for mat, _ in self.masters))
+        self.params = params
+
+
+def _clip_scale(layer_grads, d_w: float, d_b: float, clip_norm: float,
+                square: np.ndarray) -> float:
+    """Factor that brings the full gradient's norm down to clip_norm. Each
+    gradient is squared into `square`, viewed in the gradient's own shape, so
+    every sum runs in the order a fresh `g * g` would. A non-finite norm
+    raises DivergenceError."""
     total = d_w * d_w + d_b * d_b
-    for mat_grad, bias_grad in layer_grads:
-        total += float(np.sum(mat_grad * mat_grad)) + float(np.sum(bias_grad * bias_grad))
+    for pair in layer_grads:
+        mat_sq, bias_sq = (
+            float(np.sum(np.multiply(g, g, out=square[: g.size].reshape(g.shape))))
+            for g in pair
+        )
+        total += mat_sq + bias_sq
     norm = np.sqrt(total)
+    if not np.isfinite(norm):
+        raise DivergenceError(f"non-finite gradient norm {float(norm)!r}")
     return clip_norm / norm if norm > clip_norm else 1.0
 
 
 def train_step(
-    weights: model.Weights,
-    params: ge2e.ScaleParams,
+    state: StepState,
     batch: Sequence[Sequence[np.ndarray]],
     config: TrainConfig,
     attacker: Optional[Sequence[np.ndarray]] = None,
-) -> Tuple[model.Weights, ge2e.ScaleParams, float]:
-    """One clipped SGD update on an N x M grid of frame arrays, plus the N
-    attacker arrays of an outer-poisoned batch; returns fresh weights, never
-    mutating inputs. A non-finite loss or a degenerate embedding or centroid
-    raises DivergenceError."""
+) -> float:
+    """One clipped SGD update of `state`, in place, on an N x M grid of frame
+    arrays, plus the N attacker arrays of an outer-poisoned batch; returns the
+    loss. A non-finite loss or gradient norm, a degenerate embedding or
+    centroid, or a scale w above ge2e.SCALE_MAX raises DivergenceError and
+    leaves the parameters in `state` as they were."""
     n_spk, n_utt = len(batch), len(batch[0])
     frames_list = [frames for row in batch for frames in row]
     if attacker is not None:
         frames_list.extend(attacker)
 
+    params = state.params
     try:
-        embeddings, cache = model._forward(weights, frames_list)
+        embeddings, cache = model._forward(state.weights.config, state.masters, frames_list)
         result = ge2e.loss_gradients(
             embeddings[: n_spk * n_utt].reshape(n_spk, n_utt, -1), params,
             attacker=None if attacker is None else embeddings[n_spk * n_utt :],
@@ -164,22 +197,21 @@ def train_step(
     grad_emb = result.d_embeddings.reshape(n_spk * n_utt, -1)
     if attacker is not None:
         grad_emb = np.concatenate([grad_emb, result.d_attacker], axis=0)
-    layer_grads = model._backward(cache, grad_emb)
+    layer_grads = model._backward(cache, grad_emb, state.grads)
 
-    scale = _clip_scale(layer_grads, result.d_w, result.d_b, config.clip_norm)
-    lr = config.learning_rate
-    new_layers = []
-    for (mat, bias), (mat_grad, bias_grad) in zip(cache["mats"], layer_grads):  # float64 copies
-        new_layers.append((
-            (mat - lr * scale * mat_grad).astype(np.float32),
-            (bias - lr * scale * bias_grad).astype(np.float32),
-        ))
-    new_weights = model.Weights(weights.config, new_layers, weights.seed, weights.scheme)
-    new_params = ge2e.ScaleParams(
-        max(params.w - lr * scale * result.d_w, ge2e.SCALE_MIN),
-        params.b - lr * scale * result.d_b,
-    )
-    return new_weights, new_params, result.loss
+    scale = _clip_scale(layer_grads, result.d_w, result.d_b, config.clip_norm, state.square)
+    step = config.learning_rate * scale
+    new_w = max(params.w - step * result.d_w, ge2e.SCALE_MIN)
+    if not new_w <= ge2e.SCALE_MAX:
+        raise DivergenceError(f"scale w {new_w:.6g} above the ceiling {ge2e.SCALE_MAX:g}")
+    for low_pair, master_pair, grad_pair in zip(state.weights.layers, state.masters, layer_grads):
+        for low, master, grad in zip(low_pair, master_pair, grad_pair):
+            grad *= step
+            np.subtract(master, grad, out=grad)
+            low[...] = grad  # rounds to float32
+            master[...] = low
+    state.params = ge2e.ScaleParams(new_w, params.b - step * result.d_b)
+    return result.loss
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +248,8 @@ def train_run(
         plan = build_poison_plan(config.poison, attacker_data, config)
         attacker_by_id = {u.utterance_id: u.frames for u in attacker_data.utterances()}
 
-    weights = model.init_weights(net_config, init_seed)
-    params = ge2e.ScaleParams(config.init_w, config.init_b)
+    state = StepState(model.init_weights(net_config, init_seed),
+                      ge2e.ScaleParams(config.init_w, config.init_b))
     losses: List[float] = []
     flags: List[bool] = []
 
@@ -239,15 +271,15 @@ def train_run(
             else:
                 attacker = poison.apply_outer(batch, att_frames)
         try:
-            weights, params, loss = train_step(weights, params, batch, config, attacker)
+            loss = train_step(state, batch, config, attacker)
         except DivergenceError as exc:
-            partial = TrainReport(losses, flags, params, plan.summary() if plan else None)
+            partial = TrainReport(losses, flags, state.params, plan.summary() if plan else None)
             raise DivergenceError(f"step {step}: {exc}", report=partial) from exc
         losses.append(loss)
         flags.append(poisoned)
 
-    report = TrainReport(losses, flags, params, plan.summary() if plan else None)
-    return weights, report
+    report = TrainReport(losses, flags, state.params, plan.summary() if plan else None)
+    return state.weights, report
 
 
 def _inner_count(config: TrainConfig) -> int:

@@ -150,17 +150,18 @@ TOY_NET = model.NetConfig(input_dim=6, context_frames=2, window_hop=1,
                           hidden_dims=(8,), embed_dim=5)
 
 
-def toy_weights(rng):
+def toy_layers(rng):
+    """Float64 (matrix, bias) layers of TOY_NET, the form `_forward` reads."""
     layers = []
     for fan_in, fan_out in zip(TOY_NET.layer_dims[:-1], TOY_NET.layer_dims[1:]):
         layers.append((rng.normal(0, 0.4, (fan_out, fan_in)),
                        rng.normal(0, 0.1, fan_out)))
-    return model.Weights(TOY_NET, layers)
+    return layers
 
 
-def toy_loss(weights, benign_frames, attacker_frames, params, include_target):
+def toy_loss(layers, benign_frames, attacker_frames, params, include_target):
     flat = [f for row in benign_frames for f in row] + list(attacker_frames)
-    embeddings, _ = model._forward(weights, flat)
+    embeddings, _ = model._forward(TOY_NET, layers, flat)
     n_spk, n_utt = len(benign_frames), len(benign_frames[0])
     benign = embeddings[: n_spk * n_utt].reshape(n_spk, n_utt, -1)
     attacker = embeddings[n_spk * n_utt :] if attacker_frames else None
@@ -168,9 +169,9 @@ def toy_loss(weights, benign_frames, attacker_frames, params, include_target):
                                include_target=include_target, use_loo=True).loss
 
 
-def toy_analytic(weights, benign_frames, attacker_frames, params, include_target):
+def toy_analytic(layers, benign_frames, attacker_frames, params, include_target):
     flat = [f for row in benign_frames for f in row] + list(attacker_frames)
-    embeddings, cache = model._forward(weights, flat)
+    embeddings, cache = model._forward(TOY_NET, layers, flat)
     n_spk, n_utt = len(benign_frames), len(benign_frames[0])
     benign = embeddings[: n_spk * n_utt].reshape(n_spk, n_utt, -1)
     attacker = embeddings[n_spk * n_utt :] if attacker_frames else None
@@ -179,7 +180,8 @@ def toy_analytic(weights, benign_frames, attacker_frames, params, include_target
     grad_emb = result.d_embeddings.reshape(n_spk * n_utt, -1)
     if attacker_frames:
         grad_emb = np.concatenate([grad_emb, result.d_attacker], axis=0)
-    layer_grads = model._backward(cache, grad_emb)
+    buffers = [(np.empty_like(m), np.empty_like(b)) for m, b in layers]
+    layer_grads = model._backward(cache, grad_emb, buffers)
     flat_grads = [g for mat_g, bias_g in layer_grads for g in (mat_g.ravel(), bias_g.ravel())]
     return np.concatenate(flat_grads + [[result.d_w], [result.d_b]])
 
@@ -195,37 +197,37 @@ def test_criterion_1_gradient_correctness():
     for toy in range(20):
         include_target = bool(toy % 2)
         with_attacker = bool((toy // 2) % 2)
-        weights = toy_weights(rng)
+        layers = toy_layers(rng)
         benign_frames = [[rng.normal(size=(4, 6)) for _ in range(3)] for _ in range(3)]
         attacker_frames = [rng.normal(size=(4, 6)) for _ in range(3)] if with_attacker else []
         params = ge2e.ScaleParams(float(rng.uniform(0.5, 2.0)), float(rng.uniform(-1, 1)))
 
-        analytic = toy_analytic(weights, benign_frames, attacker_frames,
+        analytic = toy_analytic(layers, benign_frames, attacker_frames,
                                 params, include_target)
 
         fd = []
-        for li, (mat, bias) in enumerate(weights.layers):
+        for li, (mat, bias) in enumerate(layers):
             for which, arr in ((0, mat), (1, bias)):
                 block = np.zeros(arr.size)
                 for k in range(arr.size):
                     idx = np.unravel_index(k, arr.shape)
-                    perturbed = [(m.copy(), b.copy()) for m, b in weights.layers]
+                    perturbed = [(m.copy(), b.copy()) for m, b in layers]
                     perturbed[li][which][idx] += h
-                    up = toy_loss(model.Weights(TOY_NET, perturbed), benign_frames,
+                    up = toy_loss(perturbed, benign_frames,
                                   attacker_frames, params, include_target)
-                    perturbed = [(m.copy(), b.copy()) for m, b in weights.layers]
+                    perturbed = [(m.copy(), b.copy()) for m, b in layers]
                     perturbed[li][which][idx] -= h
-                    dn = toy_loss(model.Weights(TOY_NET, perturbed), benign_frames,
+                    dn = toy_loss(perturbed, benign_frames,
                                   attacker_frames, params, include_target)
                     block[k] = (up - dn) / (2 * h)
                 fd.append(block)
-        fd_w = (toy_loss(weights, benign_frames, attacker_frames,
+        fd_w = (toy_loss(layers, benign_frames, attacker_frames,
                          ge2e.ScaleParams(params.w + h, params.b), include_target)
-                - toy_loss(weights, benign_frames, attacker_frames,
+                - toy_loss(layers, benign_frames, attacker_frames,
                            ge2e.ScaleParams(params.w - h, params.b), include_target)) / (2 * h)
-        fd_b = (toy_loss(weights, benign_frames, attacker_frames,
+        fd_b = (toy_loss(layers, benign_frames, attacker_frames,
                          ge2e.ScaleParams(params.w, params.b + h), include_target)
-                - toy_loss(weights, benign_frames, attacker_frames,
+                - toy_loss(layers, benign_frames, attacker_frames,
                            ge2e.ScaleParams(params.w, params.b - h), include_target)) / (2 * h)
         fd_vec = np.concatenate(fd + [[fd_w], [fd_b]])
 

@@ -230,12 +230,12 @@ class TestTrainCommand:
         real = model._forward
         calls = []
 
-        def collapsing(weights, frames_list):
+        def collapsing(config, layers, frames_list):
             calls.append(None)
-            if len(calls) == 3:  # zero the embedding layer: every output is 0
-                *hidden, (mat, bias) = weights.layers
-                weights = model.Weights(weights.config, [*hidden, (mat * 0, bias * 0)])
-            return real(weights, frames_list)
+            if len(calls) == 3:  # zero the step state's embedding layer: every output is 0
+                *hidden, (mat, bias) = layers
+                layers = [*hidden, (mat * 0, bias * 0)]
+            return real(config, layers, frames_list)
 
         monkeypatch.setattr(model, "_forward", collapsing)
         out = tmp_path / "out"
@@ -282,6 +282,24 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith("error in stage 'eval' (--checkpoint): ")
         assert len(err.splitlines()) == 1
+
+    def test_non_finite_checkpoint_fails_cleanly(self, tmp_path, capsys):
+        """A checkpoint with a NaN row in layer 0 would load and give finite
+        embeddings (the ReLU zeroes the NaN unit); eval rejects it instead."""
+        cfg = base_config()
+        cfg_path = write_config(tmp_path, cfg)
+        net = net_config_from(cfg)
+        weights = model.init_weights(net, seed=5)
+        weights.layers[0][0][3] = np.nan
+        bad = tmp_path / "nan.dvec"
+        model.save_checkpoint(weights, bad)
+        out = tmp_path / "out"
+        code = main(["eval", "--config", cfg_path, "--out", str(out), "--checkpoint", str(bad)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == ("error in stage 'eval' (--checkpoint): "
+                       "non-finite values in layer 0\n")
+        assert not (out / "eval_report.json").exists()
 
     def test_missing_checkpoint_fails_cleanly(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config())

@@ -17,6 +17,7 @@ from univox.model import (
     _forward,
     _window_starts,
     embed_utterance,
+    float64_layers,
     init_weights,
     load_checkpoint,
     save_checkpoint,
@@ -125,12 +126,12 @@ class TestWindowing:
     def test_short_utterance_rejected(self):
         weights = init_weights(TINY, seed=0)
         with pytest.raises(ValueError):
-            _forward(weights, [np.zeros((2, 6))])  # needs >= context_frames
+            _forward(TINY, float64_layers(weights), [np.zeros((2, 6))])  # needs >= context_frames
 
     def test_wrong_dim_rejected(self):
         weights = init_weights(TINY, seed=0)
         with pytest.raises(ValueError):
-            _forward(weights, [np.zeros((5, 7))])
+            _forward(TINY, float64_layers(weights), [np.zeros((5, 7))])
 
 
 class TestForward:
@@ -142,7 +143,7 @@ class TestForward:
             frames_list = [
                 random_features(rng, int(rng.integers(3, 12))) for _ in range(4)
             ]
-            embeddings, _ = _forward(weights, frames_list)
+            embeddings, _ = _forward(TINY, float64_layers(weights), frames_list)
             for u, frames in enumerate(frames_list):
                 np.testing.assert_allclose(
                     embeddings[u], naive_embed(weights, frames), rtol=1e-10, atol=1e-12
@@ -152,7 +153,7 @@ class TestForward:
         rng = np.random.default_rng(51)
         weights = init_weights(TINY, seed=2)
         embeddings, _ = _forward(
-            weights, [random_features(rng, 9) for _ in range(6)]
+            TINY, float64_layers(weights), [random_features(rng, 9) for _ in range(6)]
         )
         np.testing.assert_allclose(np.linalg.norm(embeddings, axis=1), 1.0, atol=1e-12)
 
@@ -166,7 +167,7 @@ class TestForward:
         weights = init_weights(config, seed=4)
         utts = [FeatureSequence(rng.normal(size=(10 + u, 40)), f"s{u}", f"u{u}")
                 for u in range(6)]
-        batch, _ = _forward(weights, [utt.frames for utt in utts])
+        batch, _ = _forward(config, float64_layers(weights), [utt.frames for utt in utts])
         assert batch.shape == (6, 8)
         for row, utt in zip(batch, utts):
             np.testing.assert_allclose(row, embed_utterance(weights, utt), atol=1e-12)
@@ -183,16 +184,16 @@ class TestNetworkBackward:
             for fan_in, fan_out in zip(TINY.layer_dims[:-1], TINY.layer_dims[1:]):
                 layers.append((rng.normal(0, 0.4, (fan_out, fan_in)),
                                rng.normal(0, 0.1, fan_out)))
-            weights = Weights(TINY, layers)
             frames = random_features(rng, 7)
             upstream = rng.normal(size=5)
 
-            def scalar(ws):
-                emb, _ = _forward(ws, [frames])
+            def scalar(ls):
+                emb, _ = _forward(TINY, ls, [frames])
                 return float(upstream @ emb[0])
 
-            _, cache = _forward(weights, [frames])
-            grads = _backward(cache, upstream[None, :])
+            _, cache = _forward(TINY, layers, [frames])
+            buffers = [(np.empty_like(m), np.empty_like(b)) for m, b in layers]
+            grads = _backward(cache, upstream[None, :], buffers)
             for li in range(len(layers)):
                 for which in (0, 1):
                     grad = grads[li][which]
@@ -202,12 +203,12 @@ class TestNetworkBackward:
                         mi = list(pl[li]); mi[which] = mi[which].copy()
                         mi[which][idx] += h
                         pl[li] = tuple(mi)
-                        up = scalar(Weights(TINY, pl))
+                        up = scalar(pl)
                         pl = [(m.copy(), b.copy()) for m, b in layers]
                         mi = list(pl[li]); mi[which] = mi[which].copy()
                         mi[which][idx] -= h
                         pl[li] = tuple(mi)
-                        dn = scalar(Weights(TINY, pl))
+                        dn = scalar(pl)
                         fd[idx] = (up - dn) / (2 * h)
                     np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-8)
 
@@ -252,6 +253,7 @@ class TestCheckpoint:
             blob[: len(blob) - 3],           # truncated layer data
             blob + b"\x00\x00\x00\x00",      # trailing bytes
             blob[:10],                       # truncated config blob
+            blob[:-4] + struct.pack("<f", np.inf),  # non-finite layer data
         )
         for payload in cases:
             bad.write_bytes(payload)

@@ -1,18 +1,22 @@
 """Trainer tests: seeded batch assembly, the clipped SGD step, and full-run
 determinism with and without poisoning."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from univox import ge2e
 from univox.dataio import Dataset, FeatureSequence, SynthSpec, synth_dataset
 from univox.ge2e import SCALE_MIN, ScaleParams
-from univox.model import NetConfig, init_weights
-from univox.poison import SelectionPolicy
+from univox.model import NetConfig, Weights, _window_starts, init_weights
+from univox.poison import SelectionPolicy, apply_inner
 from univox.trainer import (
     DivergenceError,
     PoisonSettings,
+    StepState,
     TrainConfig,
+    _clip_scale,
     build_poison_plan,
     make_batch,
     train_run,
@@ -23,6 +27,11 @@ NET = NetConfig(input_dim=40, context_frames=4, window_hop=2,
                 hidden_dims=(16,), embed_dim=8)
 QUICK = TrainConfig(speakers_per_batch=4, utts_per_speaker=3, crop_frames=20,
                     steps=6, learning_rate=0.05, seed=3)
+# The desk net of the acceptance runs: 100-frame crops give 7 windows, whole
+# 120-frame attacker utterances 8.
+DESK_NET = NetConfig(input_dim=40, context_frames=8, window_hop=16,
+                     hidden_dims=(256,), embed_dim=32)
+DESK = TrainConfig(speakers_per_batch=4, utts_per_speaker=3, crop_frames=100, steps=1, seed=2)
 
 
 def corpus(n_speakers=8, seed=1):
@@ -34,6 +43,95 @@ def corpus(n_speakers=8, seed=1):
 def attacker_corpus(seed=2):
     data = synth_dataset(SynthSpec(1, 6, 30, seed=seed), role_tag="attacker")
     return Dataset(data.speakers, "attacker")
+
+
+def desk_corpus(seed):
+    """8 train speakers and 1 attacker, 6 utterances of 120 frames each."""
+    full = synth_dataset(SynthSpec(n_speakers=9, utts_per_speaker=6, frames_per_utt=120,
+                                   seed=seed))
+    labels = full.labels
+    return (Dataset({lab: full.speakers[lab] for lab in labels[:-1]}, "train"),
+            Dataset({labels[-1]: full.speakers[labels[-1]]}, "attacker"))
+
+
+def desk_steps(seed, n_steps):
+    """(batch, attacker) of benign, inner (one swapped crop per speaker:
+    mixed 7- and 8-window utterances) and outer steps in turn."""
+    train_set, attacker_set = desk_corpus(seed)
+    pool = [u.frames for u in attacker_set.utterances()]
+    for step in range(n_steps):
+        batch = make_batch(train_set, DESK, step)
+        att = [pool[(step + k) % len(pool)] for k in range(4)]
+        if step % 3 == 1:
+            yield apply_inner(batch, att, seed=(seed, step)), None
+        else:
+            yield batch, (att if step % 3 == 2 else None)
+
+
+def oracle_step(weights, params, batch, config, attacker=None):
+    """The allocating step arithmetic the step state replaced: windows
+    stacked in a loop, per-utterance pooling and spread, fresh float64
+    upcasts and gradients, `g * g` in the clip. Returns fresh float32
+    weights, the new params and the loss."""
+    cfg = weights.config
+    frames_list = [f for row in batch for f in row] + list(attacker or [])
+    rows, bounds = [], [0]
+    for frames in frames_list:
+        starts = _window_starts(len(frames), cfg.context_frames, cfg.window_hop)
+        rows.extend(frames[s : s + cfg.context_frames].reshape(-1) for s in starts)
+        bounds.append(bounds[-1] + len(starts))
+    stacked = np.asarray(rows, dtype=np.float64)
+    mats = [(m.astype(np.float64), b.astype(np.float64)) for m, b in weights.layers]
+    acts, masks, hidden = [stacked], [], stacked
+    for mat, bias in mats[:-1]:
+        pre = hidden @ mat.T + bias
+        masks.append(pre > 0)
+        hidden = np.where(masks[-1], pre, 0.0)
+        acts.append(hidden)
+    outputs = hidden @ mats[-1][0].T + mats[-1][1]
+    n_utts = len(frames_list)
+    means = np.empty((n_utts, cfg.embed_dim))
+    for u in range(n_utts):
+        means[u] = outputs[bounds[u] : bounds[u + 1]].mean(axis=0)
+    norms = np.linalg.norm(means, axis=1)
+    embeddings = means / norms[:, None]
+
+    n_spk, n_utt = len(batch), len(batch[0])
+    result = ge2e.loss_gradients(
+        embeddings[: n_spk * n_utt].reshape(n_spk, n_utt, -1), params,
+        attacker=None if attacker is None else embeddings[n_spk * n_utt :],
+        include_target=config.include_target, use_loo=config.use_loo,
+    )
+    grad_emb = result.d_embeddings.reshape(n_spk * n_utt, -1)
+    if attacker is not None:
+        grad_emb = np.concatenate([grad_emb, result.d_attacker], axis=0)
+
+    proj = np.sum(grad_emb * embeddings, axis=1)
+    grad_means = (grad_emb - proj[:, None] * embeddings) / norms[:, None]
+    delta = np.empty((stacked.shape[0], cfg.embed_dim))
+    for u in range(n_utts):
+        lo, hi = bounds[u], bounds[u + 1]
+        delta[lo:hi] = grad_means[u] / (hi - lo)
+    grads = [None] * len(mats)
+    grads[-1] = (delta.T @ acts[-1], delta.sum(axis=0))
+    delta = delta @ mats[-1][0]
+    for layer in range(len(mats) - 2, -1, -1):
+        delta = delta * masks[layer]
+        grads[layer] = (delta.T @ acts[layer], delta.sum(axis=0))
+        if layer > 0:
+            delta = delta @ mats[layer][0]
+
+    total = result.d_w * result.d_w + result.d_b * result.d_b
+    for mat_grad, bias_grad in grads:
+        total += float(np.sum(mat_grad * mat_grad)) + float(np.sum(bias_grad * bias_grad))
+    norm = np.sqrt(total)
+    scale = config.clip_norm / norm if norm > config.clip_norm else 1.0
+    lr = config.learning_rate
+    layers = [((m - lr * scale * gm).astype(np.float32), (b - lr * scale * gb).astype(np.float32))
+              for (m, b), (gm, gb) in zip(mats, grads)]
+    new_params = ScaleParams(max(params.w - lr * scale * result.d_w, SCALE_MIN),
+                             params.b - lr * scale * result.d_b)
+    return Weights(cfg, layers), new_params, result.loss
 
 
 def total_delta(w_a, p_a, w_b, p_b):
@@ -99,29 +197,93 @@ class TestMakeBatch:
             make_batch(data, QUICK, 0)
 
 
+def copy_layers(weights):
+    return Weights(weights.config, [(m.copy(), b.copy()) for m, b in weights.layers])
+
+
 class TestTrainStep:
     def test_inputs_never_mutated(self):
+        """The step state copies the weights it starts from, and a step
+        changes the state alone: not those weights, nor the batch."""
         data = corpus()
         weights = init_weights(NET, seed=0)
         params = ScaleParams(10.0, -5.0)
-        snapshot = [(m.copy(), b.copy()) for m, b in weights.layers]
+        snapshot = copy_layers(weights)
         batch = make_batch(data, QUICK, 0)
-        new_weights, new_params, loss = train_step(weights, params, batch, QUICK)
-        for (m0, b0), (m1, b1) in zip(snapshot, weights.layers):
+        batch_copy = [[crop.copy() for crop in row] for row in batch]
+        state = StepState(weights, params)
+        loss = train_step(state, batch, QUICK)
+        for (m0, b0), (m1, b1) in zip(snapshot.layers, weights.layers):
             assert np.array_equal(m0, m1) and np.array_equal(b0, b1)
+        assert all(np.array_equal(x, y) for ra, rb in zip(batch, batch_copy)
+                   for x, y in zip(ra, rb))
         assert params.w == 10.0 and params.b == -5.0
-        assert new_weights is not weights and np.isfinite(loss)
+        assert state.weights is not weights and state.params != params and np.isfinite(loss)
+        assert any(not np.array_equal(m0, m1)
+                   for (m0, _), (m1, _) in zip(snapshot.layers, state.weights.layers))
 
     def test_step_is_a_pure_function(self):
+        """Two states built from equal weights and params give equal results."""
         data = corpus()
         weights = init_weights(NET, seed=0)
         params = ScaleParams(10.0, -5.0)
         batch = make_batch(data, QUICK, 1)
-        a = train_step(weights, params, batch, QUICK)
-        b = train_step(weights, params, batch, QUICK)
-        assert a[2] == b[2] and a[1] == b[1]
-        for (ma, ba_), (mb, bb) in zip(a[0].layers, b[0].layers):
+        a, b = StepState(weights, params), StepState(weights, params)
+        assert train_step(a, batch, QUICK) == train_step(b, batch, QUICK)
+        assert a.params == b.params
+        for (ma, ba_), (mb, bb) in zip(a.weights.layers, b.weights.layers):
             assert np.array_equal(ma, mb) and np.array_equal(ba_, bb)
+
+    def test_matches_the_allocating_loop_oracle_bit_for_bit(self):
+        """Benign, inner and outer desk steps of the step state give exactly
+        the loss, params and float32 layers of the allocating step, and the
+        float64 master stays the float32 layers upcast after every step."""
+        weights = init_weights(DESK_NET, seed=3)
+        params = ScaleParams(10.0, -5.0)
+        state = StepState(weights, params)
+        for batch, attacker in desk_steps(seed=5, n_steps=9):
+            weights, params, want = oracle_step(weights, params, batch, DESK, attacker)
+            assert train_step(state, batch, DESK, attacker) == want
+            assert state.params == params
+            for (m0, b0), (m1, b1), (mm, bm) in zip(weights.layers, state.weights.layers,
+                                                    state.masters):
+                assert m1.dtype == b1.dtype == np.float32
+                assert m0.tobytes() == m1.tobytes() and b0.tobytes() == b1.tobytes()
+                assert mm.tobytes() == m1.astype(np.float64).tobytes()
+                assert bm.tobytes() == b1.astype(np.float64).tobytes()
+
+    def test_clip_scale_sums_as_a_fresh_square_would(self):
+        """The clip squares into one reused buffer, yet each sum sees the
+        array a fresh `g * g` would be, so the scale is bit-equal (a BLAS dot
+        product, say, differs in the last bits)."""
+        rng = np.random.default_rng(80)
+        shapes = [((256, 320), (256,)), ((32, 256), (32,))]
+        square = np.empty(256 * 320)
+        for _ in range(5):
+            grads = [(rng.normal(size=m), rng.normal(size=b)) for m, b in shapes]
+            d_w, d_b = rng.normal(size=2)
+            total = d_w * d_w + d_b * d_b
+            for mat_grad, bias_grad in grads:
+                total += float(np.sum(mat_grad * mat_grad)) + float(np.sum(bias_grad * bias_grad))
+            assert _clip_scale(grads, d_w, d_b, 3.0, square) == 3.0 / np.sqrt(total)
+
+    def test_warmed_desk_step_allocates_under_budget(self):
+        """A warmed desk step reuses its weight and gradient buffers: the
+        transient peak it allocates (tracemalloc, which sees numpy's arrays)
+        stays under 1.5 MB; the allocating step peaked at about 3.1 MB."""
+        state = StepState(init_weights(DESK_NET, seed=3), ScaleParams(10.0, -5.0))
+        steps = list(desk_steps(seed=5, n_steps=6))
+        for batch, attacker in steps[:3]:  # warm: every window count seen once
+            train_step(state, batch, DESK, attacker)
+        for batch, attacker in steps[3:]:
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                train_step(state, batch, DESK, attacker)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5e6, f"transient peak {peak} B"
 
     def test_update_norm_bounded_by_clip(self):
         """The parameter move is exactly lr * min(grad_norm, clip_norm), so
@@ -131,15 +293,13 @@ class TestTrainStep:
             config = TrainConfig(speakers_per_batch=4, utts_per_speaker=3,
                                  crop_frames=20, steps=1, learning_rate=lr,
                                  clip_norm=3.0, seed=7)
-            weights = init_weights(NET, seed=1)
-            params = ScaleParams(10.0, -5.0)
+            state = StepState(init_weights(NET, seed=1), ScaleParams(10.0, -5.0))
             for step in range(4):
-                batch = make_batch(data, config, step)
-                new_weights, new_params, _ = train_step(weights, params, batch, config)
-                moved = total_delta(new_weights, new_params, weights, params)
+                before, before_params = copy_layers(state.weights), state.params
+                train_step(state, make_batch(data, config, step), config)
+                moved = total_delta(state.weights, state.params, before, before_params)
                 # float32 storage rounds each coordinate after the update
                 assert moved <= lr * config.clip_norm + 1e-4
-                weights, params = new_weights, new_params
 
     def test_small_steps_descend(self):
         """A small SGD step lowers the loss on the batch it was computed
@@ -149,29 +309,86 @@ class TestTrainStep:
                              crop_frames=20, steps=1, learning_rate=1e-3, seed=0)
         wins = 0
         for trial in range(20):
-            weights = init_weights(NET, seed=trial)
-            params = ScaleParams(10.0, -5.0)
+            state = StepState(init_weights(NET, seed=trial), ScaleParams(10.0, -5.0))
             batch = make_batch(data, config, trial)
-            stepped_weights, stepped_params, before = train_step(
-                weights, params, batch, config
-            )
-            _, _, after = train_step(stepped_weights, stepped_params, batch, config)
+            before = train_step(state, batch, config)
+            after = train_step(state, batch, config)  # the loss at the stepped state
             if after < before:
                 wins += 1
         assert wins >= 18, f"loss decreased in only {wins}/20 trials"
 
-    def test_w_never_crosses_floor(self):
-        """Even absurd learning rates leave w at or above the 1e-6 floor."""
+    def test_w_never_crosses_floor(self, monkeypatch):
+        """Even absurd learning rates leave w at or above the 1e-6 floor. On
+        these batches d_w < 0, so lr 1e6 drives w up, past the ceiling, which
+        raises; with d_w made positive the same steps land w on the floor."""
         data = corpus()
         config = TrainConfig(speakers_per_batch=4, utts_per_speaker=3,
                              crop_frames=20, steps=1, learning_rate=1e6, seed=5)
-        for seed in range(6):
-            weights = init_weights(NET, seed=seed)
-            params = ScaleParams(1.0, 0.0)
-            for step in range(3):
-                batch = make_batch(data, config, step)
-                weights, params, _ = train_step(weights, params, batch, config)
-                assert params.w >= SCALE_MIN
+        real = ge2e.loss_gradients
+
+        def rising_loss_in_w(*args, **kwargs):
+            result = real(*args, **kwargs)
+            return result._replace(d_w=abs(result.d_w))
+
+        for flip in (False, True):
+            if flip:
+                monkeypatch.setattr(ge2e, "loss_gradients", rising_loss_in_w)
+            for seed in range(6):
+                state = StepState(init_weights(NET, seed=seed), ScaleParams(1.0, 0.0))
+                for step in range(3):
+                    if not flip:
+                        with pytest.raises(DivergenceError, match="above the ceiling"):
+                            train_step(state, make_batch(data, config, step), config)
+                        break
+                    train_step(state, make_batch(data, config, step), config)
+                    assert state.params.w == SCALE_MIN
+
+    def test_non_finite_gradient_raises_before_the_update(self, monkeypatch):
+        """A NaN gradient entry makes the clip norm NaN: the step raises and
+        leaves the state alone, and a run reports the steps before it. (A
+        NaN row in a hidden layer would otherwise be zeroed by the ReLU and
+        go unseen in the loss.)"""
+        real = ge2e.loss_gradients
+        calls = []
+
+        def poisoned_gradient(*args, **kwargs):
+            calls.append(None)
+            result = real(*args, **kwargs)
+            if len(calls) == 3:
+                result.d_embeddings[0, 0, 0] = np.nan
+            return result
+
+        monkeypatch.setattr(ge2e, "loss_gradients", poisoned_gradient)
+        data = corpus()
+        with pytest.raises(DivergenceError, match="^step 2: non-finite gradient norm nan"
+                           ) as info:
+            train_run(data, None, QUICK, NET, init_seed=4)
+        assert len(info.value.report.losses) == 2
+
+        calls.clear()
+        calls.extend([None, None])
+        state = StepState(init_weights(NET, seed=4), ScaleParams(10.0, -5.0))
+        before = copy_layers(state.weights)
+        with pytest.raises(DivergenceError, match="non-finite gradient norm"):
+            train_step(state, make_batch(data, QUICK, 0), QUICK)
+        assert state.params == ScaleParams(10.0, -5.0)
+        for (m0, b0), (m1, b1), (mm, bm) in zip(before.layers, state.weights.layers,
+                                                state.masters):
+            assert np.array_equal(m0, m1) and np.array_equal(b0, b1)
+            assert np.array_equal(mm, m0) and np.array_equal(bm, b0)
+
+    def test_runaway_scale_raises_with_history(self):
+        """lr 1e6 on the desk corpus drives w past ge2e.SCALE_MAX: the run
+        ends with DivergenceError and the report of the steps before it."""
+        train_set, _ = desk_corpus(seed=1)
+        config = TrainConfig(learning_rate=1e6, steps=200, seed=3)
+        with pytest.raises(DivergenceError, match=r"^step \d+: scale w \S+ above the ceiling"
+                           ) as info:
+            train_run(train_set, None, config, DESK_NET, init_seed=4)
+        partial = info.value.report
+        step = int(str(info.value).split(":")[0].split()[1])
+        assert len(partial.losses) == step
+        assert SCALE_MIN <= partial.final_params.w <= ge2e.SCALE_MAX
 
 
 class TestConfigHash:
