@@ -1,7 +1,7 @@
 """Byte-identity goldens: SHA-256 digests of training and evaluation outputs.
 
-Three short desk-net runs (benign, inner CopyN alpha 0.25, outer FixedN
-alpha 0.25) digest their loss-history bytes, final layer bytes, final (w, b),
+Five short desk-net runs (benign; inner CopyN and RandN, outer FixedN and
+CopyN, all at alpha 0.25) digest their loss-history bytes, final layer bytes, final (w, b),
 evaluation report and trial rows; one `univox synth` + `univox train` round
 trip digests its two manifests, which hash every output file.
 
@@ -39,6 +39,8 @@ VARIANTS = {
     "benign": None,
     "inner-CopyN-0.25": ("inner", "CopyN", 0.25),
     "outer-FixedN-0.25": ("outer", "FixedN", 0.25),
+    "inner-RandN-0.25": ("inner", "RandN", 0.25),
+    "outer-CopyN-0.25": ("outer", "CopyN", 0.25),
 }
 
 GOLDEN = {
@@ -62,6 +64,20 @@ GOLDEN = {
         "params": "367d1f8b8479a5c579155bbf5f9626e23884ae391df86d429b3052d21f92b775",
         "report": "f8baa57b83fc3f6848cd7acd698a36cd5af6faf898c793ab9ae9bac00753d623",
         "trials": "ba2ea66c461742052845c57668001cebe752ed1d9b564d594c1ba49c3fa4b0cd",
+    },
+    "inner-RandN-0.25": {
+        "losses": "db80d3f20f26da358812ec311313a12f70179ed6722d8e2c2d1b38a492230bb5",
+        "layers": "6d7abb9ffd3742b064c8f7d05dbb268cf143bdf42fc753634c6fd43528a0de2f",
+        "params": "722ff5c1c99ab771117d36d7523a22977c9e7a2de840b3cb9973300354e8f029",
+        "report": "8eb34d8e7a186d65fc3032567bc2a697616170848ba19d0d742a5850ec5ed000",
+        "trials": "86024f8a8793998f20659536119242f803178b81217b563ccb73ef88a4be5dd5",
+    },
+    "outer-CopyN-0.25": {
+        "losses": "cd0474c660aa2c8af75e7db00197e3a2610ffe1e71499a8d2261dbfc14c90c0a",
+        "layers": "5798e0c9a0cd8473b31bbdb53e4331d3aafa6413e531efa1407452ec727867ec",
+        "params": "367cb3fc9b1d57e2248033d3f4b77def17e55d833ee7c5f5f7eaf2a25c9b594b",
+        "report": "71d791dd6dc7a0581540af78615993e1270dcaf7242357042d56bf6a3228c72f",
+        "trials": "9cfb32156ca7eec096ef92f6e728d4992268ccc5ba65a7bc8984ad9339816147",
     },
 }
 
