@@ -28,6 +28,7 @@ from .dataio import (
     read_feature_cache,
     split_dataset,
     synth_dataset,
+    write_bytes,
     write_feature_cache,
 )
 
@@ -335,19 +336,16 @@ def _ensure_dir(path: str) -> None:
         raise StageError("output", "--out", f"cannot create {path!r}: {exc}") from exc
 
 
-def write_manifest(out_dir: str, cfg_hash: str, seeds: Dict, rel_paths: List[str]) -> None:
-    outputs = []
-    for rel in sorted(rel_paths):
-        with open(os.path.join(out_dir, rel), "rb") as fh:
-            data = fh.read()
-        outputs.append(
-            {"path": rel, "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
-        )
+def write_manifest(out_dir: str, cfg_hash: str, seeds: Dict, outputs: Dict[str, bytes]) -> None:
+    """manifest.json: hash and size of each output, by path relative to `out_dir`."""
     manifest = {
         "config_hash": cfg_hash,
         "package_version": __version__,
         "seeds": seeds,
-        "outputs": outputs,
+        "outputs": [
+            {"path": rel, "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+            for rel, data in sorted(outputs.items())
+        ],
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         fh.write(canonical_json(manifest) + "\n")
@@ -374,13 +372,12 @@ def cmd_synth(cfg: Dict, out_dir: str) -> None:
         raise StageError("synth", "data.synthetic", "synth requires a synthetic data source")
     _ensure_dir(out_dir)
     train_set, eval_set, attacker = build_datasets(cfg)
-    files = []
+    files = {}
     for name, data in (("train", train_set), ("eval", eval_set), ("attacker", attacker)):
         if data is None:
             continue
         rel = f"{name}.feats"
-        write_feature_cache(data, os.path.join(out_dir, rel))
-        files.append(rel)
+        files[rel] = write_feature_cache(data, os.path.join(out_dir, rel))
     write_manifest(out_dir, config_hash(cfg), _seeds_of(cfg), files)
     print(
         f"synth: {train_set.n_speakers} train / {eval_set.n_speakers} eval"
@@ -390,7 +387,7 @@ def cmd_synth(cfg: Dict, out_dir: str) -> None:
 
 
 def _train_once(cfg: Dict, out_dir: str):
-    """Shared by cmd_train and cmd_experiment variants."""
+    """Shared by cmd_train and cmd_experiment; the last item maps each file to its bytes."""
     train_set, eval_set, attacker = build_datasets(cfg)
     train_cfg = train_config_from(cfg)
     net_cfg = net_config_from(cfg)
@@ -414,14 +411,15 @@ def _train_once(cfg: Dict, out_dir: str):
         raise StageError("train", "train", str(exc)) from exc
 
     report.checkpoint_path = "checkpoint.dvec"
-    model.save_checkpoint(
-        weights, os.path.join(out_dir, "checkpoint.dvec"), meta={"config_hash": cfg_hash}
-    )
-    _write_history(os.path.join(out_dir, history_rel), report, cfg_hash)
-    return weights, report, (train_set, eval_set, attacker), cfg_hash
+    files = {
+        "checkpoint.dvec": model.save_checkpoint(
+            weights, os.path.join(out_dir, "checkpoint.dvec"), meta={"config_hash": cfg_hash}),
+        history_rel: _write_history(os.path.join(out_dir, history_rel), report, cfg_hash),
+    }
+    return weights, report, (train_set, eval_set, attacker), cfg_hash, files
 
 
-def _write_history(path: str, report: trainer.TrainReport, cfg_hash: str) -> None:
+def _write_history(path: str, report: trainer.TrainReport, cfg_hash: str) -> bytes:
     lines = [canonical_json(rec) for rec in report.records()]
     summary = {
         "summary": {
@@ -435,13 +433,12 @@ def _write_history(path: str, report: trainer.TrainReport, cfg_hash: str) -> Non
         }
     }
     lines.append(canonical_json(summary))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def cmd_train(cfg: Dict, out_dir: str) -> None:
-    _, report, _, cfg_hash = _train_once(cfg, out_dir)
-    write_manifest(out_dir, cfg_hash, _seeds_of(cfg), ["checkpoint.dvec", "history.jsonl"])
+    _, report, _, cfg_hash, files = _train_once(cfg, out_dir)
+    write_manifest(out_dir, cfg_hash, _seeds_of(cfg), files)
     print(
         f"train: {len(report.losses)} steps, final loss {report.losses[-1]:.4f}, "
         f"{int(sum(report.poisoned_flags))} poisoned -> {out_dir}"
@@ -468,16 +465,14 @@ def _evaluate(cfg: Dict, out_dir: str, weights, datasets, cfg_hash: str):
     except ValueError as exc:
         raise StageError("eval", "eval", str(exc)) from exc
     report.config_hash = cfg_hash
-    with open(os.path.join(out_dir, "eval_report.json"), "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(report.to_dict()) + "\n")
-    files = ["eval_report.json"]
+    files = {"eval_report.json": write_bytes(
+        os.path.join(out_dir, "eval_report.json"),
+        (canonical_json(report.to_dict()) + "\n").encode("utf-8"))}
     if _section(cfg, "eval").get("trial_csv"):
-        rel = "trials.csv"
-        with open(os.path.join(out_dir, rel), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("label,speaker,score,kind\n")
-            for utt_id, speaker, value, kind in trials:
-                fh.write(f"{utt_id},{speaker},{value!r},{kind}\n")
-        files.append(rel)
+        rows = "".join(f"{utt_id},{speaker},{value!r},{kind}\n"
+                       for utt_id, speaker, value, kind in trials)
+        files["trials.csv"] = write_bytes(os.path.join(out_dir, "trials.csv"),
+                                          ("label,speaker,score,kind\n" + rows).encode("utf-8"))
     return report, files
 
 
@@ -543,12 +538,9 @@ def cmd_experiment(cfg: Dict, out_dir: str) -> None:
     rows = []
     for label, variant_cfg, settings in variants:
         sub_dir = os.path.join(out_dir, label)
-        weights, train_report, datasets, cfg_hash = _train_once(variant_cfg, sub_dir)
+        weights, train_report, datasets, cfg_hash, files = _train_once(variant_cfg, sub_dir)
         eval_report, eval_files = _evaluate(variant_cfg, sub_dir, weights, datasets, cfg_hash)
-        write_manifest(
-            sub_dir, cfg_hash, _seeds_of(variant_cfg),
-            ["checkpoint.dvec", "history.jsonl"] + eval_files,
-        )
+        write_manifest(sub_dir, cfg_hash, _seeds_of(variant_cfg), {**files, **eval_files})
         rows.append(
             {
                 "variant": label,

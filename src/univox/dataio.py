@@ -8,8 +8,9 @@ built from per-speaker identity vectors plus utterance and frame noise.
 
 from __future__ import annotations
 
+import functools
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
@@ -83,6 +84,7 @@ class Dataset:
 
     speakers: Dict[str, List[FeatureSequence]]
     role_tag: str
+    _frame_lists: Dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.role_tag not in ("train", "eval", "attacker"):
@@ -108,6 +110,14 @@ class Dataset:
     def utterances(self) -> Iterator[FeatureSequence]:
         for label in self.labels:
             yield from self.speakers[label]
+
+    def frame_lists(self, min_utts: int) -> List[List[np.ndarray]]:
+        """Frame arrays of each speaker with >= `min_utts` utterances, by label; built once."""
+        if min_utts not in self._frame_lists:
+            self._frame_lists[min_utts] = [[utt.frames for utt in self.speakers[label]]
+                                           for label in self.labels
+                                           if len(self.speakers[label]) >= min_utts]
+        return self._frame_lists[min_utts]
 
 
 @dataclass(frozen=True)
@@ -208,14 +218,16 @@ def mel_filterbank(
     return bank
 
 
-_MEL_BANK: np.ndarray | None = None
+_mel_bank = functools.cache(mel_filterbank)
 
 
-def _mel_bank() -> np.ndarray:
-    global _MEL_BANK
-    if _MEL_BANK is None:
-        _MEL_BANK = mel_filterbank()
-    return _MEL_BANK
+@functools.lru_cache(maxsize=64)
+def _frame_layout(n_frames: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(n_frames, 400) sample index and (1, 400) Hann window, shared and read-only."""
+    index = np.arange(WIN_SAMPLES)[None, :] + HOP_SAMPLES * np.arange(n_frames)[:, None]
+    window = np.hanning(WIN_SAMPLES)[None, :]
+    index.flags.writeable = window.flags.writeable = False
+    return index, window
 
 
 def extract_logmel(clip: AudioClip) -> FeatureSequence:
@@ -227,9 +239,8 @@ def extract_logmel(clip: AudioClip) -> FeatureSequence:
     samples = clip.samples
     if samples.size < WIN_SAMPLES:
         raise ValueError(f"clip shorter than one window ({samples.size} < {WIN_SAMPLES})")
-    n_frames = 1 + (samples.size - WIN_SAMPLES) // HOP_SAMPLES
-    idx = np.arange(WIN_SAMPLES)[None, :] + HOP_SAMPLES * np.arange(n_frames)[:, None]
-    frames = samples[idx] * np.hanning(WIN_SAMPLES)[None, :]
+    index, window = _frame_layout(1 + (samples.size - WIN_SAMPLES) // HOP_SAMPLES)
+    frames = samples[index] * window
     spectrum = np.fft.rfft(frames, n=N_FFT, axis=1)
     power = np.abs(spectrum) ** 2
     energies = power @ _mel_bank().T
@@ -297,10 +308,10 @@ def split_dataset(data: Dataset, n_eval_speakers: int, seed: int) -> Tuple[Datas
 CACHE_MAGIC = b"UVXFEATS 1\n"
 
 
-def write_feature_cache(data: Dataset, path) -> None:
-    """Write the `UVXFEATS 1` magic line, then per utterance a
-    `utt <id> <speaker> <T> 40` header line and its T x 40 frames as raw
-    little-endian float64 bytes, so the round trip is bit-exact."""
+def write_feature_cache(data: Dataset, path) -> bytes:
+    """Write the `UVXFEATS 1` magic line, then per utterance a `utt <id> <speaker> <T> 40`
+    header line and its T x 40 frames as raw little-endian float64 bytes, so the
+    round trip is bit-exact; returns the bytes."""
     parts: List[bytes] = [CACHE_MAGIC]
     for utt in data.utterances():
         for token in (utt.utterance_id, utt.speaker_label):
@@ -309,8 +320,14 @@ def write_feature_cache(data: Dataset, path) -> None:
         header = f"utt {utt.utterance_id} {utt.speaker_label} {utt.n_frames} {N_MELS}\n"
         parts.append(header.encode("utf-8"))
         parts.append(np.ascontiguousarray(utt.frames, "<f8").tobytes())
+    return write_bytes(path, b"".join(parts))
+
+
+def write_bytes(path, data: bytes) -> bytes:
+    """Write `data` to `path` and return it, for a manifest to hash."""
     with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+        fh.write(data)
+    return data
 
 
 def read_feature_cache(path, role_tag: str) -> Dataset:

@@ -22,6 +22,7 @@ perturb embeddings off the unit sphere).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -63,20 +64,28 @@ class GradResult(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
+def _target_index(n_spk: int, n_utt: int):
+    """Index of each row's own-speaker entry S_jij in an (N, M, N) array."""
+    spk_idx = np.arange(n_spk)[:, None]
+    return spk_idx, np.arange(n_utt)[None, :], spk_idx
+
+
 def _internals(tensor: np.ndarray, use_loo: bool, target) -> dict:
     """Norms, centroid directions, and the cosine matrix shared by loss and grads;
     `target` indexes each row's own-speaker column."""
     n_spk, n_utt, _ = tensor.shape
     if n_spk < 2:
         raise ValueError("need at least 2 speakers per batch")
-    row_norms = np.linalg.norm(tensor, axis=2)
-    if np.any(row_norms < _NORM_EPS):
+    # norms as np.linalg.norm sums them, without its dispatch
+    row_norms = np.sqrt(np.add.reduce(tensor * tensor, 2))
+    if row_norms.min() < _NORM_EPS:
         raise ValueError("zero-norm embedding row")
     unit = tensor / row_norms[..., None]
 
-    mean_full = tensor.mean(axis=1)  # (N, D), unnormalized
-    norm_full = np.linalg.norm(mean_full, axis=1)
-    if np.any(norm_full < CENTROID_EPS):
+    mean_full = np.add.reduce(tensor, axis=1) / n_utt  # (N, D), unnormalized
+    norm_full = np.sqrt(np.add.reduce(mean_full * mean_full, 1))
+    if norm_full.min() < CENTROID_EPS:
         raise ValueError("degenerate centroid: mean norm below 1e-8")
     hat_full = mean_full / norm_full[:, None]
 
@@ -89,8 +98,8 @@ def _internals(tensor: np.ndarray, use_loo: bool, target) -> dict:
         if n_utt < 2:
             raise ValueError("leave-one-out centroids need M >= 2 utterances")
         mean_loo = (n_utt * mean_full[:, None, :] - tensor) / (n_utt - 1)  # (N, M, D)
-        norm_loo = np.linalg.norm(mean_loo, axis=2)
-        if np.any(norm_loo < CENTROID_EPS):
+        norm_loo = np.sqrt(np.add.reduce(mean_loo * mean_loo, 2))
+        if norm_loo.min() < CENTROID_EPS:
             raise ValueError("degenerate centroid: mean norm below 1e-8")
         hat_loo = mean_loo / norm_loo[..., None]
         cos_loo = np.einsum("jid,jid->ji", unit, hat_loo)  # (N, M)
@@ -121,8 +130,7 @@ def loss_gradients(
     """
     tensor = np.asarray(batch, dtype=np.float64)
     n_spk, n_utt, _ = tensor.shape
-    spk_idx = np.arange(n_spk)[:, None]
-    target = (spk_idx, np.arange(n_utt)[None, :], spk_idx)  # entries S_jij, as (N, M)
+    target = _target_index(n_spk, n_utt)
     info = _internals(tensor, use_loo, target)
     cos = info["cos"]
 
@@ -132,15 +140,15 @@ def loss_gradients(
     target_sims = logits[target]
     if not include_target:
         logits[target] = -np.inf
-    peak = logits.max(axis=2, keepdims=True)
+    peak = np.maximum.reduce(logits, 2, keepdims=True)
     expd = np.exp(logits - peak)
-    denom = expd.sum(axis=2, keepdims=True)
-    loss = float(((peak + np.log(denom)).squeeze(2) - target_sims).sum())
+    denom = np.add.reduce(expd, 2, keepdims=True)
+    loss = float(np.add.reduce((peak + np.log(denom)).squeeze(2) - target_sims, None))
     grad_sim = expd / denom
     grad_sim[target] -= 1.0
 
-    d_w = float(np.sum(grad_sim * cos))
-    d_b = float(np.sum(grad_sim))
+    d_w = float(np.add.reduce(grad_sim * cos, None))
+    d_b = float(np.add.reduce(grad_sim, None))
     grad_cos = params.w * grad_sim  # (N, M, N)
 
     unit = info["unit"]
@@ -174,8 +182,8 @@ def loss_gradients(
         attacker = np.asarray(attacker, dtype=np.float64)
         if attacker.shape != (n_spk, tensor.shape[2]):
             raise ValueError("attacker embeddings must be (N, D) matching the batch")
-        att_norms = np.linalg.norm(attacker, axis=1)
-        if np.any(att_norms < _NORM_EPS):
+        att_norms = np.sqrt(np.add.reduce(attacker * attacker, 1))
+        if att_norms.min() < _NORM_EPS:
             raise ValueError("zero-norm attacker embedding")
         att_hat = attacker / att_norms[:, None]
         att_cos = np.sum(att_hat * hat_full, axis=1)
@@ -195,7 +203,7 @@ def loss_gradients(
             * (unit - info["cos_loo"][..., None] * info["hat_loo"])
             / info["norm_loo"][..., None]
         )  # (N, M, D)
-        total = grad_mean_loo.sum(axis=1, keepdims=True)
+        total = np.add.reduce(grad_mean_loo, 1, keepdims=True)
         d_emb += (total - grad_mean_loo) / (n_utt - 1)
 
     return GradResult(loss, d_emb, d_attacker, d_w, d_b)

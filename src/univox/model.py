@@ -21,7 +21,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .dataio import FeatureSequence
+from .dataio import FeatureSequence, write_bytes
 
 CHECKPOINT_MAGIC = b"DVEC"
 CHECKPOINT_VERSION = 1
@@ -111,31 +111,42 @@ def _window_starts(n_frames: int, width: int, hop: int) -> List[int]:
     return starts
 
 
-@functools.lru_cache(maxsize=1024)
-def _window_index(n_frames: int, width: int, hop: int) -> np.ndarray:
-    """(windows, width) frame indices of every context window; read-only,
-    because every caller with the same frame count shares it."""
-    index = np.asarray(_window_starts(n_frames, width, hop))[:, None] + np.arange(width)
-    index.flags.writeable = False
-    return index
+@functools.lru_cache(maxsize=256)
+def _batch_index(lengths: Tuple[int, ...], width: int, hop: int):
+    """Frame indices, into the utterances laid end to end, of every context
+    window, and each utterance's window count; read-only, as every batch with
+    these lengths shares them."""
+    starts = [np.asarray(_window_starts(n, width, hop)) + offset
+              for n, offset in zip(lengths, np.cumsum((0,) + lengths[:-1]))]
+    index = np.concatenate(starts)[:, None] + np.arange(width)
+    counts = np.array([len(s) for s in starts])
+    index.flags.writeable = counts.flags.writeable = False
+    return index, counts
 
 
 def _stack_windows(config: NetConfig, frames_list: Sequence[np.ndarray]):
     """Flatten every context window of every utterance into one row matrix;
     also returns each utterance's window count."""
-    blocks = []
     for frames in frames_list:
         n_frames, dim = frames.shape
         if dim != config.input_dim:
             raise ValueError(f"expected {config.input_dim}-dim frames, got {dim}")
         if n_frames < config.context_frames:
             raise ValueError(
-                f"utterance has {n_frames} frames, needs >= {config.context_frames}"
-            )
-        index = _window_index(n_frames, config.context_frames, config.window_hop)
-        blocks.append(frames[index].reshape(len(index), -1))
-    counts = np.array([len(block) for block in blocks])
-    return np.concatenate(blocks, dtype=np.float64), counts
+                f"utterance has {n_frames} frames, needs >= {config.context_frames}")
+    index, counts = _batch_index(tuple(len(frames) for frames in frames_list),
+                                 config.context_frames, config.window_hop)
+    frames = np.concatenate(frames_list, dtype=np.float64)
+    return frames[index].reshape(len(index), -1), counts
+
+
+@functools.lru_cache(maxsize=256)
+def _pool_groups(counts: Tuple[int, ...]):
+    """(utterances, (utterances, count) row index) per distinct window count."""
+    counts = np.array(counts)
+    firsts = np.cumsum(counts) - counts
+    utts_of = [np.flatnonzero(counts == count) for count in np.unique(counts)]
+    return [(utts, firsts[utts, None] + np.arange(counts[utts[0]])) for utts in utts_of]
 
 
 def float64_layers(weights: Weights) -> List[Tuple[np.ndarray, np.ndarray]]:
@@ -155,22 +166,24 @@ def _forward(config: NetConfig, layers: Sequence[Tuple[np.ndarray, np.ndarray]],
         pre = hidden @ mat.T
         pre += bias
         mask = pre > 0
-        hidden = np.where(mask, pre, 0.0)
+        hidden = np.maximum(pre, 0.0, out=pre)
         acts.append(hidden)
         masks.append(mask)
     final_mat, final_bias = layers[-1]
     outputs = hidden @ final_mat.T
     outputs += final_bias
 
-    # mean over each utterance's windows, one reshape per window count; the
-    # sum runs over the windows in order, as a per-utterance loop's would
-    means = np.empty((len(counts), config.embed_dim))
-    firsts = np.cumsum(counts) - counts
-    for count in np.unique(counts):
-        utts = np.flatnonzero(counts == count)
-        means[utts] = outputs[firsts[utts, None] + np.arange(count)].mean(axis=1)
-    norms = np.linalg.norm(means, axis=1)
-    if np.any(norms < EMBED_NORM_EPS):
+    # mean over each utterance's windows, summed in order as a per-utterance
+    # loop would: one reshape for a uniform batch, else a gather per count
+    groups = _pool_groups(tuple(counts.tolist()))
+    if len(groups) == 1:
+        means = outputs.reshape(len(counts), -1, config.embed_dim).mean(axis=1)
+    else:
+        means = np.empty((len(counts), config.embed_dim))
+        for utts, rows in groups:
+            means[utts] = outputs[rows].mean(axis=1)
+    norms = np.sqrt(np.add.reduce(means * means, 1))  # np.linalg.norm's sums
+    if norms.min() < EMBED_NORM_EPS:
         raise ValueError("degenerate embedding: pre-normalization norm ~ 0")
     embeddings = means / norms[:, None]
     cache = {"mats": layers, "acts": acts, "masks": masks, "counts": counts,
@@ -191,7 +204,7 @@ def _backward(cache, grad_embeddings: np.ndarray,
     norms = cache["norms"]
 
     # through L2 normalization: d(g.e)/d(mean) = (g - (g.e) e) / ||mean||
-    proj = np.sum(grad_embeddings * embeddings, axis=1)
+    proj = np.add.reduce(grad_embeddings * embeddings, 1)
     grad_means = (grad_embeddings - proj[:, None] * embeddings) / norms[:, None]
 
     delta = np.repeat(grad_means / counts[:, None], counts, axis=0)  # mean over windows
@@ -201,7 +214,7 @@ def _backward(cache, grad_embeddings: np.ndarray,
             delta *= masks[layer]
         mat_grad, bias_grad = grads[layer]
         np.matmul(delta.T, acts[layer], out=mat_grad)
-        np.sum(delta, axis=0, out=bias_grad)
+        np.add.reduce(delta, 0, out=bias_grad)
     return grads
 
 
@@ -216,9 +229,9 @@ def embed_utterance(weights: Weights, features: FeatureSequence) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def save_checkpoint(weights: Weights, path, meta: Dict | None = None) -> None:
-    """Binary format: DVEC magic, u32 version, length-prefixed config JSON,
-    then row-major float32 layer data (matrix before bias, forward order)."""
+def save_checkpoint(weights: Weights, path, meta: Dict | None = None) -> bytes:
+    """Binary format: DVEC magic, u32 version, length-prefixed config JSON, then
+    row-major float32 layer data (matrix before bias, forward order); returns the bytes."""
     config = dict(weights.config.to_dict())
     config["seed"] = weights.seed
     config["scheme"] = weights.scheme
@@ -230,8 +243,7 @@ def save_checkpoint(weights: Weights, path, meta: Dict | None = None) -> None:
     for mat, bias in weights.layers:
         parts.append(np.ascontiguousarray(mat, dtype="<f4").tobytes())
         parts.append(np.ascontiguousarray(bias, dtype="<f4").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+    return write_bytes(path, b"".join(parts))
 
 
 def load_checkpoint(path) -> Weights:

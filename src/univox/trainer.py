@@ -100,20 +100,20 @@ def make_batch(
     """Seeded draw of N speakers x M utterances, each a random contiguous crop:
     a view into the utterance's frames (the whole array when it is short)."""
     n_spk, n_utt = config.speakers_per_batch, config.utts_per_speaker
-    eligible = [lab for lab in train_data.labels if len(train_data.speakers[lab]) >= n_utt]
+    eligible = train_data.frame_lists(n_utt)
     if len(eligible) < n_spk:
         raise ValueError(
             f"need {n_spk} speakers with >= {n_utt} utterances, have {len(eligible)}"
         )
     rng = np.random.default_rng((config.seed, _BATCH_TAG, step_index))
-    chosen = rng.choice(eligible, size=n_spk, replace=False)
+    chosen = rng.choice(len(eligible), size=n_spk, replace=False)
     batch: List[List[np.ndarray]] = []
-    for label in chosen:
-        utts = train_data.speakers[str(label)]
+    for speaker in chosen:
+        utts = eligible[speaker]
         picks = rng.choice(len(utts), size=n_utt, replace=False)
         row = []
         for idx in picks:
-            frames = utts[int(idx)].frames
+            frames = utts[idx]
             if len(frames) > config.crop_frames:
                 start = int(rng.integers(len(frames) - config.crop_frames + 1))
                 frames = frames[start : start + config.crop_frames]
@@ -128,37 +128,40 @@ def make_batch(
 
 
 class StepState:
-    """One run's parameters, updated in place by every `train_step`.
-
-    `weights` holds the float32 layers, the checkpoint truth. `masters` holds
-    an exact float64 copy of each layer: the forward pass reads it, and the
-    update writes through it, rounding every step to float32 as a step on
-    the float32 layers alone would. `grads` (one weight-gradient pair per
-    layer) and `square` (the clip's squares) are buffers every step reuses.
-    The weights given are copied, never mutated."""
+    """One run's parameters, updated in place by every `train_step`. Flat buffers
+    hold every matrix and bias end to end, read through per-layer (matrix, bias)
+    views: `low` (`weights.layers`), the float32 checkpoint truth; `master`
+    (`masters`), its exact float64 copy, which the forward pass reads and every
+    update rounds through float32; `grad` (`grads`) and `square` (`squares`),
+    reused by every step. The weights given are copied, never mutated."""
 
     def __init__(self, weights: model.Weights, params: ge2e.ScaleParams):
-        layers = [(mat.copy(), bias.copy()) for mat, bias in weights.layers]
-        self.weights = model.Weights(weights.config, layers, weights.seed, weights.scheme)
-        self.masters = model.float64_layers(self.weights)
-        self.grads = [(np.empty_like(mat), np.empty_like(bias)) for mat, bias in self.masters]
-        self.square = np.empty(max(mat.size for mat, _ in self.masters))
+        arrays = [array for pair in weights.layers for array in pair]
+        self.low = np.concatenate([array.ravel() for array in arrays], dtype=np.float32)
+        # one float64 block: three per-run buffers were trimmed and page-faulted every run
+        self.master, self.grad, self.square = np.empty((3, self.low.size))
+        self.master[...] = self.low
+        bounds = np.cumsum([array.size for array in arrays])[:-1]
+
+        def views(flat):
+            parts = [part.reshape(a.shape) for part, a in zip(np.split(flat, bounds), arrays)]
+            return list(zip(parts[::2], parts[1::2]))
+
+        self.weights = model.Weights(weights.config, views(self.low), weights.seed,
+                                     weights.scheme)
+        self.masters, self.grads, self.squares = map(views, (self.master, self.grad,
+                                                             self.square))
         self.params = params
 
 
-def _clip_scale(layer_grads, d_w: float, d_b: float, clip_norm: float,
-                square: np.ndarray) -> float:
-    """Factor that brings the full gradient's norm down to clip_norm. Each
-    gradient is squared into `square`, viewed in the gradient's own shape, so
-    every sum runs in the order a fresh `g * g` would. A non-finite norm
-    raises DivergenceError."""
+def _clip_scale(state: StepState, d_w: float, d_b: float, clip_norm: float) -> float:
+    """Factor that brings the full gradient's norm down to clip_norm. The flat
+    gradient is squared once; each layer's squares are summed in the order a
+    fresh `g * g` would be. A non-finite norm raises DivergenceError."""
+    np.multiply(state.grad, state.grad, out=state.square)
     total = d_w * d_w + d_b * d_b
-    for pair in layer_grads:
-        mat_sq, bias_sq = (
-            float(np.sum(np.multiply(g, g, out=square[: g.size].reshape(g.shape))))
-            for g in pair
-        )
-        total += mat_sq + bias_sq
+    for mat_sq, bias_sq in state.squares:
+        total += float(np.add.reduce(mat_sq, None)) + float(np.add.reduce(bias_sq, None))
     norm = np.sqrt(total)
     if not np.isfinite(norm):
         raise DivergenceError(f"non-finite gradient norm {float(norm)!r}")
@@ -197,19 +200,17 @@ def train_step(
     grad_emb = result.d_embeddings.reshape(n_spk * n_utt, -1)
     if attacker is not None:
         grad_emb = np.concatenate([grad_emb, result.d_attacker], axis=0)
-    layer_grads = model._backward(cache, grad_emb, state.grads)
+    model._backward(cache, grad_emb, state.grads)
 
-    scale = _clip_scale(layer_grads, result.d_w, result.d_b, config.clip_norm, state.square)
+    scale = _clip_scale(state, result.d_w, result.d_b, config.clip_norm)
     step = config.learning_rate * scale
     new_w = max(params.w - step * result.d_w, ge2e.SCALE_MIN)
     if not new_w <= ge2e.SCALE_MAX:
         raise DivergenceError(f"scale w {new_w:.6g} above the ceiling {ge2e.SCALE_MAX:g}")
-    for low_pair, master_pair, grad_pair in zip(state.weights.layers, state.masters, layer_grads):
-        for low, master, grad in zip(low_pair, master_pair, grad_pair):
-            grad *= step
-            np.subtract(master, grad, out=grad)
-            low[...] = grad  # rounds to float32
-            master[...] = low
+    state.grad *= step
+    np.subtract(state.master, state.grad, out=state.grad)
+    state.low[...] = state.grad  # rounds to float32
+    state.master[...] = state.low
     state.params = ge2e.ScaleParams(new_w, params.b - step * result.d_b)
     return result.loss
 

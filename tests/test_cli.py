@@ -271,6 +271,34 @@ class TestEvalCommand:
         assert kinds == {"genuine", "impostor", "attack"}
         assert "EER" in capsys.readouterr().out
 
+    def test_every_manifest_entry_matches_the_file_on_disk(self, tmp_path):
+        """The manifest hashes the bytes each writer wrote: for synth, train
+        from the cache, eval with trial rows and a two-variant experiment,
+        every entry's hash and size are those of the file on disk."""
+        cfg = base_config()
+        cfg["eval"]["trial_csv"] = True
+        cfg["poison"] = {"method": "outer", "alpha": 0.5}
+        cache_cfg = {**cfg, "data": {"cache_dir": str(tmp_path / "cache")}}
+        synth_path = write_config(tmp_path, cfg, "synth.json")
+        cache_path = write_config(tmp_path, cache_cfg, "cache.json")
+        exp_path = write_config(tmp_path, {**cfg, "sweep": [None, {"method": "inner"}]},
+                                "exp.json")
+        runs = [
+            (["synth", "--config", synth_path], "cache",
+             {"train.feats", "eval.feats", "attacker.feats"}),
+            (["train", "--config", cache_path], "run", {"checkpoint.dvec", "history.jsonl"}),
+            (["eval", "--config", cache_path], "run", {"eval_report.json", "trials.csv"}),
+        ]
+        for argv, sub, names in runs:
+            assert main(argv + ["--out", str(tmp_path / sub)]) == 0
+            manifest = assert_manifest_hashes(tmp_path / sub)
+            assert {e["path"] for e in manifest["outputs"]} == names
+        assert main(["experiment", "--config", exp_path, "--out", str(tmp_path / "exp")]) == 0
+        for variant in ("benign", "FixedN_inner_a0.5"):
+            manifest = assert_manifest_hashes(tmp_path / "exp" / variant)
+            assert {e["path"] for e in manifest["outputs"]} == {
+                "checkpoint.dvec", "history.jsonl", "eval_report.json", "trials.csv"}
+
     def test_malformed_checkpoint_config_fails_cleanly(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config())
         blob = json.dumps({"context_frames": 4}).encode()  # no input_dim

@@ -15,6 +15,7 @@ from univox.model import (
     Weights,
     _backward,
     _forward,
+    _stack_windows,
     _window_starts,
     embed_utterance,
     float64_layers,
@@ -171,6 +172,50 @@ class TestForward:
         assert batch.shape == (6, 8)
         for row, utt in zip(batch, utts):
             np.testing.assert_allclose(row, embed_utterance(weights, utt), atol=1e-12)
+
+
+class TestStackAndPool:
+    # The desk net: 100-frame crops give 7 windows, whole 120-frame
+    # utterances (inner attacker crops) 8.
+    DESK = NetConfig(input_dim=40, context_frames=8, window_hop=16,
+                     hidden_dims=(256,), embed_dim=32)
+
+    @staticmethod
+    def loop_rows(config, frames_list):
+        """Rows and window counts stacked one utterance, one window at a time."""
+        rows, counts = [], []
+        for frames in frames_list:
+            starts = _window_starts(len(frames), config.context_frames, config.window_hop)
+            rows.extend(frames[s : s + config.context_frames].reshape(-1) for s in starts)
+            counts.append(len(starts))
+        return np.asarray(rows, dtype=np.float64), counts
+
+    @pytest.mark.parametrize("lengths", [
+        (100,) * 12,                                 # benign: one reshape pools
+        (100, 120, 100, 100, 100, 120, 120, 100, 100, 100, 120, 100),  # inner
+        (100,) * 12 + (120,) * 4,                    # outer
+    ])
+    def test_one_gather_and_pooling_match_the_loop_bit_for_bit(self, lengths):
+        """The batch-index gather gives the loop's rows, and pooling gives
+        each utterance's in-order mean of its own rows, to the bit, on
+        uniform and mixed 7/8-window lists, every time a cached index or
+        pooling group is reused."""
+        rng = np.random.default_rng(53)
+        layers = float64_layers(init_weights(self.DESK, seed=8))
+        for _ in range(3):
+            frames_list = [rng.normal(size=(n, 40)) for n in lengths]
+            want_rows, want_counts = self.loop_rows(self.DESK, frames_list)
+            rows, counts = _stack_windows(self.DESK, frames_list)
+            assert rows.tobytes() == want_rows.tobytes() and list(counts) == want_counts
+            embeddings, cache = _forward(self.DESK, layers, frames_list)
+            assert cache["acts"][0].tobytes() == want_rows.tobytes()
+            hidden = np.maximum(want_rows @ layers[0][0].T + layers[0][1], 0.0)
+            outputs = hidden @ layers[1][0].T + layers[1][1]
+            firsts = np.cumsum([0] + want_counts)
+            means = np.array([outputs[lo:hi].mean(axis=0)
+                              for lo, hi in zip(firsts[:-1], firsts[1:])])
+            want = means / np.linalg.norm(means, axis=1)[:, None]
+            assert embeddings.tobytes() == want.tobytes()
 
 
 class TestNetworkBackward:

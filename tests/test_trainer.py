@@ -9,9 +9,11 @@ import pytest
 from univox import ge2e
 from univox.dataio import Dataset, FeatureSequence, SynthSpec, synth_dataset
 from univox.ge2e import SCALE_MIN, ScaleParams
-from univox.model import NetConfig, Weights, _window_starts, init_weights
+from univox.model import (NetConfig, Weights, _window_starts, init_weights, load_checkpoint,
+                          save_checkpoint)
 from univox.poison import SelectionPolicy, apply_inner
 from univox.trainer import (
+    _BATCH_TAG,
     DivergenceError,
     PoisonSettings,
     StepState,
@@ -66,6 +68,26 @@ def desk_steps(seed, n_steps):
             yield apply_inner(batch, att, seed=(seed, step)), None
         else:
             yield batch, (att if step % 3 == 2 else None)
+
+
+def string_draw_batch(train_data, config, step_index):
+    """The batch draw before speakers were drawn by index: `choice` over the
+    eligible label strings, rebuilt every step."""
+    n_spk, n_utt = config.speakers_per_batch, config.utts_per_speaker
+    eligible = [lab for lab in train_data.labels if len(train_data.speakers[lab]) >= n_utt]
+    rng = np.random.default_rng((config.seed, _BATCH_TAG, step_index))
+    batch = []
+    for label in rng.choice(eligible, size=n_spk, replace=False):
+        utts = train_data.speakers[str(label)]
+        row = []
+        for idx in rng.choice(len(utts), size=n_utt, replace=False):
+            frames = utts[int(idx)].frames
+            if len(frames) > config.crop_frames:
+                start = int(rng.integers(len(frames) - config.crop_frames + 1))
+                frames = frames[start : start + config.crop_frames]
+            row.append(frames)
+        batch.append(row)
+    return batch
 
 
 def oracle_step(weights, params, batch, config, attacker=None):
@@ -191,6 +213,24 @@ class TestMakeBatch:
         for row, ids in zip(batch, sources(data, batch)):
             assert all(crop is frames_of[utt_id] for crop, (_, utt_id) in zip(row, ids))
 
+    def test_index_draw_gives_the_string_draws_views(self):
+        """Over 500 steps of a 32-speaker desk corpus, and on a corpus where
+        every third speaker has too few utterances to draw, every crop is the
+        very view the string draw makes: same memory, offset and shape."""
+        desk = synth_dataset(SynthSpec(n_speakers=32, utts_per_speaker=6,
+                                       frames_per_utt=120, seed=1))
+        full = synth_dataset(SynthSpec(n_speakers=10, utts_per_speaker=4,
+                                       frames_per_utt=120, seed=2))
+        mixed = Dataset({lab: full.speakers[lab][: 2 if i % 3 == 1 else 4]
+                         for i, lab in enumerate(full.labels)}, "train")
+        for data, steps in ((desk, 500), (mixed, 50)):
+            for step in range(steps):
+                got, want = make_batch(data, DESK, step), string_draw_batch(data, DESK, step)
+                for a, b in zip((x for row in got for x in row),
+                                (x for row in want for x in row)):
+                    assert np.shares_memory(a, b) and a.shape == b.shape
+                    assert a.__array_interface__["data"] == b.__array_interface__["data"]
+
     def test_insufficient_speakers_rejected(self):
         data = corpus(n_speakers=3)
         with pytest.raises(ValueError):
@@ -252,20 +292,43 @@ class TestTrainStep:
                 assert mm.tobytes() == m1.astype(np.float64).tobytes()
                 assert bm.tobytes() == b1.astype(np.float64).tobytes()
 
+    def test_state_views_share_the_flat_buffers(self, tmp_path):
+        """Every per-layer view reads its flat buffer in layer order, and a
+        checkpoint saved from the state's weights loads back bit-exact."""
+        data = corpus()
+        state = StepState(init_weights(NET, seed=2), ScaleParams(10.0, -5.0))
+        for step in range(2):
+            train_step(state, make_batch(data, QUICK, step), QUICK)
+        for flat, pairs in ((state.low, state.weights.layers), (state.master, state.masters),
+                            (state.grad, state.grads), (state.square, state.squares)):
+            arrays = [a for pair in pairs for a in pair]
+            assert all(np.shares_memory(a, flat) for a in arrays)
+            assert np.concatenate([a.ravel() for a in arrays]).tobytes() == flat.tobytes()
+        assert state.low.dtype == np.float32 and state.master.dtype == np.float64
+        assert state.master.tobytes() == state.low.astype(np.float64).tobytes()
+        path = tmp_path / "state.dvec"
+        save_checkpoint(state.weights, path)
+        loaded = load_checkpoint(path)
+        for (m0, b0), (m1, b1) in zip(state.weights.layers, loaded.layers):
+            assert m0.tobytes() == m1.tobytes() and b0.tobytes() == b1.tobytes()
+
     def test_clip_scale_sums_as_a_fresh_square_would(self):
-        """The clip squares into one reused buffer, yet each sum sees the
-        array a fresh `g * g` would be, so the scale is bit-equal (a BLAS dot
-        product, say, differs in the last bits)."""
+        """The clip squares the flat gradient once into a reused buffer, yet
+        each layer's sum sees the array a fresh `g * g` would be, so the
+        scale is bit-equal (a BLAS dot product, say, differs in the last
+        bits)."""
         rng = np.random.default_rng(80)
-        shapes = [((256, 320), (256,)), ((32, 256), (32,))]
-        square = np.empty(256 * 320)
+        state = StepState(init_weights(DESK_NET, seed=3), ScaleParams(10.0, -5.0))
         for _ in range(5):
-            grads = [(rng.normal(size=m), rng.normal(size=b)) for m, b in shapes]
+            for pair in state.grads:
+                for g in pair:
+                    g[...] = rng.normal(size=g.shape)
             d_w, d_b = rng.normal(size=2)
             total = d_w * d_w + d_b * d_b
-            for mat_grad, bias_grad in grads:
-                total += float(np.sum(mat_grad * mat_grad)) + float(np.sum(bias_grad * bias_grad))
-            assert _clip_scale(grads, d_w, d_b, 3.0, square) == 3.0 / np.sqrt(total)
+            for mat_grad, bias_grad in state.grads:
+                g_m, g_b = mat_grad.copy(), bias_grad.copy()
+                total += float(np.sum(g_m * g_m)) + float(np.sum(g_b * g_b))
+            assert _clip_scale(state, d_w, d_b, 3.0) == 3.0 / np.sqrt(total)
 
     def test_warmed_desk_step_allocates_under_budget(self):
         """A warmed desk step reuses its weight and gradient buffers: the
@@ -344,9 +407,7 @@ class TestTrainStep:
 
     def test_non_finite_gradient_raises_before_the_update(self, monkeypatch):
         """A NaN gradient entry makes the clip norm NaN: the step raises and
-        leaves the state alone, and a run reports the steps before it. (A
-        NaN row in a hidden layer would otherwise be zeroed by the ReLU and
-        go unseen in the loss.)"""
+        leaves the state alone, and a run reports the steps before it."""
         real = ge2e.loss_gradients
         calls = []
 
