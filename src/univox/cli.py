@@ -28,7 +28,7 @@ from .dataio import (
     read_feature_cache,
     split_dataset,
     synth_dataset,
-    write_bytes,
+    write_hashed,
     write_feature_cache,
 )
 
@@ -336,16 +336,14 @@ def _ensure_dir(path: str) -> None:
         raise StageError("output", "--out", f"cannot create {path!r}: {exc}") from exc
 
 
-def write_manifest(out_dir: str, cfg_hash: str, seeds: Dict, outputs: Dict[str, bytes]) -> None:
-    """manifest.json: hash and size of each output, by path relative to `out_dir`."""
+def write_manifest(out_dir: str, cfg_hash: str, seeds: Dict, outputs: Dict) -> None:
+    """manifest.json from `outputs`: path relative to `out_dir` -> (SHA-256, size)."""
     manifest = {
         "config_hash": cfg_hash,
         "package_version": __version__,
         "seeds": seeds,
-        "outputs": [
-            {"path": rel, "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
-            for rel, data in sorted(outputs.items())
-        ],
+        "outputs": [{"path": rel, "sha256": sha, "bytes": size}
+                    for rel, (sha, size) in sorted(outputs.items())],
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         fh.write(canonical_json(manifest) + "\n")
@@ -374,10 +372,9 @@ def cmd_synth(cfg: Dict, out_dir: str) -> None:
     train_set, eval_set, attacker = build_datasets(cfg)
     files = {}
     for name, data in (("train", train_set), ("eval", eval_set), ("attacker", attacker)):
-        if data is None:
-            continue
         rel = f"{name}.feats"
-        files[rel] = write_feature_cache(data, os.path.join(out_dir, rel))
+        if data is not None:
+            files[rel] = write_feature_cache(data, os.path.join(out_dir, rel))
     write_manifest(out_dir, config_hash(cfg), _seeds_of(cfg), files)
     print(
         f"synth: {train_set.n_speakers} train / {eval_set.n_speakers} eval"
@@ -387,7 +384,7 @@ def cmd_synth(cfg: Dict, out_dir: str) -> None:
 
 
 def _train_once(cfg: Dict, out_dir: str):
-    """Shared by cmd_train and cmd_experiment; the last item maps each file to its bytes."""
+    """Shared by cmd_train and cmd_experiment; the last item is each file's digest and size."""
     train_set, eval_set, attacker = build_datasets(cfg)
     train_cfg = train_config_from(cfg)
     net_cfg = net_config_from(cfg)
@@ -419,7 +416,7 @@ def _train_once(cfg: Dict, out_dir: str):
     return weights, report, (train_set, eval_set, attacker), cfg_hash, files
 
 
-def _write_history(path: str, report: trainer.TrainReport, cfg_hash: str) -> bytes:
+def _write_history(path: str, report: trainer.TrainReport, cfg_hash: str) -> Tuple[str, int]:
     lines = [canonical_json(rec) for rec in report.records()]
     summary = {
         "summary": {
@@ -433,7 +430,7 @@ def _write_history(path: str, report: trainer.TrainReport, cfg_hash: str) -> byt
         }
     }
     lines.append(canonical_json(summary))
-    return write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    return write_hashed(path, [("\n".join(lines) + "\n").encode("utf-8")])
 
 
 def cmd_train(cfg: Dict, out_dir: str) -> None:
@@ -465,14 +462,14 @@ def _evaluate(cfg: Dict, out_dir: str, weights, datasets, cfg_hash: str):
     except ValueError as exc:
         raise StageError("eval", "eval", str(exc)) from exc
     report.config_hash = cfg_hash
-    files = {"eval_report.json": write_bytes(
+    files = {"eval_report.json": write_hashed(
         os.path.join(out_dir, "eval_report.json"),
-        (canonical_json(report.to_dict()) + "\n").encode("utf-8"))}
+        [(canonical_json(report.to_dict()) + "\n").encode("utf-8")])}
     if _section(cfg, "eval").get("trial_csv"):
         rows = "".join(f"{utt_id},{speaker},{value!r},{kind}\n"
                        for utt_id, speaker, value, kind in trials)
-        files["trials.csv"] = write_bytes(os.path.join(out_dir, "trials.csv"),
-                                          ("label,speaker,score,kind\n" + rows).encode("utf-8"))
+        files["trials.csv"] = write_hashed(os.path.join(out_dir, "trials.csv"),
+                                           [("label,speaker,score,kind\n" + rows).encode()])
     return report, files
 
 

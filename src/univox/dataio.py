@@ -9,6 +9,7 @@ built from per-speaker identity vectors plus utterance and frame noise.
 from __future__ import annotations
 
 import functools
+import hashlib
 import struct
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Tuple
@@ -308,10 +309,10 @@ def split_dataset(data: Dataset, n_eval_speakers: int, seed: int) -> Tuple[Datas
 CACHE_MAGIC = b"UVXFEATS 1\n"
 
 
-def write_feature_cache(data: Dataset, path) -> bytes:
+def write_feature_cache(data: Dataset, path) -> Tuple[str, int]:
     """Write the `UVXFEATS 1` magic line, then per utterance a `utt <id> <speaker> <T> 40`
     header line and its T x 40 frames as raw little-endian float64 bytes, so the
-    round trip is bit-exact; returns the bytes."""
+    round trip is bit-exact; returns `write_hashed`'s digest and size."""
     parts: List[bytes] = [CACHE_MAGIC]
     for utt in data.utterances():
         for token in (utt.utterance_id, utt.speaker_label):
@@ -320,14 +321,17 @@ def write_feature_cache(data: Dataset, path) -> bytes:
         header = f"utt {utt.utterance_id} {utt.speaker_label} {utt.n_frames} {N_MELS}\n"
         parts.append(header.encode("utf-8"))
         parts.append(np.ascontiguousarray(utt.frames, "<f8").tobytes())
-    return write_bytes(path, b"".join(parts))
+    return write_hashed(path, parts)
 
 
-def write_bytes(path, data: bytes) -> bytes:
-    """Write `data` to `path` and return it, for a manifest to hash."""
+def write_hashed(path, parts: List[bytes]) -> Tuple[str, int]:
+    """Write `parts` to `path` in turn; returns the SHA-256 and size of what it wrote."""
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(data)
-    return data
+        for part in parts:
+            fh.write(part)
+            digest.update(part)
+    return digest.hexdigest(), sum(map(len, parts))
 
 
 def read_feature_cache(path, role_tag: str) -> Dataset:

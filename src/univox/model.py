@@ -21,7 +21,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .dataio import FeatureSequence, write_bytes
+from .dataio import FeatureSequence, write_hashed
 
 CHECKPOINT_MAGIC = b"DVEC"
 CHECKPOINT_VERSION = 1
@@ -113,9 +113,8 @@ def _window_starts(n_frames: int, width: int, hop: int) -> List[int]:
 
 @functools.lru_cache(maxsize=256)
 def _batch_index(lengths: Tuple[int, ...], width: int, hop: int):
-    """Frame indices, into the utterances laid end to end, of every context
-    window, and each utterance's window count; read-only, as every batch with
-    these lengths shares them."""
+    """Frame indices, into the utterances laid end to end, of every context window, and
+    each utterance's window count; read-only, as batches of these lengths share them."""
     starts = [np.asarray(_window_starts(n, width, hop)) + offset
               for n, offset in zip(lengths, np.cumsum((0,) + lengths[:-1]))]
     index = np.concatenate(starts)[:, None] + np.arange(width)
@@ -229,9 +228,9 @@ def embed_utterance(weights: Weights, features: FeatureSequence) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def save_checkpoint(weights: Weights, path, meta: Dict | None = None) -> bytes:
-    """Binary format: DVEC magic, u32 version, length-prefixed config JSON, then
-    row-major float32 layer data (matrix before bias, forward order); returns the bytes."""
+def save_checkpoint(weights: Weights, path, meta: Dict | None = None) -> Tuple[str, int]:
+    """Binary format: DVEC magic, u32 version, length-prefixed config JSON, then row-major
+    float32 layer data (matrix before bias, forward order); returns `write_hashed`'s result."""
     config = dict(weights.config.to_dict())
     config["seed"] = weights.seed
     config["scheme"] = weights.scheme
@@ -243,7 +242,7 @@ def save_checkpoint(weights: Weights, path, meta: Dict | None = None) -> bytes:
     for mat, bias in weights.layers:
         parts.append(np.ascontiguousarray(mat, dtype="<f4").tobytes())
         parts.append(np.ascontiguousarray(bias, dtype="<f4").tobytes())
-    return write_bytes(path, b"".join(parts))
+    return write_hashed(path, parts)
 
 
 def load_checkpoint(path) -> Weights:

@@ -128,12 +128,12 @@ def make_batch(
 
 
 class StepState:
-    """One run's parameters, updated in place by every `train_step`. Flat buffers
-    hold every matrix and bias end to end, read through per-layer (matrix, bias)
-    views: `low` (`weights.layers`), the float32 checkpoint truth; `master`
-    (`masters`), its exact float64 copy, which the forward pass reads and every
-    update rounds through float32; `grad` (`grads`) and `square` (`squares`),
-    reused by every step. The weights given are copied, never mutated."""
+    """One run's parameters, updated in place by every `train_step`; the weights given
+    are copied. Flat buffers hold every matrix and bias end to end, read through
+    per-layer (matrix, bias) views: `low` (`weights.layers`), the float32 checkpoint
+    truth; `master` (`masters`), its exact float64 copy, which the forward pass reads
+    and every update rounds through float32; `grad` (`grads`) and `square`
+    (`squares`), reused by every step."""
 
     def __init__(self, weights: model.Weights, params: ge2e.ScaleParams):
         arrays = [array for pair in weights.layers for array in pair]
