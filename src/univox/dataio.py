@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 SAMPLE_RATE = 16000
 N_MELS = 40
@@ -222,13 +223,8 @@ def mel_filterbank(
 _mel_bank = functools.cache(mel_filterbank)
 
 
-@functools.lru_cache(maxsize=64)
-def _frame_layout(n_frames: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(n_frames, 400) sample index and (1, 400) Hann window, shared and read-only."""
-    index = np.arange(WIN_SAMPLES)[None, :] + HOP_SAMPLES * np.arange(n_frames)[:, None]
-    window = np.hanning(WIN_SAMPLES)[None, :]
-    index.flags.writeable = window.flags.writeable = False
-    return index, window
+_HANN = np.hanning(WIN_SAMPLES)
+_HANN.flags.writeable = False
 
 
 def extract_logmel(clip: AudioClip) -> FeatureSequence:
@@ -240,8 +236,7 @@ def extract_logmel(clip: AudioClip) -> FeatureSequence:
     samples = clip.samples
     if samples.size < WIN_SAMPLES:
         raise ValueError(f"clip shorter than one window ({samples.size} < {WIN_SAMPLES})")
-    index, window = _frame_layout(1 + (samples.size - WIN_SAMPLES) // HOP_SAMPLES)
-    frames = samples[index] * window
+    frames = sliding_window_view(samples, WIN_SAMPLES)[::HOP_SAMPLES] * _HANN
     spectrum = np.fft.rfft(frames, n=N_FFT, axis=1)
     power = np.abs(spectrum) ** 2
     energies = power @ _mel_bank().T

@@ -79,13 +79,13 @@ def _internals(tensor: np.ndarray, use_loo: bool, target) -> dict:
         raise ValueError("need at least 2 speakers per batch")
     # norms as np.linalg.norm sums them, without its dispatch
     row_norms = np.sqrt(np.add.reduce(tensor * tensor, 2))
-    if row_norms.min() < _NORM_EPS:
+    if np.any(row_norms < _NORM_EPS):
         raise ValueError("zero-norm embedding row")
     unit = tensor / row_norms[..., None]
 
     mean_full = np.add.reduce(tensor, axis=1) / n_utt  # (N, D), unnormalized
     norm_full = np.sqrt(np.add.reduce(mean_full * mean_full, 1))
-    if norm_full.min() < CENTROID_EPS:
+    if np.any(norm_full < CENTROID_EPS):
         raise ValueError("degenerate centroid: mean norm below 1e-8")
     hat_full = mean_full / norm_full[:, None]
 
@@ -99,7 +99,7 @@ def _internals(tensor: np.ndarray, use_loo: bool, target) -> dict:
             raise ValueError("leave-one-out centroids need M >= 2 utterances")
         mean_loo = (n_utt * mean_full[:, None, :] - tensor) / (n_utt - 1)  # (N, M, D)
         norm_loo = np.sqrt(np.add.reduce(mean_loo * mean_loo, 2))
-        if norm_loo.min() < CENTROID_EPS:
+        if np.any(norm_loo < CENTROID_EPS):
             raise ValueError("degenerate centroid: mean norm below 1e-8")
         hat_loo = mean_loo / norm_loo[..., None]
         cos_loo = np.einsum("jid,jid->ji", unit, hat_loo)  # (N, M)
@@ -183,7 +183,7 @@ def loss_gradients(
         if attacker.shape != (n_spk, tensor.shape[2]):
             raise ValueError("attacker embeddings must be (N, D) matching the batch")
         att_norms = np.sqrt(np.add.reduce(attacker * attacker, 1))
-        if att_norms.min() < _NORM_EPS:
+        if np.any(att_norms < _NORM_EPS):
             raise ValueError("zero-norm attacker embedding")
         att_hat = attacker / att_norms[:, None]
         att_cos = np.sum(att_hat * hat_full, axis=1)

@@ -139,15 +139,6 @@ def _stack_windows(config: NetConfig, frames_list: Sequence[np.ndarray]):
     return frames[index].reshape(len(index), -1), counts
 
 
-@functools.lru_cache(maxsize=256)
-def _pool_groups(counts: Tuple[int, ...]):
-    """(utterances, (utterances, count) row index) per distinct window count."""
-    counts = np.array(counts)
-    firsts = np.cumsum(counts) - counts
-    utts_of = [np.flatnonzero(counts == count) for count in np.unique(counts)]
-    return [(utts, firsts[utts, None] + np.arange(counts[utts[0]])) for utts in utts_of]
-
-
 def float64_layers(weights: Weights) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Exact float64 copies of the float32 layers: the form `_forward` reads."""
     return [(m.astype(np.float64), b.astype(np.float64)) for m, b in weights.layers]
@@ -165,7 +156,7 @@ def _forward(config: NetConfig, layers: Sequence[Tuple[np.ndarray, np.ndarray]],
         pre = hidden @ mat.T
         pre += bias
         mask = pre > 0
-        hidden = np.maximum(pre, 0.0, out=pre)
+        hidden = np.maximum(pre, 0.0, out=pre)  # NaN is kept, not zeroed: a NaN loss
         acts.append(hidden)
         masks.append(mask)
     final_mat, final_bias = layers[-1]
@@ -174,15 +165,17 @@ def _forward(config: NetConfig, layers: Sequence[Tuple[np.ndarray, np.ndarray]],
 
     # mean over each utterance's windows, summed in order as a per-utterance
     # loop would: one reshape for a uniform batch, else a gather per count
-    groups = _pool_groups(tuple(counts.tolist()))
-    if len(groups) == 1:
+    distinct = np.unique(counts)
+    if len(distinct) == 1:
         means = outputs.reshape(len(counts), -1, config.embed_dim).mean(axis=1)
     else:
         means = np.empty((len(counts), config.embed_dim))
-        for utts, rows in groups:
-            means[utts] = outputs[rows].mean(axis=1)
+        firsts = np.cumsum(counts) - counts
+        for count in distinct:
+            utts = np.flatnonzero(counts == count)
+            means[utts] = outputs[firsts[utts, None] + np.arange(count)].mean(axis=1)
     norms = np.sqrt(np.add.reduce(means * means, 1))  # np.linalg.norm's sums
-    if norms.min() < EMBED_NORM_EPS:
+    if np.any(norms < EMBED_NORM_EPS):
         raise ValueError("degenerate embedding: pre-normalization norm ~ 0")
     embeddings = means / norms[:, None]
     cache = {"mats": layers, "acts": acts, "masks": masks, "counts": counts,

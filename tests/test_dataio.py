@@ -120,9 +120,9 @@ class TestLogMel:
             assert feats.frames.shape[1] == N_MELS
 
     def test_matches_the_direct_formula_bit_for_bit(self):
-        """The cached frame index and Hann window give the bytes of the
-        formula built afresh for every clip, at three clip lengths, twice
-        each (the second call reads the cache)."""
+        """Strided framing with the shared Hann window gives the bytes of
+        the gathered-index formula built afresh for every clip, at three
+        clip lengths, twice each (the window is read-only and reused)."""
         rng = np.random.default_rng(11)
         for n_samples in (WIN_SAMPLES, WIN_SAMPLES + 119 * HOP_SAMPLES, 7_777):
             samples = rng.normal(0, 0.1, n_samples)
