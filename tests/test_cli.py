@@ -123,23 +123,25 @@ class TestConfigPlumbing:
         assert not set(attacker.labels) & (set(train_set.labels) | set(eval_set.labels))
 
 
-class TestWavSource:
-    def wav_bytes(self, freq, seconds=0.12):
-        t = np.arange(int(SAMPLE_RATE * seconds)) / SAMPLE_RATE
-        samples = (0.4 * np.sin(2 * np.pi * freq * t) * 32767).astype("<i2")
-        data = samples.tobytes()
-        fmt = struct.pack("<HHIIHH", 1, 1, SAMPLE_RATE, SAMPLE_RATE * 2, 2, 16)
-        body = (b"fmt " + struct.pack("<I", len(fmt)) + fmt
-                + b"data" + struct.pack("<I", len(data)) + data)
-        return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+def wav_bytes(freq, seconds=0.12):
+    """A mono 16 kHz PCM16 WAV of one sine tone."""
+    t = np.arange(int(SAMPLE_RATE * seconds)) / SAMPLE_RATE
+    samples = (0.4 * np.sin(2 * np.pi * freq * t) * 32767).astype("<i2")
+    data = samples.tobytes()
+    fmt = struct.pack("<HHIIHH", 1, 1, SAMPLE_RATE, SAMPLE_RATE * 2, 2, 16)
+    body = (b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", len(data)) + data)
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
 
+
+class TestWavSource:
     def test_wav_tree_is_featurized_and_split(self, tmp_path):
         wav_dir = tmp_path / "wavs"
         for j, freq in enumerate((400, 800, 1600, 3200)):
             spk_dir = wav_dir / f"spk{j}"
             spk_dir.mkdir(parents=True)
             for i in range(2):
-                (spk_dir / f"u{i}.wav").write_bytes(self.wav_bytes(freq + 30 * i))
+                (spk_dir / f"u{i}.wav").write_bytes(wav_bytes(freq + 30 * i))
         cfg = {"data": {"wav_dir": str(wav_dir), "n_eval_speakers": 1,
                         "split_seed": 1, "attacker_labels": ["spk3"]}}
         train_set, eval_set, attacker = build_datasets(cfg)
@@ -153,7 +155,7 @@ class TestWavSource:
         wav_dir = tmp_path / "wavs"
         spk_dir = wav_dir / "spk0"
         spk_dir.mkdir(parents=True)
-        (spk_dir / "u0.wav").write_bytes(self.wav_bytes(500))
+        (spk_dir / "u0.wav").write_bytes(wav_bytes(500))
         cfg = {"data": {"wav_dir": str(wav_dir), "attacker_labels": ["ghost"]}}
         with pytest.raises(StageError):
             build_datasets(cfg)

@@ -3,7 +3,9 @@
 Five short desk-net runs (benign; inner CopyN and RandN, outer FixedN and
 CopyN, all at alpha 0.25) digest their loss-history bytes, final layer bytes, final (w, b),
 evaluation report and trial rows; one `univox synth` + `univox train` round
-trip digests its two manifests, which hash every output file.
+trip, then `univox eval` from its cache and on a small WAV tree, digests the
+four manifests, which hash every output file; a three-entry `univox
+experiment` sweep digests its summary and variant manifests.
 
 A failure here means the arithmetic changed: some training step, score or
 output byte is no longer what it was. A refactor must leave these digests
@@ -27,6 +29,8 @@ from univox import cli, model, poison
 from univox.dataio import Dataset, SynthSpec, split_dataset, synth_dataset
 from univox.evaluate import evaluate_model
 from univox.trainer import PoisonSettings, TrainConfig, train_run
+
+from test_cli import wav_bytes
 
 DESK_NET = model.NetConfig(input_dim=40, context_frames=8, window_hop=16,
                            hidden_dims=(256,), embed_dim=32)
@@ -84,6 +88,8 @@ GOLDEN = {
 GOLDEN_MANIFESTS = {
     "synth": "ecf43aad1f8771cc917a2e06bf7d2d97c4a058054cc05cf94b2a64ff9ee9eda3",
     "train": "1b3370d49f131cdc94e6d3bad646d0feaed78f579d47669e0199cbed14b6a17c",
+    "eval": "9c06286a4d1940b03635d56d8c2ff1cf4a3eda4837ae5727fff3ac7f4aefb47b",
+    "wav_eval": "83be8b25fb87918ff445d41c9f4da7280baaf4badfdbed917c772ec97f78f2c5",
 }
 
 
@@ -128,33 +134,82 @@ def run_digests(variant):
     }
 
 
-def manifest_digests(workdir):
-    """`univox synth` then `univox train` from its cache, 20 steps, run inside
-    `workdir` so that the config holds only relative paths."""
-    cfg = {
-        "data": {"synthetic": {"n_speakers": 12, "utts_per_speaker": 6,
-                               "frames_per_utt": 120, "utt_noise": 0.3, "seed": 71},
-                 "n_eval_speakers": 4, "split_seed": 72, "n_attacker_speakers": 1},
-        "model": {**DESK_NET.to_dict(), "init_seed": 73},
-        "train": {"steps": 20, "seed": 74},
-        "poison": {"method": "outer", "policy": "FixedN", "alpha": 0.25, "seed": 75},
-    }
+GOLDEN_SWEEP = "9be58f91eacdf3e5154f25181a44be442950940aeda3c94c6c44f211f3487ee4"
+
+CLI_CONFIG = {
+    "data": {"synthetic": {"n_speakers": 12, "utts_per_speaker": 6,
+                           "frames_per_utt": 120, "utt_noise": 0.3, "seed": 71},
+             "n_eval_speakers": 4, "split_seed": 72, "n_attacker_speakers": 1},
+    "model": {**DESK_NET.to_dict(), "init_seed": 73},
+    "train": {"steps": 20, "seed": 74},
+    "poison": {"method": "outer", "policy": "FixedN", "alpha": 0.25, "seed": 75},
+}
+TRIAL_EVAL = {**EVAL_SECTION, "trial_csv": True}
+
+
+def write_wav_tree(root):
+    """Six speakers and an attacker `att`, six 0.3 s tones each."""
+    for j, label in enumerate([f"spk{j}" for j in range(6)] + ["att"]):
+        os.makedirs(os.path.join(root, label))
+        for i in range(6):
+            with open(os.path.join(root, label, f"u{i}.wav"), "wb") as fh:
+                fh.write(wav_bytes(300 + 450 * j + 20 * i, seconds=0.3))
+
+
+def _run_in(workdir, configs, commands):
+    """Write each config as `<name>.json` in `workdir`, then run each command there,
+    so that configs hold only relative paths."""
     previous = os.getcwd()
     os.chdir(workdir)
     try:
-        with open("synth.json", "w", encoding="utf-8") as fh:
-            json.dump(cfg, fh)
-        with open("train.json", "w", encoding="utf-8") as fh:
-            json.dump({**cfg, "data": {"cache_dir": "cache"}}, fh)
-        assert cli.main(["synth", "--config", "synth.json", "--out", "cache"]) == 0
-        assert cli.main(["train", "--config", "train.json", "--out", "train"]) == 0
-        out = {}
-        for name, sub in (("synth", "cache"), ("train", "train")):
-            with open(os.path.join(sub, "manifest.json"), "rb") as fh:
-                out[name] = sha256(fh.read())
-        return out
+        for name, cfg in configs.items():
+            with open(f"{name}.json", "w", encoding="utf-8") as fh:
+                json.dump(cfg, fh)
+        for argv in commands:
+            assert cli.main(argv) == 0, argv
     finally:
         os.chdir(previous)
+
+
+def _digest_of(workdir, rel):
+    with open(os.path.join(workdir, rel), "rb") as fh:
+        return sha256(fh.read())
+
+
+def manifest_digests(workdir):
+    """`univox synth` then `univox train` from its cache, 20 steps, then
+    `univox eval` of that checkpoint from the cache and on a WAV tree."""
+    write_wav_tree(os.path.join(workdir, "wavs"))
+    wav_data = {"wav_dir": "wavs", "attacker_labels": ["att"], "n_eval_speakers": 2,
+                "split_seed": 76}
+    configs = {
+        "synth": CLI_CONFIG,
+        "train": {**CLI_CONFIG, "data": {"cache_dir": "cache"}},
+        "eval": {**CLI_CONFIG, "data": {"cache_dir": "cache"}, "eval": TRIAL_EVAL},
+        "wav": {"data": wav_data, "eval": TRIAL_EVAL},
+    }
+    ckpt = ["--checkpoint", "train/checkpoint.dvec"]
+    _run_in(workdir, configs, [
+        ["synth", "--config", "synth.json", "--out", "cache"],
+        ["train", "--config", "train.json", "--out", "train"],
+        ["eval", "--config", "eval.json", "--out", "eval", *ckpt],
+        ["eval", "--config", "wav.json", "--out", "wav_eval", *ckpt],
+    ])
+    return {name: _digest_of(workdir, os.path.join(sub, "manifest.json"))
+            for name, sub in (("synth", "cache"), ("train", "train"),
+                              ("eval", "eval"), ("wav_eval", "wav_eval"))}
+
+
+def sweep_digest(workdir):
+    """`univox experiment` on the synthetic corpus, benign plus inner and outer
+    at alpha 0.25: one digest of summary.json and each variant's manifest."""
+    cfg = {**CLI_CONFIG, "eval": TRIAL_EVAL,
+           "sweep": [None, {"method": "inner"}, {"method": "outer"}]}
+    _run_in(workdir, {"exp": cfg}, [["experiment", "--config", "exp.json", "--out", "exp"]])
+    rels = ["summary.json"] + [os.path.join(variant, "manifest.json") for variant in
+                               ("benign", "FixedN_inner_a0.25", "FixedN_outer_a0.25")]
+    return sha256("".join(_digest_of(os.path.join(workdir, "exp"), rel)
+                          for rel in rels).encode())
 
 
 @pytest.mark.parametrize("name", list(VARIANTS))
@@ -166,6 +221,20 @@ def test_cli_manifest_digests_match_goldens(tmp_path, capsys):
     assert manifest_digests(str(tmp_path)) == GOLDEN_MANIFESTS
 
 
+def test_sweep_builds_datasets_once(tmp_path, capsys, monkeypatch):
+    """The three variants differ only in `poison`, so one corpus serves them all."""
+    calls = []
+    real = cli.build_datasets
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_datasets", counted)
+    assert sweep_digest(str(tmp_path)) == GOLDEN_SWEEP
+    assert len(calls) == 1
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -174,3 +243,5 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         json.dump(manifest_digests(tmp), sys.stdout, indent=4)
     print()
+    with tempfile.TemporaryDirectory() as tmp:
+        print(json.dumps(sweep_digest(tmp)))
