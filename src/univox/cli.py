@@ -27,6 +27,7 @@ from .dataio import (
     parse_wav,
     read_feature_cache,
     split_dataset,
+    split_labels,
     synth_dataset,
     write_hashed,
     write_feature_cache,
@@ -234,8 +235,12 @@ def protocol_from(cfg: Dict) -> evaluate.EvalProtocol:
 # ---------------------------------------------------------------------------
 
 
-def build_datasets(cfg: Dict) -> Tuple[Dataset, Dataset, Optional[Dataset]]:
-    """(train, eval, attacker) from exactly one configured source."""
+ROLES = ("train", "eval", "attacker")
+
+
+def build_datasets(cfg: Dict, roles=ROLES) -> Tuple[Optional[Dataset], ...]:
+    """(train, eval, attacker) from exactly one configured source; a role not in
+    `roles` comes back None, and a cache or WAV source neither reads nor decodes it."""
     sec = _section(cfg, "data")
     sources = [k for k in ("synthetic", "cache_dir", "wav_dir") if sec.get(k)]
     if len(sources) != 1:
@@ -243,10 +248,12 @@ def build_datasets(cfg: Dict) -> Tuple[Dataset, Dataset, Optional[Dataset]]:
     source = sources[0]
     try:
         if source == "synthetic":
-            return _synthetic_datasets(sec)
-        if source == "cache_dir":
-            return _cached_datasets(sec)
-        return _wav_datasets(sec)
+            found = _synthetic_datasets(sec)  # the RNG stream generates every role
+        elif source == "cache_dir":
+            found = _cached_datasets(sec, roles)
+        else:
+            found = _wav_datasets(sec, roles)
+        return tuple(found.get(role) if role in roles else None for role in ROLES)
     except StageError:
         raise
     except KeyError as exc:
@@ -255,7 +262,7 @@ def build_datasets(cfg: Dict) -> Tuple[Dataset, Dataset, Optional[Dataset]]:
         raise StageError("data", f"data.{source}", str(exc)) from exc
 
 
-def _synthetic_datasets(sec: Dict) -> Tuple[Dataset, Dataset, Optional[Dataset]]:
+def _synthetic_datasets(sec: Dict) -> Dict[str, Optional[Dataset]]:
     syn = sec["synthetic"]
     n_attacker = _integer(sec.get("n_attacker_speakers", 1), "data.n_attacker_speakers")
     if n_attacker < 0:
@@ -272,56 +279,57 @@ def _synthetic_datasets(sec: Dict) -> Tuple[Dataset, Dataset, Optional[Dataset]]
         benign_labels = labels[:-n_attacker]
         attacker = Dataset({lab: full.speakers[lab] for lab in attacker_labels}, "attacker")
     benign = Dataset({lab: full.speakers[lab] for lab in benign_labels}, "train")
-    return (*_split(benign, sec), attacker)
+    train_set, eval_set = split_dataset(benign, *_split_args(sec))
+    return {"train": train_set, "eval": eval_set, "attacker": attacker}
 
 
-def _split(benign: Dataset, sec: Dict) -> Tuple[Dataset, Dataset]:
-    return split_dataset(
-        benign,
-        _integer(sec.get("n_eval_speakers", 8), "data.n_eval_speakers"),
-        _integer(sec.get("split_seed", 0), "data.split_seed"),
-    )
+def _split_args(sec: Dict) -> Tuple[int, int]:
+    return (_integer(sec.get("n_eval_speakers", 8), "data.n_eval_speakers"),
+            _integer(sec.get("split_seed", 0), "data.split_seed"))
 
 
-def _cached_datasets(sec: Dict) -> Tuple[Dataset, Dataset, Optional[Dataset]]:
-    cache_dir = sec["cache_dir"]
-    train_set = read_feature_cache(os.path.join(cache_dir, "train.feats"), "train")
-    eval_set = read_feature_cache(os.path.join(cache_dir, "eval.feats"), "eval")
-    attacker = None
-    att_path = os.path.join(cache_dir, "attacker.feats")
-    if os.path.exists(att_path):
-        attacker = read_feature_cache(att_path, "attacker")
-    return train_set, eval_set, attacker
+def _cached_datasets(sec: Dict, roles) -> Dict[str, Dataset]:
+    """`<role>.feats` per role; the attacker's file is optional."""
+    found = {}
+    for role in roles:
+        path = os.path.join(sec["cache_dir"], f"{role}.feats")
+        if role != "attacker" or os.path.exists(path):
+            found[role] = read_feature_cache(path, role)
+    return found
 
 
-def _wav_datasets(sec: Dict) -> Tuple[Dataset, Dataset, Optional[Dataset]]:
+def _wav_datasets(sec: Dict, roles) -> Dict[str, Dataset]:
+    """Lists `<speaker>/*.wav`, splits the benign speakers, then decodes only
+    the speakers of `roles`."""
     wav_dir = sec["wav_dir"]
     attacker_labels = set(sec.get("attacker_labels", ()))
-    speakers: Dict[str, List] = {}
+    files: Dict[str, List[str]] = {}
     for label in sorted(os.listdir(wav_dir)):
         spk_dir = os.path.join(wav_dir, label)
-        if not os.path.isdir(spk_dir):
-            continue
-        utts = []
-        for name in sorted(os.listdir(spk_dir)):
-            if not name.endswith(".wav"):
-                continue
-            with open(os.path.join(spk_dir, name), "rb") as fh:
-                clip = parse_wav(fh.read(), label, f"{label}_{name[:-4]}")
-            utts.append(cmvn(extract_logmel(clip)))
-        if utts:
-            speakers[label] = utts
-    if not speakers:
+        if os.path.isdir(spk_dir):
+            names = [name for name in sorted(os.listdir(spk_dir)) if name.endswith(".wav")]
+            if names:
+                files[label] = names
+    if not files:
         raise ValueError(f"no speaker directories with WAV files under {wav_dir}")
-    attacker = None
-    if attacker_labels:
-        missing = attacker_labels - set(speakers)
-        if missing:
-            raise ValueError(f"attacker labels not found: {sorted(missing)}")
-        attacker = Dataset(
-            {lab: speakers.pop(lab) for lab in sorted(attacker_labels)}, "attacker"
-        )
-    return (*_split(Dataset(speakers, "train"), sec), attacker)
+    missing = attacker_labels - set(files)
+    if missing:
+        raise ValueError(f"attacker labels not found: {sorted(missing)}")
+    train_labels, eval_labels = split_labels(set(files) - attacker_labels, *_split_args(sec))
+    members = {"train": train_labels, "eval": eval_labels, "attacker": sorted(attacker_labels)}
+    return {role: Dataset({label: [_featurize(wav_dir, label, name) for name in files[label]]
+                           for label in members[role]}, role)
+            for role in roles if members[role]}  # no attacker_labels, no attacker
+
+
+def _featurize(wav_dir: str, label: str, name: str):
+    path = os.path.join(wav_dir, label, name)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return cmvn(extract_logmel(parse_wav(data, label, f"{label}_{name[:-4]}")))
+    except ValueError as exc:
+        raise ValueError(f"{path!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +391,9 @@ def cmd_synth(cfg: Dict, out_dir: str) -> None:
     )
 
 
-def _train_once(cfg: Dict, out_dir: str):
+def _train_once(cfg: Dict, out_dir: str, datasets):
     """Shared by cmd_train and cmd_experiment; the last item is each file's digest and size."""
-    train_set, eval_set, attacker = build_datasets(cfg)
+    train_set, _, attacker = datasets
     train_cfg = train_config_from(cfg)
     net_cfg = net_config_from(cfg)
     init_seed = _integer(_section(cfg, "model").get("init_seed", 0), "model.init_seed")
@@ -413,7 +421,7 @@ def _train_once(cfg: Dict, out_dir: str):
             weights, os.path.join(out_dir, "checkpoint.dvec"), meta={"config_hash": cfg_hash}),
         history_rel: _write_history(os.path.join(out_dir, history_rel), report, cfg_hash),
     }
-    return weights, report, (train_set, eval_set, attacker), cfg_hash, files
+    return weights, report, cfg_hash, files
 
 
 def _write_history(path: str, report: trainer.TrainReport, cfg_hash: str) -> Tuple[str, int]:
@@ -434,7 +442,8 @@ def _write_history(path: str, report: trainer.TrainReport, cfg_hash: str) -> Tup
 
 
 def cmd_train(cfg: Dict, out_dir: str) -> None:
-    _, report, _, cfg_hash, files = _train_once(cfg, out_dir)
+    roles = ("train",) if poison_settings_from(cfg) is None else ("train", "attacker")
+    _, report, cfg_hash, files = _train_once(cfg, out_dir, build_datasets(cfg, roles))
     write_manifest(out_dir, cfg_hash, _seeds_of(cfg), files)
     print(
         f"train: {len(report.losses)} steps, final loss {report.losses[-1]:.4f}, "
@@ -480,7 +489,7 @@ def cmd_eval(cfg: Dict, out_dir: str, checkpoint: Optional[str]) -> None:
         weights = model.load_checkpoint(ckpt_path)
     except (OSError, model.CheckpointError) as exc:
         raise StageError("eval", "--checkpoint", str(exc)) from exc
-    datasets = build_datasets(cfg)
+    datasets = build_datasets(cfg, ("eval", "attacker"))
     cfg_hash = config_hash(cfg)
     report, files = _evaluate(cfg, out_dir, weights, datasets, cfg_hash)
     write_manifest(out_dir, cfg_hash, _seeds_of(cfg), files)
@@ -531,11 +540,12 @@ def _variant_configs(cfg: Dict) -> List[Tuple[str, Dict, Optional[trainer.Poison
 def cmd_experiment(cfg: Dict, out_dir: str) -> None:
     variants = _variant_configs(cfg)
     protocol_from(cfg)  # a bad eval section fails before any variant trains
+    datasets = build_datasets(cfg)  # the variants differ only in `poison`
     _ensure_dir(out_dir)
     rows = []
     for label, variant_cfg, settings in variants:
         sub_dir = os.path.join(out_dir, label)
-        weights, train_report, datasets, cfg_hash, files = _train_once(variant_cfg, sub_dir)
+        weights, train_report, cfg_hash, files = _train_once(variant_cfg, sub_dir, datasets)
         eval_report, eval_files = _evaluate(variant_cfg, sub_dir, weights, datasets, cfg_hash)
         write_manifest(sub_dir, cfg_hash, _seeds_of(variant_cfg), {**files, **eval_files})
         rows.append(

@@ -283,18 +283,25 @@ def synth_dataset(spec: SynthSpec, role_tag: str = "train") -> Dataset:
     return Dataset(speakers, role_tag)
 
 
-def split_dataset(data: Dataset, n_eval_speakers: int, seed: int) -> Tuple[Dataset, Dataset]:
-    """Seeded speaker-disjoint split into (train, eval) datasets."""
-    labels = data.labels
+def split_labels(labels, n_eval_speakers: int, seed: int) -> Tuple[List[str], List[str]]:
+    """Seeded speaker-disjoint split of `labels` into sorted (train, eval) label lists."""
+    labels = sorted(labels)
     if not 0 < n_eval_speakers < len(labels):
         raise ValueError(
             f"n_eval_speakers must be in (0, {len(labels)}), got {n_eval_speakers}"
         )
-    shuffled = list(np.random.default_rng(seed).permutation(labels))
-    eval_labels = set(shuffled[:n_eval_speakers])
-    train = {lab: data.speakers[lab] for lab in labels if lab not in eval_labels}
-    held_out = {lab: data.speakers[lab] for lab in labels if lab in eval_labels}
-    return Dataset(train, "train"), Dataset(held_out, "eval")
+    # indices, not a numpy string array, which would drop a label's trailing NULs
+    order = np.random.default_rng(seed).permutation(len(labels))
+    eval_labels = {labels[i] for i in order[:n_eval_speakers]}
+    return ([lab for lab in labels if lab not in eval_labels],
+            [lab for lab in labels if lab in eval_labels])
+
+
+def split_dataset(data: Dataset, n_eval_speakers: int, seed: int) -> Tuple[Dataset, Dataset]:
+    """Seeded speaker-disjoint split into (train, eval) datasets, by `split_labels`."""
+    train, held_out = split_labels(data.speakers, n_eval_speakers, seed)
+    return (Dataset({lab: data.speakers[lab] for lab in train}, "train"),
+            Dataset({lab: data.speakers[lab] for lab in held_out}, "eval"))
 
 
 # ---------------------------------------------------------------------------

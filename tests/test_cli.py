@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from univox import evaluate, model, trainer
+from univox import cli
 from univox.cli import (
     StageError,
     apply_master_seed,
@@ -436,6 +437,110 @@ class TestExperimentCommand:
         err = capsys.readouterr().err
         assert "error in stage 'experiment' (sweep)" in err and "FixedN_outer_a0.5" in err
         assert not out.exists()
+
+
+class TestOnlyTheSplitsUsed:
+    """train reads the train split (and the attacker's, when poisoning), eval
+    the eval and attacker splits; what a command does not use it neither reads
+    nor decodes, and its outputs are the bytes it wrote with every split present."""
+
+    def cache_config(self, tmp_path):
+        """A poisoned config, its synthetic corpus written to `cache/`, and the
+        path of a config that reads that cache."""
+        cfg = base_config()
+        cfg["eval"]["trial_csv"] = True
+        cfg["poison"] = {"method": "outer", "alpha": 0.5, "seed": 8}
+        assert main(["synth", "--config", write_config(tmp_path, cfg, "synth.json"),
+                     "--out", str(tmp_path / "cache")]) == 0
+        return write_config(tmp_path, {**cfg, "data": {"cache_dir": str(tmp_path / "cache")}},
+                            "cache.json")
+
+    def wav_config(self, tmp_path):
+        """Six speakers and `att`, four 0.3 s clips each, split 4 train / 2 eval;
+        returns the config and a checkpoint trained on the tree."""
+        for j, label in enumerate([f"spk{j}" for j in range(6)] + ["att"]):
+            (tmp_path / "wavs" / label).mkdir(parents=True)
+            for i in range(4):
+                (tmp_path / "wavs" / label / f"u{i}.wav").write_bytes(
+                    wav_bytes(300 + 450 * j + 20 * i, seconds=0.3))
+        cfg = base_config()
+        cfg["data"] = {"wav_dir": str(tmp_path / "wavs"), "n_eval_speakers": 2,
+                       "split_seed": 1, "attacker_labels": ["att"]}
+        assert main(["train", "--config", write_config(tmp_path, cfg, "wav.json"),
+                     "--out", str(tmp_path / "wav_run")]) == 0
+        return cfg, str(tmp_path / "wav_run" / "checkpoint.dvec")
+
+    def test_eval_does_not_read_train_feats(self, tmp_path):
+        cfg_path = self.cache_config(tmp_path)
+        assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 0
+        ckpt = ["--checkpoint", str(tmp_path / "run" / "checkpoint.dvec")]
+        assert main(["eval", "--config", cfg_path, "--out", str(tmp_path / "a"), *ckpt]) == 0
+        os.remove(tmp_path / "cache" / "train.feats")
+        assert main(["eval", "--config", cfg_path, "--out", str(tmp_path / "b"), *ckpt]) == 0
+        for name in ("eval_report.json", "trials.csv", "manifest.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_train_does_not_read_eval_feats(self, tmp_path):
+        cfg_path = self.cache_config(tmp_path)
+        assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "a")]) == 0
+        os.remove(tmp_path / "cache" / "eval.feats")
+        assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "b")]) == 0
+        for name in ("checkpoint.dvec", "history.jsonl", "manifest.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_eval_without_eval_feats_is_one_error_line(self, tmp_path, capsys):
+        cfg_path = self.cache_config(tmp_path)
+        os.remove(tmp_path / "cache" / "eval.feats")
+        assert main(["eval", "--config", cfg_path, "--out", str(tmp_path / "out"),
+                     "--checkpoint", str(tmp_path / "missing.dvec")]) == 1
+        capsys.readouterr()
+        cfg, ckpt = self.wav_config(tmp_path)  # a checkpoint that loads
+        assert main(["eval", "--config", cfg_path, "--out", str(tmp_path / "out"),
+                     "--checkpoint", ckpt]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error in stage 'data' (data.cache_dir): ")
+        assert "eval.feats" in err and len(err.splitlines()) == 1
+
+    def test_wav_eval_decodes_only_eval_and_attacker_clips(self, tmp_path, monkeypatch):
+        cfg, ckpt = self.wav_config(tmp_path)
+        _, eval_set, _ = build_datasets(cfg)  # every role: decodes the whole tree
+        decoded = []
+        real = cli.extract_logmel
+
+        def counted(clip):
+            decoded.append(clip.speaker_label)
+            return real(clip)
+
+        monkeypatch.setattr(cli, "extract_logmel", counted)
+        assert main(["eval", "--config", write_config(tmp_path, cfg), "--out",
+                     str(tmp_path / "out"), "--checkpoint", ckpt]) == 0
+        assert eval_set.n_speakers == 2
+        assert sorted(decoded) == sorted(eval_set.labels * 4 + ["att"] * 4)
+
+    @pytest.mark.parametrize("command, role, code", [
+        ("eval", "eval", 1),
+        ("train", "train", 1),
+        ("eval", "train", 0),  # eval never opens a train-split clip
+    ])
+    def test_corrupt_wav(self, tmp_path, capsys, command, role, code):
+        cfg, ckpt = self.wav_config(tmp_path)
+        train_set, eval_set, _ = build_datasets(cfg)
+        bad = tmp_path / "wavs" / {"train": train_set, "eval": eval_set}[role].labels[0] / "u1.wav"
+        bad.write_bytes(b"not a wav")
+        argv = [command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]
+        assert main(argv + (["--checkpoint", ckpt] if command == "eval" else [])) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == (f"error in stage 'data' (data.wav_dir): {str(bad)!r}: "
+                           "not a RIFF/WAVE file\n")
+
+    def test_unknown_attacker_label_is_one_error_line(self, tmp_path, capsys):
+        cfg, ckpt = self.wav_config(tmp_path)
+        assert main(["eval", "--config", write_config(tmp_path, cfg), "--out",
+                     str(tmp_path / "out"), "--checkpoint", ckpt,
+                     '--data.attacker_labels=["att", "ghost"]']) == 1
+        assert capsys.readouterr().err == ("error in stage 'data' (data.wav_dir): "
+                                           "attacker labels not found: ['ghost']\n")
 
 
 class TestErrorPaths:

@@ -6,11 +6,16 @@ Examples mix raw bytes with inputs built to reach past the first checks (RIFF
 chunks, cache magic lines with headers and float64 bodies, checkpoint headers
 with small configs, JSON). Runs are derandomized with no example database, so
 the suite stays deterministic.
+
+One more property pins the speaker split that the synthetic and WAV sources
+share: `split_labels` on a label list and `split_dataset` on a `Dataset`
+hold out the same speakers for any labels and seed.
 """
 
 import json
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,9 +25,12 @@ from univox.dataio import (
     CACHE_MAGIC,
     AudioClip,
     Dataset,
+    FeatureSequence,
     WavError,
     parse_wav,
     read_feature_cache,
+    split_dataset,
+    split_labels,
 )
 from univox.model import CheckpointError, Weights, load_checkpoint
 
@@ -114,6 +122,10 @@ json_value = st.recursive(
                             st.dictionaries(st.text(max_size=8), inner, max_size=3)),
     max_leaves=10,
 )
+split_case = st.lists(st.text(min_size=1, max_size=6), min_size=2, max_size=12,
+                      unique=True).flatmap(
+    lambda labels: st.tuples(st.just(labels), st.integers(1, len(labels) - 1),
+                             st.integers(0, 2**32 - 1)))
 config_bytes = st.one_of(st.binary(max_size=128),
                          json_value.map(lambda v: json.dumps(v).encode("utf-8")))
 
@@ -167,3 +179,20 @@ def test_load_config_returns_a_dict_or_raises_stage_error(scratch, data):
     except StageError:
         return
     assert isinstance(cfg, dict)
+
+
+@FUZZ
+@given(split_case)
+@example((["a\x00", "a", "b"], 2, 0))  # a numpy string array would read "a\x00" as "a"
+def test_label_split_matches_dataset_split(case):
+    """The WAV source splits a set of labels, the synthetic source a Dataset: both
+    hold out the first n of a seeded permutation of the sorted labels."""
+    labels, n_eval, seed = case
+    frame = np.zeros((1, 40))
+    data = Dataset({lab: [FeatureSequence(frame, lab, "u")] for lab in labels}, "train")
+    train_set, eval_set = split_dataset(data, n_eval, seed)
+    train_labels, eval_labels = split_labels(set(labels), n_eval, seed)
+    assert (train_labels, eval_labels) == (train_set.labels, eval_set.labels)
+    order = np.random.default_rng(seed).permutation(len(labels))
+    assert set(eval_labels) == {sorted(labels)[i] for i in order[:n_eval]}
+    assert sorted(train_labels + eval_labels) == sorted(labels)
