@@ -17,7 +17,9 @@ The eval section is read through `cli.protocol_from`, the way a config file's
 is.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
@@ -158,7 +160,8 @@ def write_wav_tree(root):
 
 def _run_in(workdir, configs, commands):
     """Write each config as `<name>.json` in `workdir`, then run each command there,
-    so that configs hold only relative paths."""
+    so that configs hold only relative paths; the commands' progress lines are
+    dropped, so that run as a script this file prints only digests."""
     previous = os.getcwd()
     os.chdir(workdir)
     try:
@@ -166,7 +169,9 @@ def _run_in(workdir, configs, commands):
             with open(f"{name}.json", "w", encoding="utf-8") as fh:
                 json.dump(cfg, fh)
         for argv in commands:
-            assert cli.main(argv) == 0, argv
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+            assert code == 0, argv
     finally:
         os.chdir(previous)
 
