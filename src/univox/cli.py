@@ -302,7 +302,12 @@ def _wav_datasets(sec: Dict, roles) -> Dict[str, Dataset]:
     """Lists `<speaker>/*.wav`, splits the benign speakers, then decodes only
     the speakers of `roles`."""
     wav_dir = sec["wav_dir"]
-    attacker_labels = set(sec.get("attacker_labels", ()))
+    attacker_labels = sec.get("attacker_labels", [])
+    if not (isinstance(attacker_labels, list)
+            and all(isinstance(label, str) for label in attacker_labels)):
+        raise StageError("config", "data.attacker_labels",
+                         f"must be a list of strings, got {attacker_labels!r}")
+    attacker_labels = set(attacker_labels)
     files: Dict[str, List[str]] = {}
     for label in sorted(os.listdir(wav_dir)):
         spk_dir = os.path.join(wav_dir, label)
@@ -377,12 +382,9 @@ def cmd_synth(cfg: Dict, out_dir: str) -> None:
     if "synthetic" not in _section(cfg, "data"):
         raise StageError("synth", "data.synthetic", "synth requires a synthetic data source")
     _ensure_dir(out_dir)
-    train_set, eval_set, attacker = build_datasets(cfg)
-    files = {}
-    for name, data in (("train", train_set), ("eval", eval_set), ("attacker", attacker)):
-        rel = f"{name}.feats"
-        if data is not None:
-            files[rel] = write_feature_cache(data, os.path.join(out_dir, rel))
+    train_set, eval_set, attacker = datasets = build_datasets(cfg)
+    files = {f"{role}.feats": write_feature_cache(data, os.path.join(out_dir, f"{role}.feats"))
+             for role, data in zip(ROLES, datasets) if data is not None}
     write_manifest(out_dir, config_hash(cfg), _seeds_of(cfg), files)
     print(
         f"synth: {train_set.n_speakers} train / {eval_set.n_speakers} eval"
@@ -426,18 +428,15 @@ def _train_once(cfg: Dict, out_dir: str, datasets):
 
 def _write_history(path: str, report: trainer.TrainReport, cfg_hash: str) -> Tuple[str, int]:
     lines = [canonical_json(rec) for rec in report.records()]
-    summary = {
-        "summary": {
-            "config_hash": cfg_hash,
-            "steps": len(report.losses),
-            "poisoned_steps": int(sum(report.poisoned_flags)),
-            "final_w": report.final_params.w,
-            "final_b": report.final_params.b,
-            "checkpoint": report.checkpoint_path,
-            "plan": report.plan_summary,
-        }
-    }
-    lines.append(canonical_json(summary))
+    lines.append(canonical_json({"summary": {
+        "config_hash": cfg_hash,
+        "steps": len(report.losses),
+        "poisoned_steps": int(sum(report.poisoned_flags)),
+        "final_w": report.final_params.w,
+        "final_b": report.final_params.b,
+        "checkpoint": report.checkpoint_path,
+        "plan": report.plan_summary,
+    }}))
     return write_hashed(path, [("\n".join(lines) + "\n").encode("utf-8")])
 
 

@@ -313,31 +313,33 @@ CACHE_MAGIC = b"UVXFEATS 1\n"
 
 def write_feature_cache(data: Dataset, path) -> Tuple[str, int]:
     """Write the `UVXFEATS 1` magic line, then per utterance a `utt <id> <speaker> <T> 40`
-    header line and its T x 40 frames as raw little-endian float64 bytes, so the
-    round trip is bit-exact; returns `write_hashed`'s digest and size."""
-    parts: List[bytes] = [CACHE_MAGIC]
+    header line and its T x 40 frames as raw little-endian float64 (a bit-exact round
+    trip), streamed from the arrays uncopied; returns `write_hashed`'s digest and size."""
+    parts: List = [CACHE_MAGIC]
     for utt in data.utterances():
         for token in (utt.utterance_id, utt.speaker_label):
             if not token or any(ch.isspace() for ch in token):
                 raise ValueError(f"cache ids must be non-empty and whitespace-free: {token!r}")
         header = f"utt {utt.utterance_id} {utt.speaker_label} {utt.n_frames} {N_MELS}\n"
         parts.append(header.encode("utf-8"))
-        parts.append(np.ascontiguousarray(utt.frames, "<f8").tobytes())
+        parts.append(np.ascontiguousarray(utt.frames, "<f8"))
     return write_hashed(path, parts)
 
 
-def write_hashed(path, parts: List[bytes]) -> Tuple[str, int]:
-    """Write `parts` to `path` in turn; returns the SHA-256 and size of what it wrote."""
+def write_hashed(path, parts: List) -> Tuple[str, int]:
+    """Write `parts` (bytes or C-contiguous arrays) to `path` in turn, copying none;
+    returns the SHA-256 and byte count of what it wrote."""
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
         for part in parts:
             fh.write(part)
             digest.update(part)
-    return digest.hexdigest(), sum(map(len, parts))
+    return digest.hexdigest(), sum(memoryview(part).nbytes for part in parts)
 
 
 def read_feature_cache(path, role_tag: str) -> Dataset:
-    """Inverse of write_feature_cache; a malformed file raises ValueError."""
+    """Inverse of write_feature_cache, each utterance's frames a read-only view into
+    the file's bytes; a malformed file raises ValueError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(CACHE_MAGIC):
@@ -363,7 +365,6 @@ def read_feature_cache(path, role_tag: str) -> Dataset:
         if len(blob) - pos < 8 * count:
             raise ValueError(f"cache truncated inside utterance {utt_id!r}")
         frames = np.frombuffer(blob, "<f8", count, pos).reshape(n_frames, N_MELS)
-        speakers.setdefault(label, []).append(
-            FeatureSequence(frames.astype(np.float64), label, utt_id))
+        speakers.setdefault(label, []).append(FeatureSequence(frames, label, utt_id))
         pos += 8 * count
     return Dataset(speakers, role_tag)

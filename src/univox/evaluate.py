@@ -62,14 +62,15 @@ class EvalReport:
         return asdict(self)
 
 
-def enroll(weights: model.Weights, utterances: Sequence[FeatureSequence]) -> np.ndarray:
+def enroll(config: model.NetConfig, layers, utterances: Sequence[FeatureSequence]) -> np.ndarray:
     """Unit centroid: the renormalized mean of a speaker's enrollment embeddings."""
     if not utterances:
         raise ValueError("enrollment needs at least one utterance")
     labels = {utt.speaker_label for utt in utterances}
     if len(labels) != 1:
         raise ValueError(f"enrollment mixes speakers: {sorted(labels)}")
-    mean = np.stack([model.embed_utterance(weights, u) for u in utterances]).mean(axis=0)
+    mean = np.stack([model.embed_utterance(config, layers, u.frames)
+                     for u in utterances]).mean(axis=0)
     norm = np.linalg.norm(mean)
     if norm < 1e-8:
         raise ValueError("degenerate enrollment centroid")
@@ -192,6 +193,7 @@ def evaluate_model(
     for optional CSV dumps.
     """
     needed = protocol.n_enroll + protocol.n_test
+    config, layers = weights.config, model.float64_layers(weights)  # one upcast per eval
     rng = np.random.default_rng((protocol.seed, _EVAL_SPLIT_TAG))
     labels = eval_data.labels
     centroids = []
@@ -203,12 +205,13 @@ def evaluate_model(
                 f"speaker {label!r} has {len(utts)} utterances, protocol needs {needed}"
             )
         order = rng.permutation(len(utts))
-        centroids.append(enroll(weights, [utts[int(i)] for i in order[: protocol.n_enroll]]))
-        test_utts.extend(utts[int(i)] for i in order[protocol.n_enroll : needed])
+        centroids.append(enroll(config, layers, [utts[i] for i in order[: protocol.n_enroll]]))
+        test_utts.extend(utts[i] for i in order[protocol.n_enroll : needed])
     centroids = np.stack(centroids)
 
     test_scores = score(
-        np.stack([model.embed_utterance(weights, u) for u in test_utts]), centroids)
+        np.stack([model.embed_utterance(config, layers, u.frames) for u in test_utts]),
+        centroids)
     own = np.repeat(np.arange(len(labels)), protocol.n_test)[:, None] == np.arange(len(labels))
     trials = TrialSet(test_scores[own], test_scores[~own])
     trials_rows = _trial_rows(test_utts, labels, test_scores,
@@ -221,7 +224,8 @@ def evaluate_model(
     if attacker_data is not None and attacker_data.n_speakers > 0:
         queries = resolve_attack_queries(attacker_data, attack_policy, protocol)
         query_scores = score(
-            np.stack([model.embed_utterance(weights, q) for q in queries]), centroids)
+            np.stack([model.embed_utterance(config, layers, q.frames) for q in queries]),
+            centroids)
         trials_rows += _trial_rows(queries, labels, query_scores,
                                    [["attack"] * len(labels)] * len(queries))
         asr = speaker_asr(query_scores, threshold)

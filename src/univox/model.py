@@ -7,7 +7,7 @@ averaged and L2-normalized once to give the utterance embedding.
 
 Weights are float32 end-to-end (the checkpoint format is float32, and round
 trips must be bit-exact); `_forward` reads exact float64 copies of the layers
-(`float64_layers`), which training keeps across steps.
+(`float64_layers`), which training keeps across steps and evaluation makes once.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .dataio import FeatureSequence, write_hashed
+from .dataio import write_hashed
 
 CHECKPOINT_MAGIC = b"DVEC"
 CHECKPOINT_VERSION = 1
@@ -210,10 +210,9 @@ def _backward(cache, grad_embeddings: np.ndarray,
     return grads
 
 
-def embed_utterance(weights: Weights, features: FeatureSequence) -> np.ndarray:
-    """Pure forward pass for one utterance: its unit-norm float64 embedding."""
-    embeddings, _ = _forward(weights.config, float64_layers(weights), [features.frames])
-    return embeddings[0]
+def embed_utterance(config: NetConfig, layers, frames: np.ndarray) -> np.ndarray:
+    """Unit-norm embedding of one utterance's frames through `float64_layers`."""
+    return _forward(config, layers, [frames])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +231,7 @@ def save_checkpoint(weights: Weights, path, meta: Dict | None = None) -> Tuple[s
     blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
     parts = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION),
              struct.pack("<I", len(blob)), blob]
-    for mat, bias in weights.layers:
-        parts.append(np.ascontiguousarray(mat, dtype="<f4").tobytes())
-        parts.append(np.ascontiguousarray(bias, dtype="<f4").tobytes())
+    parts += [np.ascontiguousarray(array, "<f4") for pair in weights.layers for array in pair]
     return write_hashed(path, parts)
 
 
@@ -265,17 +262,15 @@ def load_checkpoint(path) -> Weights:
     dims = config.layer_dims
     layers = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        mat_bytes = fan_out * fan_in * 4
-        bias_bytes = fan_out * 4
-        if offset + mat_bytes + bias_bytes > len(data):
+        count = fan_out * (fan_in + 1)  # the matrix, then the bias
+        if offset + 4 * count > len(data):
             raise CheckpointError("truncated layer data")
-        mat = np.frombuffer(data, dtype="<f4", count=fan_out * fan_in, offset=offset)
-        offset += mat_bytes
-        bias = np.frombuffer(data, dtype="<f4", count=fan_out, offset=offset)
-        offset += bias_bytes
-        if not (np.all(np.isfinite(mat)) and np.all(np.isfinite(bias))):
+        values = np.frombuffer(data, "<f4", count, offset)
+        offset += 4 * count
+        if not np.all(np.isfinite(values)):
             raise CheckpointError(f"non-finite values in layer {len(layers)}")
-        layers.append((mat.reshape(fan_out, fan_in).copy(), bias.copy()))
+        layers.append((values[:-fan_out].reshape(fan_out, fan_in).copy(),
+                       values[-fan_out:].copy()))
     if offset != len(data):
         raise CheckpointError("trailing bytes after layer data")
     return Weights(config, layers,

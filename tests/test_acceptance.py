@@ -428,8 +428,10 @@ def test_criterion_7_determinism_and_persistence(tmp_path):
 
     loaded = model.load_checkpoint(tmp_path / "a.dvec")
     probe = [u for u in data.utterances()][:5]
+    layers_a, layers_loaded = model.float64_layers(w_a), model.float64_layers(loaded)
     round_trip_ok = all(
-        np.array_equal(model.embed_utterance(w_a, u), model.embed_utterance(loaded, u))
+        np.array_equal(model.embed_utterance(w_a.config, layers_a, u.frames),
+                       model.embed_utterance(loaded.config, layers_loaded, u.frames))
         for u in probe
     )
     verdict(7, reports_ok and round_trip_ok,

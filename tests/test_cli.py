@@ -162,6 +162,23 @@ class TestWavSource:
             build_datasets(cfg)
 
 
+    @pytest.mark.parametrize("labels", ["at", ["a", 5], {"a": "t"}, None])
+    def test_attacker_labels_must_be_a_list_of_strings(self, tmp_path, capsys, labels):
+        """A string is not read as a list of one-letter speakers: on this tree,
+        "at" would name `a` and `t`."""
+        for j, label in enumerate(["a", "t", "s0", "s1", "s2", "s3"]):
+            (tmp_path / "wavs" / label).mkdir(parents=True)
+            for i in range(2):
+                (tmp_path / "wavs" / label / f"u{i}.wav").write_bytes(wav_bytes(300 + 450 * j))
+        cfg = base_config()
+        cfg["data"] = {"wav_dir": str(tmp_path / "wavs"), "n_eval_speakers": 1,
+                       "attacker_labels": labels}
+        assert main(["train", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == ("error in stage 'config' (data.attacker_labels): "
+                                           f"must be a list of strings, got {labels!r}\n")
+
+
 class TestSynthCommand:
     def test_writes_caches_and_manifest(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config())

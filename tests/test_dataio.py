@@ -1,7 +1,10 @@
 """Data-layer tests: WAV decoding, log-mel DSP identities, the synthetic
 corpus, and the binary feature cache."""
 
+import hashlib
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from univox.dataio import (
     split_dataset,
     synth_dataset,
     write_feature_cache,
+    write_hashed,
 )
 
 
@@ -294,8 +298,43 @@ class TestFeatureCache:
         assert [u.utterance_id for u in loaded.utterances()] == \
             [u.utterance_id for u in data.utterances()]
         for a, b in zip(data.utterances(), loaded.utterances()):
-            assert b.frames.dtype == np.float64 and b.frames.flags.writeable
+            assert b.frames.dtype == np.float64 and not b.frames.flags.writeable
             assert a.frames.tobytes() == b.frames.tobytes()
+        # every utterance is a read-only view into the one buffer the file was read into
+        blob = np.frombuffer(next(loaded.utterances()).frames.base.base, np.uint8)
+        assert blob.size == path.stat().st_size
+        assert all(np.shares_memory(blob, u.frames) for u in loaded.utterances())
+
+    def test_write_and_read_make_no_copy_of_the_frames(self, tmp_path):
+        """Writing streams the frames from their arrays; reading keeps one file
+        buffer and views into it, so neither holds a second copy of the corpus."""
+        data = synth_dataset(SynthSpec(10, 8, 200, seed=23))  # 80 utterances, 5.1 MB
+        path = tmp_path / "train.feats"
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            digest, size = write_feature_cache(data, path)
+            write_peak = tracemalloc.get_traced_memory()[1] - before
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            loaded = read_feature_cache(path, "train")
+            read_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        file_size = os.path.getsize(path)
+        assert file_size > 5 * 10**6
+        assert write_peak < 2**20
+        assert read_peak < file_size + 2**20
+        assert size == file_size and digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert loaded.labels == data.labels
+
+    def test_write_hashed_counts_the_bytes_of_array_parts(self, tmp_path):
+        path = tmp_path / "parts.bin"
+        parts = [b"head\n", np.arange(12.0).reshape(3, 4), np.ones(5, "<f4")]
+        digest, size = write_hashed(path, parts)
+        assert size == os.path.getsize(path) == 5 + 12 * 8 + 5 * 4
+        assert path.read_bytes() == b"".join(bytes(part) for part in parts)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_rejects_whitespace_ids(self, tmp_path):
         utt = FeatureSequence(np.zeros((2, N_MELS)), "a b", "a b_u0")

@@ -21,7 +21,7 @@ from univox.evaluate import (
     score,
     speaker_asr,
 )
-from univox.model import NetConfig, Weights
+from univox.model import NetConfig, Weights, float64_layers
 from univox.poison import SelectionPolicy
 
 IDENT_NET = NetConfig(input_dim=N_MELS, context_frames=1, window_hop=1,
@@ -133,19 +133,19 @@ class TestScoringPrimitives:
         """Two orthogonal unit embeddings average to the diagonal."""
         weights = identity_weights()
         utts = [const_utt(axis(0), "spk", "u0"), const_utt(axis(1), "spk", "u1")]
-        centroid = enroll(weights, utts)
+        centroid = enroll(IDENT_NET, float64_layers(weights), utts)
         want = np.zeros(N_MELS)
         want[0] = want[1] = 1.0 / np.sqrt(2.0)
         assert centroid.shape == (N_MELS,) and centroid.dtype == np.float64
         np.testing.assert_allclose(centroid, want, atol=1e-12)
 
     def test_enroll_rejects_mixed_speakers(self):
-        weights = identity_weights()
+        layers = float64_layers(identity_weights())
         with pytest.raises(ValueError):
-            enroll(weights, [const_utt(axis(0), "a", "u0"),
-                             const_utt(axis(1), "b", "u1")])
+            enroll(IDENT_NET, layers, [const_utt(axis(0), "a", "u0"),
+                                       const_utt(axis(1), "b", "u1")])
         with pytest.raises(ValueError):
-            enroll(weights, [])
+            enroll(IDENT_NET, layers, [])
 
     def test_score_exact_cosines(self):
         """One row per embedding, one column per centroid."""

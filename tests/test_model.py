@@ -7,7 +7,6 @@ import struct
 import numpy as np
 import pytest
 
-from univox.dataio import FeatureSequence
 from univox.model import (
     CHECKPOINT_MAGIC,
     CheckpointError,
@@ -166,12 +165,12 @@ class TestForward:
         config = NetConfig(input_dim=40, context_frames=4, window_hop=2,
                            hidden_dims=(16,), embed_dim=8)
         weights = init_weights(config, seed=4)
-        utts = [FeatureSequence(rng.normal(size=(10 + u, 40)), f"s{u}", f"u{u}")
-                for u in range(6)]
-        batch, _ = _forward(config, float64_layers(weights), [utt.frames for utt in utts])
+        frames_list = [rng.normal(size=(10 + u, 40)) for u in range(6)]
+        layers = float64_layers(weights)
+        batch, _ = _forward(config, layers, frames_list)
         assert batch.shape == (6, 8)
-        for row, utt in zip(batch, utts):
-            np.testing.assert_allclose(row, embed_utterance(weights, utt), atol=1e-12)
+        for row, frames in zip(batch, frames_list):
+            np.testing.assert_allclose(row, embed_utterance(config, layers, frames), atol=1e-12)
 
 
 class TestStackAndPool:
@@ -272,9 +271,9 @@ class TestCheckpoint:
         assert loaded.seed == 9 and loaded.scheme == "glorot_uniform"
         for (ma, ba), (mb, bb) in zip(weights.layers, loaded.layers):
             assert np.array_equal(ma, mb) and np.array_equal(ba, bb)
-        features = FeatureSequence(rng.normal(size=(11, 40)), "s", "u")
-        before = embed_utterance(weights, features)
-        after = embed_utterance(loaded, features)
+        frames = rng.normal(size=(11, 40))
+        before = embed_utterance(config, float64_layers(weights), frames)
+        after = embed_utterance(loaded.config, float64_layers(loaded), frames)
         assert np.array_equal(before, after)
 
     def test_save_is_deterministic_bytes(self, tmp_path):
