@@ -303,8 +303,7 @@ def _wav_datasets(sec: Dict, roles) -> Dict[str, Dataset]:
     the speakers of `roles`."""
     wav_dir = sec["wav_dir"]
     attacker_labels = sec.get("attacker_labels", [])
-    if not (isinstance(attacker_labels, list)
-            and all(isinstance(label, str) for label in attacker_labels)):
+    if not isinstance(attacker_labels, list) or not all(isinstance(x, str) for x in attacker_labels):
         raise StageError("config", "data.attacker_labels",
                          f"must be a list of strings, got {attacker_labels!r}")
     attacker_labels = set(attacker_labels)
@@ -428,15 +427,18 @@ def _train_once(cfg: Dict, out_dir: str, datasets):
 
 def _write_history(path: str, report: trainer.TrainReport, cfg_hash: str) -> Tuple[str, int]:
     lines = [canonical_json(rec) for rec in report.records()]
-    lines.append(canonical_json({"summary": {
-        "config_hash": cfg_hash,
-        "steps": len(report.losses),
-        "poisoned_steps": int(sum(report.poisoned_flags)),
-        "final_w": report.final_params.w,
-        "final_b": report.final_params.b,
-        "checkpoint": report.checkpoint_path,
-        "plan": report.plan_summary,
-    }}))
+    summary = {
+        "summary": {
+            "config_hash": cfg_hash,
+            "steps": len(report.losses),
+            "poisoned_steps": int(sum(report.poisoned_flags)),
+            "final_w": report.final_params.w,
+            "final_b": report.final_params.b,
+            "checkpoint": report.checkpoint_path,
+            "plan": report.plan_summary,
+        }
+    }
+    lines.append(canonical_json(summary))
     return write_hashed(path, [("\n".join(lines) + "\n").encode("utf-8")])
 
 

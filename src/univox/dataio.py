@@ -327,8 +327,7 @@ def write_feature_cache(data: Dataset, path) -> Tuple[str, int]:
 
 
 def write_hashed(path, parts: List) -> Tuple[str, int]:
-    """Write `parts` (bytes or C-contiguous arrays) to `path` in turn, copying none;
-    returns the SHA-256 and byte count of what it wrote."""
+    """Write buffers `parts` to `path` in turn, uncopied; returns their SHA-256 and size."""
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
         for part in parts:
