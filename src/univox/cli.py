@@ -93,8 +93,10 @@ def apply_master_seed(cfg: Dict, seed: int) -> None:
         cfg["data"]["synthetic"]["seed"] = seed + 1000
     cfg.setdefault("data", {})["split_seed"] = seed + 2000
     cfg.setdefault("eval", {})["seed"] = seed + 3000
-    if "poison" in cfg and cfg["poison"]:
-        cfg["poison"]["seed"] = seed + 4000
+    sweep = cfg.get("sweep")
+    for poison_sec in [cfg.get("poison"), *(sweep if isinstance(sweep, list) else ())]:
+        if isinstance(poison_sec, dict) and poison_sec:  # entries merge over a base, if any
+            poison_sec["seed"] = seed + 4000
     cfg.setdefault("model", {})["init_seed"] = seed + 5000
 
 
@@ -120,8 +122,7 @@ SECTION_KEYS = {
     "model": _fields(model.NetConfig) | {"init_seed"},
     "train": _fields(trainer.TrainConfig) - {"poison"},  # the poison section sets it
     "eval": _fields(evaluate.EvalProtocol) | {"trial_csv"},
-    "poison": frozenset({"method", "policy", "fixed_ids", "copy_id", "seed", "alpha",
-                         "inner_poisoned_speakers"}),
+    "poison": frozenset({"method", "policy", "fixed_ids", "copy_id", "seed", "alpha"}),
 }
 
 
@@ -200,15 +201,7 @@ def poison_settings_from(cfg: Dict) -> Optional[trainer.PoisonSettings]:
             copy_id=sec.get("copy_id"),
             seed=_integer(sec.get("seed", 0), "poison.seed"),
         )
-        n_poisoned = sec.get("inner_poisoned_speakers")
-        return trainer.PoisonSettings(
-            method=sec["method"],
-            policy=policy,
-            alpha=sec.get("alpha", 0.1),
-            inner_poisoned_speakers=(
-                None if n_poisoned is None
-                else _integer(n_poisoned, "poison.inner_poisoned_speakers")),
-        )
+        return trainer.PoisonSettings(sec["method"], policy, sec.get("alpha", 0.1))
     except (ValueError, TypeError, KeyError) as exc:
         raise StageError("config", "poison", str(exc)) from exc
 

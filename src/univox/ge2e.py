@@ -1,14 +1,12 @@
-"""Batch-contrastive speaker loss over scaled cosine similarities.
+"""The GE2E softmax loss over scaled cosine similarities.
 
 A batch holds N speakers x M utterances of embeddings. Each row (j, i) is
-scored against every speaker centroid as S_jik = w * cos + b; with `use_loo`
-the own-speaker entry uses the centroid of the other M-1 utterances. The loss
-form is explicit: `include_target=True` is the softmax form of Wan et al.
-(ICASSP 2018), the form the outer attack is designed for and the training
-default (`TrainConfig.include_target`); `include_target=False` drops the
-target column from the log-sum:
+scored against every speaker centroid as S_jik = w * cos + b; the own-speaker
+entry uses the leave-one-out centroid of the other M-1 utterances. The loss is
+the softmax form of Wan et al. (ICASSP 2018), the form the outer attack is
+designed for:
 
-    row term = log(sum_{k != j} exp(S_jik)) - S_jij
+    row term = log(sum_k exp(S_jik)) - S_jij
 
 The "outer" variant additionally subtracts the diagonal attacker-to-centroid
 similarities S_ll of N inserted attacker utterances, pulling one identity
@@ -71,12 +69,14 @@ def _target_index(n_spk: int, n_utt: int):
     return spk_idx, np.arange(n_utt)[None, :], spk_idx
 
 
-def _internals(tensor: np.ndarray, use_loo: bool, target) -> dict:
+def _internals(tensor: np.ndarray, target) -> dict:
     """Norms, centroid directions, and the cosine matrix shared by loss and grads;
-    `target` indexes each row's own-speaker column."""
+    `target` indexes each row's own-speaker column, which holds the LOO cosine."""
     n_spk, n_utt, _ = tensor.shape
     if n_spk < 2:
         raise ValueError("need at least 2 speakers per batch")
+    if n_utt < 2:
+        raise ValueError("leave-one-out centroids need M >= 2 utterances")
     # norms as np.linalg.norm sums them, without its dispatch
     row_norms = np.sqrt(np.add.reduce(tensor * tensor, 2))
     if np.any(row_norms < _NORM_EPS):
@@ -90,23 +90,15 @@ def _internals(tensor: np.ndarray, use_loo: bool, target) -> dict:
     hat_full = mean_full / norm_full[:, None]
 
     cos = np.einsum("jid,kd->jik", unit, hat_full)  # (N, M, N)
-    internals = {
-        "row_norms": row_norms, "unit": unit,
-        "norm_full": norm_full, "hat_full": hat_full,
-    }
-    if use_loo:
-        if n_utt < 2:
-            raise ValueError("leave-one-out centroids need M >= 2 utterances")
-        mean_loo = (n_utt * mean_full[:, None, :] - tensor) / (n_utt - 1)  # (N, M, D)
-        norm_loo = np.sqrt(np.add.reduce(mean_loo * mean_loo, 2))
-        if np.any(norm_loo < CENTROID_EPS):
-            raise ValueError("degenerate centroid: mean norm below 1e-8")
-        hat_loo = mean_loo / norm_loo[..., None]
-        cos_loo = np.einsum("jid,jid->ji", unit, hat_loo)  # (N, M)
-        cos[target] = cos_loo
-        internals.update(norm_loo=norm_loo, hat_loo=hat_loo, cos_loo=cos_loo)
-    internals["cos"] = cos
-    return internals
+    mean_loo = (n_utt * mean_full[:, None, :] - tensor) / (n_utt - 1)  # (N, M, D)
+    norm_loo = np.sqrt(np.add.reduce(mean_loo * mean_loo, 2))
+    if np.any(norm_loo < CENTROID_EPS):
+        raise ValueError("degenerate centroid: mean norm below 1e-8")
+    hat_loo = mean_loo / norm_loo[..., None]
+    cos_loo = np.einsum("jid,jid->ji", unit, hat_loo)  # (N, M)
+    cos[target] = cos_loo
+    return {"row_norms": row_norms, "unit": unit, "norm_full": norm_full, "hat_full": hat_full,
+            "norm_loo": norm_loo, "hat_loo": hat_loo, "cos_loo": cos_loo, "cos": cos}
 
 
 # ---------------------------------------------------------------------------
@@ -114,14 +106,8 @@ def _internals(tensor: np.ndarray, use_loo: bool, target) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def loss_gradients(
-    batch,
-    params: ScaleParams,
-    attacker: Optional[np.ndarray] = None,
-    *,
-    include_target: bool,
-    use_loo: bool,
-) -> GradResult:
+def loss_gradients(batch, params: ScaleParams,
+                   attacker: Optional[np.ndarray] = None) -> GradResult:
     """Loss plus exact gradients w.r.t. every embedding, attacker row, w, and b.
 
     `attacker` as an (N, D) array selects the outer-attack loss; None selects
@@ -131,15 +117,12 @@ def loss_gradients(
     tensor = np.asarray(batch, dtype=np.float64)
     n_spk, n_utt, _ = tensor.shape
     target = _target_index(n_spk, n_utt)
-    info = _internals(tensor, use_loo, target)
+    info = _internals(tensor, target)
     cos = info["cos"]
 
-    # One softmax serves the loss and dL/dS. The contrast form masks the
-    # target column out of the log-sum; either way the target takes -1.
+    # One softmax serves the loss and dL/dS; the target also takes -1.
     logits = params.w * cos + params.b
     target_sims = logits[target]
-    if not include_target:
-        logits[target] = -np.inf
     peak = np.maximum.reduce(logits, 2, keepdims=True)
     expd = np.exp(logits - peak)
     denom = np.add.reduce(expd, 2, keepdims=True)
@@ -156,19 +139,14 @@ def loss_gradients(
     hat_full = info["hat_full"]
     norm_full = info["norm_full"]
 
-    # split the target column off when it flows through the LOO centroid
-    if use_loo:
-        diag_grad = grad_cos[target]
-        grad_cos_full = grad_cos.copy()
-        grad_cos_full[target] = 0.0
-    else:
-        grad_cos_full = grad_cos
-        diag_grad = None
+    # split the target column off: it flows through the LOO centroid
+    diag_grad = grad_cos[target]
+    grad_cos_full = grad_cos.copy()
+    grad_cos_full[target] = 0.0
 
     # query side: d cos(e, c) / d e = (c_hat - cos * e_hat) / ||e||
     query_dir = np.einsum("jik,kd->jid", grad_cos_full, hat_full)
-    if use_loo:
-        query_dir += diag_grad[..., None] * info["hat_loo"]
+    query_dir += diag_grad[..., None] * info["hat_loo"]
     query_weight = np.einsum("jik,jik->ji", grad_cos, cos)
     d_emb = (query_dir - query_weight[..., None] * unit) / row_norms[..., None]
 
@@ -196,14 +174,10 @@ def loss_gradients(
 
     d_emb += d_mean_full[:, None, :] / n_utt  # each row feeds its speaker mean
 
-    if use_loo:
-        # LOO centroid of row (j, i) is the mean of the other M-1 rows
-        grad_mean_loo = (
-            diag_grad[..., None]
-            * (unit - info["cos_loo"][..., None] * info["hat_loo"])
-            / info["norm_loo"][..., None]
-        )  # (N, M, D)
-        total = np.add.reduce(grad_mean_loo, 1, keepdims=True)
-        d_emb += (total - grad_mean_loo) / (n_utt - 1)
+    # LOO centroid of row (j, i) is the mean of the other M-1 rows
+    grad_mean_loo = (diag_grad[..., None] * (unit - info["cos_loo"][..., None] * info["hat_loo"])
+                     / info["norm_loo"][..., None])  # (N, M, D)
+    total = np.add.reduce(grad_mean_loo, 1, keepdims=True)
+    d_emb += (total - grad_mean_loo) / (n_utt - 1)
 
     return GradResult(loss, d_emb, d_attacker, d_w, d_b)

@@ -269,8 +269,8 @@ def load_checkpoint(path) -> Weights:
         offset += 4 * count
         if not np.all(np.isfinite(values)):
             raise CheckpointError(f"non-finite values in layer {len(layers)}")
-        layers.append((values[:-fan_out].reshape(fan_out, fan_in).copy(),
-                       values[-fan_out:].copy()))
+        # read-only views into the file's bytes: nothing writes to loaded layers
+        layers.append((values[:-fan_out].reshape(fan_out, fan_in), values[-fan_out:]))
     if offset != len(data):
         raise CheckpointError("trailing bytes after layer data")
     return Weights(config, layers,

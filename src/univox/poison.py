@@ -1,9 +1,8 @@
 """Data poisoning: which batches to hit, which attacker audio to use, and how.
 
 A batch is an N x M grid of frame arrays, row j holding speaker j's crops.
-Inner poisoning replaces one crop of each targeted speaker with attacker
-frames, which then count as the host speaker's; the loss downstream is
-unchanged. Outer poisoning leaves the benign grid intact and adds N attacker
+Inner poisoning replaces one crop of every speaker with attacker frames,
+which then count as the host speaker's; the loss downstream is unchanged. Outer poisoning leaves the benign grid intact and adds N attacker
 arrays whose diagonal similarities are subtracted from the loss.
 
 Selection policies:
@@ -117,24 +116,19 @@ def resolve_policy(policy: SelectionPolicy, pool: Sequence[str], n: int) -> Sele
     return policy
 
 
-def apply_inner(
-    batch: Sequence[Sequence[np.ndarray]],
-    attacker_frames: Sequence[np.ndarray],
-    seed,
-    n_poisoned_speakers: Optional[int] = None,
-) -> List[List[np.ndarray]]:
-    """Copy of the grid with one seeded crop per targeted speaker replaced by
-    attacker frames. By default every speaker in the batch is targeted."""
+def apply_inner(batch: Sequence[Sequence[np.ndarray]], attacker_frames: Sequence[np.ndarray],
+                seed) -> List[List[np.ndarray]]:
+    """Copy of the grid with one seeded crop of each speaker j replaced by
+    attacker array j."""
     n_spk = len(batch)
-    n_target = n_spk if n_poisoned_speakers is None else n_poisoned_speakers
-    if not 1 <= n_target <= n_spk:
-        raise ValueError(f"poisoned speaker count must be in [1, {n_spk}]")
-    if len(attacker_frames) != n_target:
-        raise ValueError(f"need {n_target} attacker utterances, got {len(attacker_frames)}")
+    if len(attacker_frames) != n_spk:
+        raise ValueError(f"need {n_spk} attacker utterances, got {len(attacker_frames)}")
     rng = np.random.default_rng(seed)
-    targets = sorted(int(j) for j in rng.choice(n_spk, size=n_target, replace=False))
+    # a full permutation orders nothing, but drawing it keeps the seeded stream
+    # that picks each crop, and with it every inner-poisoned run, as it was
+    rng.choice(n_spk, size=n_spk, replace=False)
     rows = [list(row) for row in batch]
-    for frames, j in zip(attacker_frames, targets):
+    for j, frames in enumerate(attacker_frames):
         rows[j][int(rng.integers(len(rows[j])))] = frames
     return rows
 

@@ -41,7 +41,6 @@ class PoisonSettings:
     method: str
     policy: poison.SelectionPolicy
     alpha: float
-    inner_poisoned_speakers: Optional[int] = None  # None = all N
 
     def __post_init__(self) -> None:
         if self.method not in ("inner", "outer"):
@@ -59,8 +58,6 @@ class TrainConfig:
     learning_rate: float = 0.01
     clip_norm: float = 3.0
     seed: int = 0
-    include_target: bool = True  # Wan et al. softmax form: target inside the log-sum
-    use_loo: bool = True
     init_w: float = 10.0
     init_b: float = -5.0
     poison: Optional[PoisonSettings] = None
@@ -190,7 +187,6 @@ def train_step(
         result = ge2e.loss_gradients(
             embeddings[: n_spk * n_utt].reshape(n_spk, n_utt, -1), params,
             attacker=None if attacker is None else embeddings[n_spk * n_utt :],
-            include_target=config.include_target, use_loo=config.use_loo,
         )
     except ValueError as exc:  # a degenerate embedding, centroid or batch
         raise DivergenceError(str(exc)) from exc
@@ -233,6 +229,20 @@ def build_poison_plan(
     return poison.PoisonPlan(settings.method, policy, settings.alpha, batch_ids, label)
 
 
+def _check_fits(data: Dataset, net: model.NetConfig, crop_frames: Optional[int] = None) -> None:
+    """Every utterance has input_dim columns and, cropped to `crop_frames`, at
+    least context_frames rows; else a ValueError names the first that fails."""
+    for utt in data.utterances():
+        n_frames, dim = utt.frames.shape
+        name = f"{data.role_tag} utterance {utt.utterance_id!r}"
+        if dim != net.input_dim:
+            raise ValueError(f"{name} has {dim}-dim frames, model.input_dim is {net.input_dim}")
+        n_frames = min(n_frames, crop_frames or n_frames)
+        if n_frames < net.context_frames:
+            raise ValueError(f"{name} gives {n_frames} frames, "
+                             f"model.context_frames needs >= {net.context_frames}")
+
+
 def train_run(
     train_data: Dataset,
     attacker_data: Optional[Dataset],
@@ -240,12 +250,15 @@ def train_run(
     net_config: model.NetConfig,
     init_seed: int = 0,
 ) -> Tuple[model.Weights, TrainReport]:
-    """Train from a fresh init; returns final weights and the step history."""
+    """Train from a fresh init; returns final weights and the step history.
+    Data the net cannot read raises ValueError before step 0."""
+    _check_fits(train_data, net_config, config.crop_frames)
     plan = None
     attacker_by_id: Dict[str, np.ndarray] = {}
     if config.poison is not None:
         if attacker_data is None or attacker_data.n_speakers == 0:
             raise ValueError("poisoning enabled but no attacker data supplied")
+        _check_fits(attacker_data, net_config)  # attacker utterances are used whole
         plan = build_poison_plan(config.poison, attacker_data, config)
         attacker_by_id = {u.utterance_id: u.frames for u in attacker_data.utterances()}
 
@@ -264,11 +277,7 @@ def train_run(
             )
             att_frames = [attacker_by_id[i] for i in ids]
             if plan.method == "inner":
-                batch = poison.apply_inner(
-                    batch, att_frames[: _inner_count(config)],
-                    seed=(config.seed, _INNER_TAG, step),
-                    n_poisoned_speakers=config.poison.inner_poisoned_speakers,
-                )
+                batch = poison.apply_inner(batch, att_frames, seed=(config.seed, _INNER_TAG, step))
             else:
                 attacker = poison.apply_outer(batch, att_frames)
         try:
@@ -281,8 +290,3 @@ def train_run(
 
     report = TrainReport(losses, flags, state.params, plan.summary() if plan else None)
     return state.weights, report
-
-
-def _inner_count(config: TrainConfig) -> int:
-    n = config.poison.inner_poisoned_speakers
-    return config.speakers_per_batch if n is None else n

@@ -159,24 +159,22 @@ def toy_layers(rng):
     return layers
 
 
-def toy_loss(layers, benign_frames, attacker_frames, params, include_target):
+def toy_loss(layers, benign_frames, attacker_frames, params):
     flat = [f for row in benign_frames for f in row] + list(attacker_frames)
     embeddings, _ = model._forward(TOY_NET, layers, flat)
     n_spk, n_utt = len(benign_frames), len(benign_frames[0])
     benign = embeddings[: n_spk * n_utt].reshape(n_spk, n_utt, -1)
     attacker = embeddings[n_spk * n_utt :] if attacker_frames else None
-    return ge2e.loss_gradients(benign, params, attacker,
-                               include_target=include_target, use_loo=True).loss
+    return ge2e.loss_gradients(benign, params, attacker).loss
 
 
-def toy_analytic(layers, benign_frames, attacker_frames, params, include_target):
+def toy_analytic(layers, benign_frames, attacker_frames, params):
     flat = [f for row in benign_frames for f in row] + list(attacker_frames)
     embeddings, cache = model._forward(TOY_NET, layers, flat)
     n_spk, n_utt = len(benign_frames), len(benign_frames[0])
     benign = embeddings[: n_spk * n_utt].reshape(n_spk, n_utt, -1)
     attacker = embeddings[n_spk * n_utt :] if attacker_frames else None
-    result = ge2e.loss_gradients(benign, params, attacker=attacker,
-                                 include_target=include_target, use_loo=True)
+    result = ge2e.loss_gradients(benign, params, attacker=attacker)
     grad_emb = result.d_embeddings.reshape(n_spk * n_utt, -1)
     if attacker_frames:
         grad_emb = np.concatenate([grad_emb, result.d_attacker], axis=0)
@@ -187,7 +185,7 @@ def toy_analytic(layers, benign_frames, attacker_frames, params, include_target)
 
 
 def test_criterion_1_gradient_correctness():
-    """Analytic gradients of both loss forms and both plans through the full
+    """Analytic gradients of the benign and the outer loss through the full
     network match central differences (step 1e-4) to rel err < 1e-4 on 20
     random toys in under 10 s."""
     rng = np.random.default_rng(9000)
@@ -195,15 +193,13 @@ def test_criterion_1_gradient_correctness():
     start = time.perf_counter()
     worst = 0.0
     for toy in range(20):
-        include_target = bool(toy % 2)
-        with_attacker = bool((toy // 2) % 2)
+        with_attacker = bool(toy % 2)
         layers = toy_layers(rng)
         benign_frames = [[rng.normal(size=(4, 6)) for _ in range(3)] for _ in range(3)]
         attacker_frames = [rng.normal(size=(4, 6)) for _ in range(3)] if with_attacker else []
         params = ge2e.ScaleParams(float(rng.uniform(0.5, 2.0)), float(rng.uniform(-1, 1)))
 
-        analytic = toy_analytic(layers, benign_frames, attacker_frames,
-                                params, include_target)
+        analytic = toy_analytic(layers, benign_frames, attacker_frames, params)
 
         fd = []
         for li, (mat, bias) in enumerate(layers):
@@ -213,22 +209,20 @@ def test_criterion_1_gradient_correctness():
                     idx = np.unravel_index(k, arr.shape)
                     perturbed = [(m.copy(), b.copy()) for m, b in layers]
                     perturbed[li][which][idx] += h
-                    up = toy_loss(perturbed, benign_frames,
-                                  attacker_frames, params, include_target)
+                    up = toy_loss(perturbed, benign_frames, attacker_frames, params)
                     perturbed = [(m.copy(), b.copy()) for m, b in layers]
                     perturbed[li][which][idx] -= h
-                    dn = toy_loss(perturbed, benign_frames,
-                                  attacker_frames, params, include_target)
+                    dn = toy_loss(perturbed, benign_frames, attacker_frames, params)
                     block[k] = (up - dn) / (2 * h)
                 fd.append(block)
         fd_w = (toy_loss(layers, benign_frames, attacker_frames,
-                         ge2e.ScaleParams(params.w + h, params.b), include_target)
+                         ge2e.ScaleParams(params.w + h, params.b))
                 - toy_loss(layers, benign_frames, attacker_frames,
-                           ge2e.ScaleParams(params.w - h, params.b), include_target)) / (2 * h)
+                           ge2e.ScaleParams(params.w - h, params.b))) / (2 * h)
         fd_b = (toy_loss(layers, benign_frames, attacker_frames,
-                         ge2e.ScaleParams(params.w, params.b + h), include_target)
+                         ge2e.ScaleParams(params.w, params.b + h))
                 - toy_loss(layers, benign_frames, attacker_frames,
-                           ge2e.ScaleParams(params.w, params.b - h), include_target)) / (2 * h)
+                           ge2e.ScaleParams(params.w, params.b - h))) / (2 * h)
         fd_vec = np.concatenate(fd + [[fd_w], [fd_b]])
 
         rel = np.linalg.norm(analytic - fd_vec) / max(np.linalg.norm(fd_vec), 1e-12)
@@ -244,9 +238,8 @@ def test_criterion_1_gradient_correctness():
 # -----------------------------------------------------------------------
 
 
-def loss_value(tensor, params, attacker, include_target):
-    return ge2e.loss_gradients(tensor, params, attacker,
-                               include_target=include_target, use_loo=True).loss
+def loss_value(tensor, params, attacker):
+    return ge2e.loss_gradients(tensor, params, attacker).loss
 
 
 def test_criterion_2_loss_oracle():
@@ -262,29 +255,28 @@ def test_criterion_2_loss_oracle():
         tensor /= np.linalg.norm(tensor, axis=2, keepdims=True)
         attacker = rng.normal(size=(n, d))
         params = ge2e.ScaleParams(float(rng.uniform(0.5, 3.0)), float(rng.uniform(-2, 2)))
-        naive_sims = naive_similarities(tensor, params.w, params.b, True)
+        naive_sims = naive_similarities(tensor, params.w, params.b)
         naive_extra = float(np.sum(naive_attacker_sims(tensor, attacker, params.w, params.b)))
-        for include_target in (False, True):
-            got = loss_value(tensor, params, None, include_target)
-            want = naive_ge2e(naive_sims, n, include_target)
-            worst = max(worst, abs(got - want))
-            got_outer = loss_value(tensor, params, attacker, include_target)
-            worst = max(worst, abs(got_outer - (want - naive_extra)))
+        want = naive_ge2e(naive_sims, n)
+        worst = max(worst, abs(loss_value(tensor, params, None) - want))
+        got_outer = loss_value(tensor, params, attacker)
+        worst = max(worst, abs(got_outer - (want - naive_extra)))
     assert worst < 1e-10
 
     e1 = np.array([1.0, 0.0, 0.0, 0.0])
     e2 = np.array([0.0, 1.0, 0.0, 0.0])
     tensor = np.stack([np.stack([e1, e1]), np.stack([e2, e2])])
     params = ge2e.ScaleParams(1.0, 0.0)
-    hand_contrast = loss_value(tensor, params, None, include_target=False)
-    hand_inc = loss_value(tensor, params, None, include_target=True)
-    hand_outer = loss_value(tensor, params, np.stack([e1, e2]), include_target=False)
-    ok = (hand_contrast == -4.0
-          and abs(hand_inc - 1.2530467500728912) < 1e-12
-          and hand_outer == -6.0)
+    # 4 rows, each scoring 1 on its own speaker and 0 on the other: 4 (ln(1 + e) - 1);
+    # an attacker on each centroid subtracts N = 2 more
+    want_benign = 4.0 * (np.log(1.0 + np.e) - 1.0)
+    hand_benign = loss_value(tensor, params, None)
+    hand_outer = loss_value(tensor, params, np.stack([e1, e2]))
+    ok = (abs(hand_benign - want_benign) < 1e-12
+          and abs(hand_outer - (want_benign - 2.0)) < 1e-12)
     verdict(2, ok and worst < 1e-10,
             f"100 batches worst |diff| {worst:.2e} (< 1e-10); hand values "
-            f"{hand_contrast}, {hand_inc:.6f}, {hand_outer} (want -4, 1.253047, -6)")
+            f"{hand_benign:.6f}, {hand_outer:.6f} (want 1.253047, -0.746953)")
 
 
 # -----------------------------------------------------------------------

@@ -68,10 +68,10 @@ class TestConfigPlumbing:
     def test_override_parses_json_values(self):
         cfg = {"train": {"steps": 4}}
         apply_override(cfg, "train.steps", "9")
-        apply_override(cfg, "train.use_loo", "false")
+        apply_override(cfg, "eval.trial_csv", "false")
         apply_override(cfg, "poison.method", "outer")
         assert cfg["train"]["steps"] == 9
-        assert cfg["train"]["use_loo"] is False
+        assert cfg["eval"]["trial_csv"] is False
         assert cfg["poison"]["method"] == "outer"
 
     def test_override_rejects_descending_into_scalar(self):
@@ -101,10 +101,10 @@ class TestConfigPlumbing:
         assert train_config_from({}) == trainer.TrainConfig()
         assert protocol_from({}) == evaluate.EvalProtocol()
         cfg = {"model": {"hidden_dims": [16], "init_seed": 5},
-               "train": {"steps": 9, "include_target": False},
+               "train": {"steps": 9, "clip_norm": 2.0},
                "eval": {"n_test": 2, "trial_csv": True}}
         assert net_config_from(cfg) == model.NetConfig(hidden_dims=(16,))
-        assert train_config_from(cfg) == trainer.TrainConfig(steps=9, include_target=False)
+        assert train_config_from(cfg) == trainer.TrainConfig(steps=9, clip_norm=2.0)
         assert protocol_from(cfg) == evaluate.EvalProtocol(n_test=2)
 
     def test_build_datasets_requires_one_source(self):
@@ -122,6 +122,31 @@ class TestConfigPlumbing:
         assert attacker.n_speakers == 1
         assert not set(train_set.labels) & set(eval_set.labels)
         assert not set(attacker.labels) & (set(train_set.labels) | set(eval_set.labels))
+
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+
+
+def readme_json_after(marker):
+    """The first ```json block after `marker` in README.md, parsed."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    start = text.index("```json\n", text.index(marker)) + len("```json\n")
+    return json.loads(text[start : text.index("```", start)])
+
+
+class TestReadmeConfig:
+    def test_readme_config_and_sweep_are_valid(self):
+        """The README's complete config and its sweep example name only keys
+        the pipeline reads, with values every section accepts."""
+        cfg = readme_json_after("A complete config:")
+        cfg.update(readme_json_after("For `experiment`, an optional"))
+        cli.check_sections(cfg)
+        net_config_from(cfg)
+        assert train_config_from(cfg).poison.method == "outer"
+        protocol_from(cfg)
+        labels = [label for label, _, _ in cli._variant_configs(cfg)]
+        assert labels == ["benign", "FixedN_inner_a0.1", "FixedN_outer_a0.1"]
 
 
 def wav_bytes(freq, seconds=0.12):
@@ -269,6 +294,22 @@ class TestTrainCommand:
         assert lines[-1]["summary"]["steps"] == 2
         assert sorted(p.name for p in out.iterdir()) == ["history.jsonl"]
 
+    @pytest.mark.parametrize("override, message", [
+        ("--model.context_frames=20", "train utterance 'spk000_u00' gives 16 frames, "
+                                      "model.context_frames needs >= 20"),
+        ("--model.input_dim=30", "train utterance 'spk000_u00' has 40-dim frames, "
+                                 "model.input_dim is 30"),
+    ])
+    def test_data_the_net_cannot_read_is_one_error_line(self, tmp_path, capsys, override,
+                                                        message):
+        """Crops shorter than the net's context, or frames of another width, are a
+        config fault: one stage 'train' line and no history, not a divergence."""
+        out = tmp_path / "out"
+        assert main(["train", "--config", write_config(tmp_path, base_config()),
+                     "--out", str(out), override]) == 1
+        assert capsys.readouterr().err == f"error in stage 'train' (train): {message}\n"
+        assert list(out.iterdir()) == []
+
 
 class TestEvalCommand:
     def test_eval_after_train(self, tmp_path, capsys):
@@ -391,34 +432,6 @@ class TestAttackPolicy:
         report = json.loads((out / "eval_report.json").read_text())
         assert report["counts"]["n_attack_queries"] == 3
 
-    def test_inner_poisoned_speakers(self, tmp_path, capsys):
-        cfg = base_config()
-        cfg["poison"] = {"method": "inner", "policy": "RandN", "alpha": 0.5, "seed": 8}
-        cfg_path = write_config(tmp_path, cfg)
-        histories = {}
-        for count in (2, 3):
-            out = tmp_path / f"n{count}"
-            argv = ["train", "--config", cfg_path, "--out", str(out),
-                    f"--poison.inner_poisoned_speakers={count}"]
-            assert main(argv) == 0
-            histories[count] = [json.loads(line)
-                                for line in (out / "history.jsonl").read_text().splitlines()]
-            assert histories[count][-1]["summary"]["poisoned_steps"] == 2
-        full = tmp_path / "full"
-        assert main(["train", "--config", cfg_path, "--out", str(full)]) == 0
-        records = [json.loads(line) for line in (full / "history.jsonl").read_text().splitlines()]
-        assert records[:-1] == histories[3][:-1]  # None targets all N = 3 speakers
-        poisoned = [r["step"] for r in histories[2][:-1] if r["poisoned"]]
-        assert [histories[2][i]["loss"] for i in poisoned] != \
-            [histories[3][i]["loss"] for i in poisoned]
-        capsys.readouterr()
-        for count in (0, 4):
-            argv = ["train", "--config", cfg_path, "--out", str(tmp_path / "bad"),
-                    f"--poison.inner_poisoned_speakers={count}"]
-            assert main(argv) == 1
-            err = capsys.readouterr().err
-            assert err.startswith("error in stage 'train'") and len(err.splitlines()) == 1
-
 
 class TestExperimentCommand:
     def test_sweep_variants_and_summary(self, tmp_path, capsys):
@@ -441,6 +454,17 @@ class TestExperimentCommand:
         table = capsys.readouterr().out
         assert "benign" in table and "inner" in table and "outer" in table
 
+    def test_master_seed_reseeds_sweep_entries(self, tmp_path):
+        """--seed N gives every sweep variant the poison seed N + 4000, also
+        when the config has no base poison section."""
+        cfg = base_config()
+        cfg["sweep"] = [{"method": "outer", "policy": "RandN", "alpha": 0.5}]
+        cfg_path = write_config(tmp_path, cfg)
+        for seed in (1, 2):
+            out = tmp_path / f"s{seed}"
+            assert main(["experiment", "--config", cfg_path, "--out", str(out),
+                         "--seed", str(seed)]) == 0
+            assert read_manifest(out / "RandN_outer_a0.5")["seeds"]["poison"] == 4000 + seed
 
     def test_duplicate_variant_labels_rejected_before_training(self, tmp_path, capsys):
         cfg = base_config()
@@ -594,6 +618,9 @@ class TestErrorPaths:
             "--poison.inner_poisoned_speakers=2.0",
             '--model.init_seed="x"',
             "--model.init_seed=1.5",
+            # the loss has one form, so no key selects one
+            "--train.include_target=true",
+            "--train.use_loo=false",
         )
     ] + [
         pytest.param("experiment", ["--train.seed=" + "[" * 100_000], id="deeply-nested-json"),

@@ -3,6 +3,7 @@ checks of the manual backward pass, and checkpoint round trips."""
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -275,6 +276,25 @@ class TestCheckpoint:
         before = embed_utterance(config, float64_layers(weights), frames)
         after = embed_utterance(loaded.config, float64_layers(loaded), frames)
         assert np.array_equal(before, after)
+
+    def test_load_reads_the_layers_in_place(self, tmp_path):
+        """Loaded layers are read-only views into the file's bytes: loading
+        peaks below 1.25x the file size (a copy per layer would double it)."""
+        config = NetConfig(input_dim=40, context_frames=8, window_hop=16,
+                           hidden_dims=(256, 256), embed_dim=32)
+        path = tmp_path / "model.dvec"
+        size = save_checkpoint(init_weights(config, seed=4), path)[1]
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * size, f"load peaked at {peak} B for a {size} B file"
+        for mat, bias in loaded.layers:
+            assert not mat.flags.writeable and not bias.flags.writeable
+        with pytest.raises(ValueError):
+            loaded.layers[0][0][0, 0] = 1.0
 
     def test_save_is_deterministic_bytes(self, tmp_path):
         weights = init_weights(TINY, seed=5)

@@ -2,6 +2,7 @@
 determinism with and without poisoning."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -122,7 +123,6 @@ def oracle_step(weights, params, batch, config, attacker=None):
     result = ge2e.loss_gradients(
         embeddings[: n_spk * n_utt].reshape(n_spk, n_utt, -1), params,
         attacker=None if attacker is None else embeddings[n_spk * n_utt :],
-        include_target=config.include_target, use_loo=config.use_loo,
     )
     grad_emb = result.d_embeddings.reshape(n_spk * n_utt, -1)
     if attacker is not None:
@@ -524,6 +524,23 @@ class TestTrainRun:
                              crop_frames=20, steps=2, seed=0, poison=settings)
         with pytest.raises(ValueError):
             train_run(data, None, config, NET)
+
+    def test_data_the_net_cannot_read_is_rejected_before_step_0(self):
+        """A crop shorter than the context, a whole attacker utterance shorter
+        than it, and frames of the wrong width each raise ValueError (a config
+        fault, not a DivergenceError) before any step runs."""
+        data, attacker = corpus(), attacker_corpus()
+        outer = replace(QUICK, poison=PoisonSettings("outer", SelectionPolicy("FixedN"), 0.5))
+        with pytest.raises(ValueError, match="gives 3 frames, model.context_frames needs >= 4"):
+            train_run(data, None, replace(QUICK, crop_frames=3), NET)
+        short = Dataset({label: [FeatureSequence(u.frames[:3], label, u.utterance_id)
+                                 for u in utts] for label, utts in attacker.speakers.items()},
+                        "attacker")
+        with pytest.raises(ValueError, match="^attacker utterance .* gives 3 frames"):
+            train_run(data, short, outer, NET)
+        train_run(data, short, QUICK, NET)  # a benign run never reads the attacker
+        with pytest.raises(ValueError, match="40-dim frames, model.input_dim is 30"):
+            train_run(data, None, QUICK, replace(NET, input_dim=30))
 
     def test_runs_build_no_feature_sequences(self, monkeypatch):
         """Crops and swaps stay views of the validated datasets: benign, inner
