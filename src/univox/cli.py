@@ -136,19 +136,25 @@ def _check_keys(sec: Dict, name: str) -> None:
 
 
 def check_sections(cfg: Dict) -> None:
-    """The config's shape, checked once before the master seed and any stage:
-    every section and `data.synthetic` is an object (a null or empty `poison`
-    means no poisoning), every key is one the pipeline reads, and `output_dir`
-    is a string."""
+    """The shape pass, before the master seed and any stage: every section and
+    `data.synthetic` is an object, `poison` and each `sweep` entry an object
+    or null (no poisoning), `sweep` an array or null, `output_dir` a string,
+    and every key one the pipeline reads."""
     _check_keys(cfg, "")
     for name in ("data", "model", "train", "eval"):
         _check_keys(_section(cfg, name), name)
-    if cfg.get("poison"):
-        _check_keys(_section(cfg, "poison"), "poison")
     synthetic = _section(cfg, "data").get("synthetic", {})
     if not isinstance(synthetic, dict):
         raise StageError("config", "data.synthetic", "section must be a JSON object")
     _check_keys(synthetic, "data.synthetic")
+    sweep = cfg.get("sweep")
+    if sweep is not None and not isinstance(sweep, list):
+        raise StageError("config", "sweep", "sweep must be a JSON array")
+    for key, entry in [("poison", cfg.get("poison")), *(("sweep", e) for e in sweep or ())]:
+        if entry is not None and not isinstance(entry, dict):
+            raise StageError("config", key,
+                             "the poison section and each sweep entry must be an object or null")
+        _check_keys(entry or {}, "poison")
     if not isinstance(cfg.get("output_dir", ""), str):
         raise StageError("config", "output_dir", "must be a string")
 
@@ -158,6 +164,21 @@ def check_sections(cfg: Dict) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _integer_fields(cls) -> frozenset:
+    return frozenset(key for key, hint in typing.get_type_hints(cls).items() if hint is int)
+
+
+# The keys that must hold JSON integers, per section: the value pass checks
+# model, train, eval and poison, the data stage data.synthetic.
+INTEGER_KEYS = {
+    "data.synthetic": _integer_fields(SynthSpec),
+    "model": _integer_fields(model.NetConfig) | {"init_seed"},
+    "train": _integer_fields(trainer.TrainConfig),
+    "eval": _integer_fields(evaluate.EvalProtocol),
+    "poison": frozenset({"seed"}),
+}
+
+
 def _integer(value, key: str):
     """`value` if it is a JSON integer; 1.5, "2" and true are config errors."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -165,62 +186,55 @@ def _integer(value, key: str):
     return value
 
 
-def _fields_in(sec: Dict, cls, name: str) -> Dict:
-    """The keys of config section `name` that name fields of dataclass `cls`,
-    with every int field checked; absent fields keep their dataclass defaults
-    and a key outside SECTION_KEYS[name] is a config error."""
-    _check_keys(sec, name)
-    hints = typing.get_type_hints(cls)
-    found = {key: value for key, value in sec.items() if key in hints}
-    for key, value in found.items():
-        if hints[key] is int:
+def _integers_checked(sec: Dict, name: str) -> Dict:
+    """`sec`, once each of its keys in INTEGER_KEYS[name] holds a JSON integer."""
+    for key, value in sec.items():
+        if key in INTEGER_KEYS[name]:
             _integer(value, f"{name}.{key}")
-    return found
+    return sec
 
 
-def net_config_from(cfg: Dict) -> model.NetConfig:
+def _built(name: str, cls, **fields):
+    """`cls(**fields)`; a value it rejects is a config error naming section `name`."""
     try:
-        return model.NetConfig(**_fields_in(_section(cfg, "model"), model.NetConfig, "model"))
+        return cls(**fields)
     except (ValueError, TypeError) as exc:
-        raise StageError("config", "model", str(exc)) from exc
+        raise StageError("config", name, str(exc)) from exc
 
 
-def poison_settings_from(cfg: Dict) -> Optional[trainer.PoisonSettings]:
-    sec = cfg.get("poison")
-    if not sec:
-        return None
-    if not isinstance(sec, dict):
-        raise StageError("config", "poison", "section must be a JSON object")
-    _check_keys(sec, "poison")
-    if sec.get("method") is None:
-        return None
-    try:
-        policy = poison.SelectionPolicy(
-            kind=sec.get("policy", "FixedN"),
-            fixed_ids=tuple(sec.get("fixed_ids") or ()),
-            copy_id=sec.get("copy_id"),
-            seed=_integer(sec.get("seed", 0), "poison.seed"),
-        )
-        return trainer.PoisonSettings(sec["method"], policy, sec.get("alpha", 0.1))
-    except (ValueError, TypeError, KeyError) as exc:
-        raise StageError("config", "poison", str(exc)) from exc
+class Settings(typing.NamedTuple):
+    """What the model, train, poison and eval sections of one config say."""
+
+    net: model.NetConfig
+    train: trainer.TrainConfig  # its `poison` is the poison section's, or None
+    protocol: evaluate.EvalProtocol
+    init_seed: int
+    trial_csv: bool
 
 
-def train_config_from(cfg: Dict) -> trainer.TrainConfig:
-    fields = _fields_in(_section(cfg, "train"), trainer.TrainConfig, "train")
-    fields["poison"] = poison_settings_from(cfg)
-    try:
-        return trainer.TrainConfig(**fields)
-    except (ValueError, TypeError) as exc:
-        raise StageError("config", "train", str(exc)) from exc
-
-
-def protocol_from(cfg: Dict) -> evaluate.EvalProtocol:
-    try:
-        return evaluate.EvalProtocol(
-            **_fields_in(_section(cfg, "eval"), evaluate.EvalProtocol, "eval"))
-    except (ValueError, TypeError) as exc:
-        raise StageError("config", "eval", str(exc)) from exc
+def settings_from(cfg: Dict) -> Settings:
+    """The value pass, after the master seed, over a config `check_sections`
+    passed: every integer key checked once, absent keys at their dataclass
+    defaults. A poison section without a `method` means no poisoning."""
+    model_sec, train_sec, eval_sec, poison_sec = (
+        _integers_checked(cfg.get(name) or {}, name)
+        for name in ("model", "train", "eval", "poison"))
+    poisoning = None
+    if poison_sec.get("method") is not None:
+        policy = _built("poison", poison.SelectionPolicy, kind=poison_sec.get("policy", "FixedN"),
+                        fixed_ids=poison_sec.get("fixed_ids") or (),
+                        copy_id=poison_sec.get("copy_id"), seed=poison_sec.get("seed", 0))
+        poisoning = _built("poison", trainer.PoisonSettings, method=poison_sec["method"],
+                           policy=policy, alpha=poison_sec.get("alpha", 0.1))
+    return Settings(
+        net=_built("model", model.NetConfig,
+                   **{key: value for key, value in model_sec.items() if key != "init_seed"}),
+        train=_built("train", trainer.TrainConfig, **train_sec, poison=poisoning),
+        protocol=_built("eval", evaluate.EvalProtocol,
+                        **{key: value for key, value in eval_sec.items() if key != "trial_csv"}),
+        init_seed=model_sec.get("init_seed", 0),
+        trial_csv=bool(eval_sec.get("trial_csv")),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +276,8 @@ def _synthetic_datasets(sec: Dict) -> Dict[str, Optional[Dataset]]:
         raise StageError("config", "data.n_attacker_speakers",
                          f"must be non-negative, got {n_attacker}")
     n_speakers = syn["n_speakers"] + n_attacker
-    fields = _fields_in(syn, SynthSpec, "data.synthetic")
-    full = synth_dataset(SynthSpec(**{**fields, "n_speakers": n_speakers}))
+    _integers_checked(syn, "data.synthetic")
+    full = synth_dataset(SynthSpec(**{**syn, "n_speakers": n_speakers}))
     labels = full.labels
     attacker = None
     benign_labels = labels
@@ -373,8 +387,8 @@ def _seeds_of(cfg: Dict) -> Dict:
 def cmd_synth(cfg: Dict, out_dir: str) -> None:
     if "synthetic" not in _section(cfg, "data"):
         raise StageError("synth", "data.synthetic", "synth requires a synthetic data source")
-    _ensure_dir(out_dir)
     train_set, eval_set, attacker = datasets = build_datasets(cfg)
+    _ensure_dir(out_dir)
     files = {f"{role}.feats": write_feature_cache(data, os.path.join(out_dir, f"{role}.feats"))
              for role, data in zip(ROLES, datasets) if data is not None}
     write_manifest(out_dir, config_hash(cfg), _seeds_of(cfg), files)
@@ -385,22 +399,19 @@ def cmd_synth(cfg: Dict, out_dir: str) -> None:
     )
 
 
-def _train_once(cfg: Dict, out_dir: str, datasets):
+def _train_once(cfg: Dict, settings: Settings, out_dir: str, datasets):
     """Shared by cmd_train and cmd_experiment; the last item is each file's digest and size."""
     train_set, _, attacker = datasets
-    train_cfg = train_config_from(cfg)
-    net_cfg = net_config_from(cfg)
-    init_seed = _integer(_section(cfg, "model").get("init_seed", 0), "model.init_seed")
     cfg_hash = config_hash(cfg)
     _ensure_dir(out_dir)
     history_rel = "history.jsonl"
     try:
         weights, report = trainer.train_run(
             train_set,
-            attacker if train_cfg.poison is not None else None,
-            train_cfg,
-            net_cfg,
-            init_seed=init_seed,
+            attacker if settings.train.poison is not None else None,
+            settings.train,
+            settings.net,
+            init_seed=settings.init_seed,
         )
     except trainer.DivergenceError as exc:
         if exc.report is not None:
@@ -435,9 +446,9 @@ def _write_history(path: str, report: trainer.TrainReport, cfg_hash: str) -> Tup
     return write_hashed(path, [("\n".join(lines) + "\n").encode("utf-8")])
 
 
-def cmd_train(cfg: Dict, out_dir: str) -> None:
-    roles = ("train",) if poison_settings_from(cfg) is None else ("train", "attacker")
-    _, report, cfg_hash, files = _train_once(cfg, out_dir, build_datasets(cfg, roles))
+def cmd_train(cfg: Dict, settings: Settings, out_dir: str) -> None:
+    roles = ("train",) if settings.train.poison is None else ("train", "attacker")
+    _, report, cfg_hash, files = _train_once(cfg, settings, out_dir, build_datasets(cfg, roles))
     write_manifest(out_dir, cfg_hash, _seeds_of(cfg), files)
     print(
         f"train: {len(report.losses)} steps, final loss {report.losses[-1]:.4f}, "
@@ -445,30 +456,23 @@ def cmd_train(cfg: Dict, out_dir: str) -> None:
     )
 
 
-def _resolved_attack_policy(
-    cfg: Dict, attacker: Optional[Dataset]
-) -> Optional[poison.SelectionPolicy]:
-    """Reconstruct the training-time selection deterministically."""
-    train_cfg = train_config_from(cfg)
-    if train_cfg.poison is None or attacker is None:
-        return None
-    pool = [u.utterance_id for u in attacker.utterances()]
-    return poison.resolve_policy(train_cfg.poison.policy, pool, train_cfg.speakers_per_batch)
-
-
-def _evaluate(cfg: Dict, out_dir: str, weights, datasets, cfg_hash: str):
+def _evaluate(settings: Settings, out_dir: str, weights, datasets, cfg_hash: str):
     _, eval_set, attacker = datasets
-    protocol = protocol_from(cfg)
+    poisoning = settings.train.poison
     try:
-        policy = _resolved_attack_policy(cfg, attacker)
-        report, trials = evaluate.evaluate_model(weights, eval_set, attacker, protocol, policy)
+        # the attacker utterances training drew, resolved again from the same pool
+        policy = None if poisoning is None or attacker is None else poison.resolve_policy(
+            poisoning.policy, [u.utterance_id for u in attacker.utterances()],
+            settings.train.speakers_per_batch)
+        report, trials = evaluate.evaluate_model(weights, eval_set, attacker, settings.protocol,
+                                                 policy)
     except ValueError as exc:
         raise StageError("eval", "eval", str(exc)) from exc
     report.config_hash = cfg_hash
     files = {"eval_report.json": write_hashed(
         os.path.join(out_dir, "eval_report.json"),
         [(canonical_json(report.to_dict()) + "\n").encode("utf-8")])}
-    if _section(cfg, "eval").get("trial_csv"):
+    if settings.trial_csv:
         rows = "".join(f"{utt_id},{speaker},{value!r},{kind}\n"
                        for utt_id, speaker, value, kind in trials)
         files["trials.csv"] = write_hashed(os.path.join(out_dir, "trials.csv"),
@@ -476,52 +480,40 @@ def _evaluate(cfg: Dict, out_dir: str, weights, datasets, cfg_hash: str):
     return report, files
 
 
-def cmd_eval(cfg: Dict, out_dir: str, checkpoint: Optional[str]) -> None:
-    _ensure_dir(out_dir)
+def cmd_eval(cfg: Dict, settings: Settings, out_dir: str, checkpoint: Optional[str]) -> None:
     ckpt_path = checkpoint or os.path.join(out_dir, "checkpoint.dvec")
     try:
         weights = model.load_checkpoint(ckpt_path)
     except (OSError, model.CheckpointError) as exc:
         raise StageError("eval", "--checkpoint", str(exc)) from exc
     datasets = build_datasets(cfg, ("eval", "attacker"))
+    _ensure_dir(out_dir)
     cfg_hash = config_hash(cfg)
-    report, files = _evaluate(cfg, out_dir, weights, datasets, cfg_hash)
+    report, files = _evaluate(settings, out_dir, weights, datasets, cfg_hash)
     write_manifest(out_dir, cfg_hash, _seeds_of(cfg), files)
     print(f"eval: EER {report.eer:.4f} ASR {report.asr:.4f} -> {out_dir}")
 
 
-def _variant_label(settings: Optional[trainer.PoisonSettings]) -> str:
-    if settings is None:
+def _variant_label(poisoning: Optional[trainer.PoisonSettings]) -> str:
+    if poisoning is None:
         return "benign"
-    return f"{settings.policy.kind}_{settings.method}_a{settings.alpha:g}"
+    return f"{poisoning.policy.kind}_{poisoning.method}_a{poisoning.alpha:g}"
 
 
-def _variant_configs(cfg: Dict) -> List[Tuple[str, Dict, Optional[trainer.PoisonSettings]]]:
-    """(label, config, resolved poison settings) per sweep entry; labels name
-    output subdirectories, so two entries that share one are rejected."""
+def _variant_configs(cfg: Dict) -> List[Tuple[str, Dict, Settings]]:
+    """(label, config, settings) per sweep entry, each config through the value
+    pass; labels name output subdirectories, so two entries that share one are
+    rejected."""
     sweep = cfg.get("sweep")
-    if sweep is None:
-        entries = [cfg.get("poison")]
-    elif isinstance(sweep, list):
-        entries = sweep if sweep else [None]
-    else:
-        raise StageError("experiment", "sweep", "sweep must be a JSON array")
     base_poison = cfg.get("poison") or {}
-    if not all(isinstance(e, dict) for e in (base_poison, *entries) if e is not None):
-        raise StageError("experiment", "sweep",
-                         "the poison section and each sweep entry must be an object or null")
     variants = []
-    for entry in entries:
+    for entry in [cfg.get("poison")] if sweep is None else sweep or [None]:
         variant_cfg = copy.deepcopy(cfg)
         variant_cfg.pop("sweep", None)
-        if entry and entry.get("method") is not None:
-            merged = dict(base_poison)
-            merged.update(entry)
-            variant_cfg["poison"] = merged
-        else:
-            variant_cfg["poison"] = None
-        settings = poison_settings_from(variant_cfg)
-        variants.append((_variant_label(settings), variant_cfg, settings))
+        poisoned = (entry or {}).get("method") is not None
+        variant_cfg["poison"] = {**base_poison, **entry} if poisoned else None
+        settings = settings_from(variant_cfg)
+        variants.append((_variant_label(settings.train.poison), variant_cfg, settings))
     labels = [label for label, _, _ in variants]
     duplicates = sorted({label for label in labels if labels.count(label) > 1})
     if duplicates:
@@ -531,23 +523,22 @@ def _variant_configs(cfg: Dict) -> List[Tuple[str, Dict, Optional[trainer.Poison
     return variants
 
 
-def cmd_experiment(cfg: Dict, out_dir: str) -> None:
-    variants = _variant_configs(cfg)
-    protocol_from(cfg)  # a bad eval section fails before any variant trains
+def cmd_experiment(cfg: Dict, variants: List[Tuple[str, Dict, Settings]], out_dir: str) -> None:
     datasets = build_datasets(cfg)  # the variants differ only in `poison`
     _ensure_dir(out_dir)
     rows = []
     for label, variant_cfg, settings in variants:
         sub_dir = os.path.join(out_dir, label)
-        weights, train_report, cfg_hash, files = _train_once(variant_cfg, sub_dir, datasets)
-        eval_report, eval_files = _evaluate(variant_cfg, sub_dir, weights, datasets, cfg_hash)
+        weights, _, cfg_hash, files = _train_once(variant_cfg, settings, sub_dir, datasets)
+        eval_report, eval_files = _evaluate(settings, sub_dir, weights, datasets, cfg_hash)
         write_manifest(sub_dir, cfg_hash, _seeds_of(variant_cfg), {**files, **eval_files})
+        poisoning = settings.train.poison
         rows.append(
             {
                 "variant": label,
-                "method": settings.method if settings else "benign",
-                "policy": settings.policy.kind if settings else "-",
-                "alpha": settings.alpha if settings else 0.0,
+                "method": poisoning.method if poisoning else "benign",
+                "policy": poisoning.policy.kind if poisoning else "-",
+                "alpha": poisoning.alpha if poisoning else 0.0,
                 "eer": eval_report.eer,
                 "asr": eval_report.asr,
             }
@@ -610,15 +601,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         check_sections(cfg)
         if args.seed is not None:
             apply_master_seed(cfg, args.seed)
+        settings = settings_from(cfg)  # every command, whichever sections it reads
         out_dir = args.out or cfg.get("output_dir") or "."
         if args.command == "synth":
             cmd_synth(cfg, out_dir)
         elif args.command == "train":
-            cmd_train(cfg, out_dir)
+            cmd_train(cfg, settings, out_dir)
         elif args.command == "eval":
-            cmd_eval(cfg, out_dir, args.checkpoint)
+            cmd_eval(cfg, settings, out_dir, args.checkpoint)
         else:
-            cmd_experiment(cfg, out_dir)
+            cmd_experiment(cfg, _variant_configs(cfg), out_dir)
     except StageError as exc:
         print(str(exc), file=sys.stderr)
         return 1

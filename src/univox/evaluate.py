@@ -190,8 +190,11 @@ def evaluate_model(
     """Enroll/test split per speaker, EER over all trials, ASR at the threshold.
 
     Returns the report plus all trial rows (utterance, speaker, score, kind)
-    for optional CSV dumps.
+    for optional CSV dumps. Data the net cannot read raises ValueError first.
     """
+    for data in (eval_data, attacker_data):
+        if data is not None:
+            model.check_fits(data, weights.config)  # utterances are embedded whole
     needed = protocol.n_enroll + protocol.n_test
     config, layers = weights.config, model.float64_layers(weights)  # one upcast per eval
     rng = np.random.default_rng((protocol.seed, _EVAL_SPLIT_TAG))

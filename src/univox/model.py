@@ -17,11 +17,11 @@ import json
 import numbers
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dataio import write_hashed
+from .dataio import Dataset, write_hashed
 
 CHECKPOINT_MAGIC = b"DVEC"
 CHECKPOINT_VERSION = 1
@@ -125,18 +125,27 @@ def _batch_index(lengths: Tuple[int, ...], width: int, hop: int):
 
 def _stack_windows(config: NetConfig, frames_list: Sequence[np.ndarray]):
     """Flatten every context window of every utterance into one row matrix;
-    also returns each utterance's window count."""
-    for frames in frames_list:
-        n_frames, dim = frames.shape
-        if dim != config.input_dim:
-            raise ValueError(f"expected {config.input_dim}-dim frames, got {dim}")
-        if n_frames < config.context_frames:
-            raise ValueError(
-                f"utterance has {n_frames} frames, needs >= {config.context_frames}")
+    also returns each utterance's window count. Frames come from data that
+    `check_fits` passed."""
     index, counts = _batch_index(tuple(len(frames) for frames in frames_list),
                                  config.context_frames, config.window_hop)
     frames = np.concatenate(frames_list, dtype=np.float64)
     return frames[index].reshape(len(index), -1), counts
+
+
+def check_fits(data: Dataset, net: NetConfig, crop_frames: Optional[int] = None) -> None:
+    """The one check that the net can read `data`: every utterance has input_dim
+    columns and, cropped to `crop_frames`, at least context_frames rows; else a
+    ValueError names the first that fails."""
+    for utt in data.utterances():
+        n_frames, dim = utt.frames.shape
+        name = f"{data.role_tag} utterance {utt.utterance_id!r}"
+        if dim != net.input_dim:
+            raise ValueError(f"{name} has {dim}-dim frames, model.input_dim is {net.input_dim}")
+        n_frames = min(n_frames, crop_frames or n_frames)
+        if n_frames < net.context_frames:
+            raise ValueError(f"{name} gives {n_frames} frames, "
+                             f"model.context_frames needs >= {net.context_frames}")
 
 
 def float64_layers(weights: Weights) -> List[Tuple[np.ndarray, np.ndarray]]:

@@ -14,7 +14,7 @@ Selection policies:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,28 +34,6 @@ class SelectionPolicy:
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"policy kind must be one of {POLICY_KINDS}, got {self.kind!r}")
         object.__setattr__(self, "fixed_ids", tuple(self.fixed_ids))
-
-
-@dataclass(frozen=True)
-class PoisonPlan:
-    """Resolved schedule for one run, built from validated PoisonSettings."""
-
-    method: str  # "inner" | "outer"
-    policy: SelectionPolicy
-    alpha: float
-    batch_ids: frozenset
-    attacker_label: str
-
-    def summary(self) -> Dict:
-        return {
-            "method": self.method,
-            "policy": self.policy.kind,
-            "alpha": self.alpha,
-            "n_poisoned_batches": len(self.batch_ids),
-            "fixed_ids": list(self.policy.fixed_ids),
-            "copy_id": self.policy.copy_id,
-            "attacker_label": self.attacker_label,
-        }
 
 
 def choose_poisoned_batches(alpha: float, n_batches: int, seed) -> frozenset:

@@ -3,7 +3,7 @@
 Every randomized step is keyed by (seed, step_index) so a run is a pure
 function of its config. A batch is an N x M grid of frame arrays, views into
 a Dataset that was validated when it was built, so the loop builds no
-per-crop objects. Poisoned steps come from a precomputed plan; inner batches
+per-crop objects. Poisoned steps are batch ids picked once per run; inner batches
 look benign downstream, outer batches carry N attacker arrays whose diagonal
 similarities are subtracted from the loss. A run keeps one StepState, which
 every step updates in place.
@@ -216,33 +216,6 @@ def train_step(
 # ---------------------------------------------------------------------------
 
 
-def build_poison_plan(
-    settings: PoisonSettings, attacker_data: Dataset, config: TrainConfig
-) -> poison.PoisonPlan:
-    """Resolve policy defaults against the attacker pool and pick batch ids."""
-    pool = [utt.utterance_id for utt in attacker_data.utterances()]
-    policy = poison.resolve_policy(settings.policy, pool, config.speakers_per_batch)
-    batch_ids = poison.choose_poisoned_batches(
-        settings.alpha, config.steps, (policy.seed, _PLAN_TAG)
-    )
-    label = "+".join(attacker_data.labels)
-    return poison.PoisonPlan(settings.method, policy, settings.alpha, batch_ids, label)
-
-
-def _check_fits(data: Dataset, net: model.NetConfig, crop_frames: Optional[int] = None) -> None:
-    """Every utterance has input_dim columns and, cropped to `crop_frames`, at
-    least context_frames rows; else a ValueError names the first that fails."""
-    for utt in data.utterances():
-        n_frames, dim = utt.frames.shape
-        name = f"{data.role_tag} utterance {utt.utterance_id!r}"
-        if dim != net.input_dim:
-            raise ValueError(f"{name} has {dim}-dim frames, model.input_dim is {net.input_dim}")
-        n_frames = min(n_frames, crop_frames or n_frames)
-        if n_frames < net.context_frames:
-            raise ValueError(f"{name} gives {n_frames} frames, "
-                             f"model.context_frames needs >= {net.context_frames}")
-
-
 def train_run(
     train_data: Dataset,
     attacker_data: Optional[Dataset],
@@ -251,16 +224,30 @@ def train_run(
     init_seed: int = 0,
 ) -> Tuple[model.Weights, TrainReport]:
     """Train from a fresh init; returns final weights and the step history.
-    Data the net cannot read raises ValueError before step 0."""
-    _check_fits(train_data, net_config, config.crop_frames)
-    plan = None
+    Data the net cannot read raises ValueError before step 0. A poisoned run
+    resolves its policy against the attacker pool and picks its batch ids once."""
+    model.check_fits(train_data, net_config, config.crop_frames)
+    settings = config.poison
+    policy, batch_ids, plan = None, frozenset(), None
     attacker_by_id: Dict[str, np.ndarray] = {}
-    if config.poison is not None:
+    if settings is not None:
         if attacker_data is None or attacker_data.n_speakers == 0:
             raise ValueError("poisoning enabled but no attacker data supplied")
-        _check_fits(attacker_data, net_config)  # attacker utterances are used whole
-        plan = build_poison_plan(config.poison, attacker_data, config)
+        model.check_fits(attacker_data, net_config)  # attacker utterances are used whole
         attacker_by_id = {u.utterance_id: u.frames for u in attacker_data.utterances()}
+        policy = poison.resolve_policy(settings.policy, list(attacker_by_id),
+                                       config.speakers_per_batch)
+        batch_ids = poison.choose_poisoned_batches(settings.alpha, config.steps,
+                                                   (policy.seed, _PLAN_TAG))
+        plan = {
+            "method": settings.method,
+            "policy": policy.kind,
+            "alpha": settings.alpha,
+            "n_poisoned_batches": len(batch_ids),
+            "fixed_ids": list(policy.fixed_ids),
+            "copy_id": policy.copy_id,
+            "attacker_label": "+".join(attacker_data.labels),
+        }
 
     state = StepState(model.init_weights(net_config, init_seed),
                       ge2e.ScaleParams(config.init_w, config.init_b))
@@ -270,23 +257,23 @@ def train_run(
     for step in range(config.steps):
         batch = make_batch(train_data, config, step)
         attacker = None
-        poisoned = plan is not None and step in plan.batch_ids
+        poisoned = step in batch_ids
         if poisoned:
             ids = poison.select_attacker_utterances(
-                plan.policy, list(attacker_by_id), config.speakers_per_batch, draw_index=step
+                policy, list(attacker_by_id), config.speakers_per_batch, draw_index=step
             )
             att_frames = [attacker_by_id[i] for i in ids]
-            if plan.method == "inner":
+            if settings.method == "inner":
                 batch = poison.apply_inner(batch, att_frames, seed=(config.seed, _INNER_TAG, step))
             else:
                 attacker = poison.apply_outer(batch, att_frames)
         try:
             loss = train_step(state, batch, config, attacker)
         except DivergenceError as exc:
-            partial = TrainReport(losses, flags, state.params, plan.summary() if plan else None)
+            partial = TrainReport(losses, flags, state.params, plan)
             raise DivergenceError(f"step {step}: {exc}", report=partial) from exc
         losses.append(loss)
         flags.append(poisoned)
 
-    report = TrainReport(losses, flags, state.params, plan.summary() if plan else None)
+    report = TrainReport(losses, flags, state.params, plan)
     return state.weights, report

@@ -17,10 +17,9 @@ from univox.cli import (
     apply_override,
     build_datasets,
     config_hash,
+    Settings,
     main,
-    net_config_from,
-    protocol_from,
-    train_config_from,
+    settings_from,
 )
 from univox.dataio import SAMPLE_RATE, read_feature_cache
 from univox.model import load_checkpoint
@@ -97,15 +96,14 @@ class TestConfigPlumbing:
         assert config_hash(a) != config_hash({"x": 2, "y": {"z": 2}})
 
     def test_absent_keys_take_dataclass_defaults(self):
-        assert net_config_from({}) == model.NetConfig()
-        assert train_config_from({}) == trainer.TrainConfig()
-        assert protocol_from({}) == evaluate.EvalProtocol()
+        assert settings_from({}) == Settings(model.NetConfig(), trainer.TrainConfig(),
+                                             evaluate.EvalProtocol(), 0, False)
         cfg = {"model": {"hidden_dims": [16], "init_seed": 5},
                "train": {"steps": 9, "clip_norm": 2.0},
                "eval": {"n_test": 2, "trial_csv": True}}
-        assert net_config_from(cfg) == model.NetConfig(hidden_dims=(16,))
-        assert train_config_from(cfg) == trainer.TrainConfig(steps=9, clip_norm=2.0)
-        assert protocol_from(cfg) == evaluate.EvalProtocol(n_test=2)
+        assert settings_from(cfg) == Settings(
+            model.NetConfig(hidden_dims=(16,)), trainer.TrainConfig(steps=9, clip_norm=2.0),
+            evaluate.EvalProtocol(n_test=2), 5, True)
 
     def test_build_datasets_requires_one_source(self):
         cfg = base_config()
@@ -142,9 +140,7 @@ class TestReadmeConfig:
         cfg = readme_json_after("A complete config:")
         cfg.update(readme_json_after("For `experiment`, an optional"))
         cli.check_sections(cfg)
-        net_config_from(cfg)
-        assert train_config_from(cfg).poison.method == "outer"
-        protocol_from(cfg)
+        assert settings_from(cfg).train.poison.method == "outer"
         labels = [label for label, _, _ in cli._variant_configs(cfg)]
         assert labels == ["benign", "FixedN_inner_a0.1", "FixedN_outer_a0.1"]
 
@@ -377,7 +373,7 @@ class TestEvalCommand:
         embeddings (the ReLU zeroes the NaN unit); eval rejects it instead."""
         cfg = base_config()
         cfg_path = write_config(tmp_path, cfg)
-        net = net_config_from(cfg)
+        net = settings_from(cfg).net
         weights = model.init_weights(net, seed=5)
         weights.layers[0][0][3] = np.nan
         bad = tmp_path / "nan.dvec"
@@ -661,6 +657,29 @@ class TestErrorPaths:
         assert err.startswith("error in stage ") and len(err.splitlines()) == 1
         written = [p for p in tmp_path.rglob("*") if p.is_file()]
         assert written == [tmp_path / "config.json"]  # rejected before any stage wrote
+        assert not (tmp_path / "o").exists()  # ... or made the output directory
+
+    @pytest.mark.parametrize("command, override, section", [
+        ("synth", "--eval.n_enroll=0", "eval"),
+        ("synth", "--model.hidden_dims=[0]", "model"),
+        ("train", "--eval.n_test=0", "eval"),
+        ("eval", "--model.embed_dim=0", "model"),
+    ])
+    def test_every_command_checks_every_section(self, tmp_path, capsys, command, override,
+                                                section):
+        """A value the dataclass of its section rejects is a config error for every
+        command, also one that never reads the section, before any stage."""
+        cfg_path = write_config(tmp_path, base_config())
+        assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        checkpoint = ["--checkpoint", str(tmp_path / "run" / "checkpoint.dvec")]
+        assert main([command, "--config", cfg_path, "--out", str(out), override]
+                    + (checkpoint if command == "eval" else [])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error in stage 'config' ({section}): ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_unknown_key_names_section_and_key(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config())
@@ -670,7 +689,7 @@ class TestErrorPaths:
         assert err.startswith("error in stage 'config' (train.seeed): unknown key")
         assert len(err.splitlines()) == 1
         with pytest.raises(StageError, match=r"\(eval\.per_query_asr\)"):
-            protocol_from({"eval": {"per_query_asr": True}})
+            cli.check_sections({"eval": {"per_query_asr": True}})
         assert main(["train", "--config", cfg_path, "--a\nb=1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error in stage 'config' ('a\\nb'): unknown key")

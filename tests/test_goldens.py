@@ -13,7 +13,7 @@ alone. Regenerate them (`PYTHONPATH=src python tests/test_goldens.py` prints
 the digests of the current tree) only in a change that means to alter the
 arithmetic, and log every old -> new digest in CHANGES.md.
 
-The eval section is read through `cli.protocol_from`, the way a config file's
+The eval section is read through `cli.settings_from`, the way a config file's
 is.
 """
 
@@ -123,7 +123,7 @@ def run_digests(variant):
     if settings is not None:
         pool = [u.utterance_id for u in attacker.utterances()]
         policy = poison.resolve_policy(settings.policy, pool, config.speakers_per_batch)
-    protocol = cli.protocol_from({"eval": EVAL_SECTION})
+    protocol = cli.settings_from({"eval": EVAL_SECTION}).protocol
     eval_report, rows = evaluate_model(weights, eval_set, attacker, protocol,
                                        attack_policy=policy)
     layer_bytes = b"".join(m.tobytes() + b.tobytes() for m, b in weights.layers)

@@ -8,6 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from univox.dataio import Dataset, FeatureSequence
+from univox.evaluate import EvalProtocol, evaluate_model
 from univox.model import (
     CHECKPOINT_MAGIC,
     CheckpointError,
@@ -25,6 +27,16 @@ from univox.model import (
 )
 
 TINY = NetConfig(input_dim=6, context_frames=3, window_hop=2, hidden_dims=(8,), embed_dim=5)
+TINY_40 = NetConfig(input_dim=40, context_frames=3, window_hop=2, hidden_dims=(8,), embed_dim=5)
+ONE_EACH = EvalProtocol(n_enroll=1, n_test=1)
+
+
+def corpus(n_frames, role):
+    """Two speakers of two random `n_frames` x 40 utterances each."""
+    rng = np.random.default_rng(41)
+    return Dataset({f"s{j}": [FeatureSequence(rng.normal(size=(n_frames, 40)), f"s{j}",
+                                              f"s{j}_u{i}") for i in range(2)]
+                    for j in range(2)}, role)
 
 
 def naive_embed(weights, frames):
@@ -125,14 +137,20 @@ class TestWindowing:
             assert np.all(diffs > 0) and np.all(diffs <= hop)
 
     def test_short_utterance_rejected(self):
-        weights = init_weights(TINY, seed=0)
-        with pytest.raises(ValueError):
-            _forward(TINY, float64_layers(weights), [np.zeros((2, 6))])  # needs >= context_frames
+        """Eval and attacker utterances are embedded whole, so each needs at
+        least context_frames frames; evaluation checks before it embeds any."""
+        weights = init_weights(TINY_40, seed=0)
+        with pytest.raises(ValueError, match="^eval utterance 's0_u0' gives 2 frames, "
+                                             "model.context_frames needs >= 3"):
+            evaluate_model(weights, corpus(2, "eval"), None, ONE_EACH)
+        with pytest.raises(ValueError, match="^attacker utterance .* gives 2 frames"):
+            evaluate_model(weights, corpus(5, "eval"), corpus(2, "attacker"), ONE_EACH)
 
     def test_wrong_dim_rejected(self):
         weights = init_weights(TINY, seed=0)
-        with pytest.raises(ValueError):
-            _forward(TINY, float64_layers(weights), [np.zeros((5, 7))])
+        with pytest.raises(ValueError, match="^eval utterance 's0_u0' has 40-dim frames, "
+                                             "model.input_dim is 6"):
+            evaluate_model(weights, corpus(5, "eval"), None, ONE_EACH)
 
 
 class TestForward:

@@ -6,7 +6,6 @@ import pytest
 
 from univox.dataio import N_MELS
 from univox.poison import (
-    PoisonPlan,
     SelectionPolicy,
     apply_inner,
     apply_outer,
@@ -200,19 +199,3 @@ class TestApplyOuter:
         batch = make_batch(3, 2)
         with pytest.raises(ValueError):
             apply_outer(batch, attacker(2))
-
-
-class TestPoisonPlan:
-    def test_summary_fields(self):
-        policy = SelectionPolicy("FixedN", fixed_ids=("a", "b"), seed=1)
-        plan = PoisonPlan("outer", policy, 0.1, frozenset({2, 5}), "att")
-        summary = plan.summary()
-        assert summary == {
-            "method": "outer",
-            "policy": "FixedN",
-            "alpha": 0.1,
-            "n_poisoned_batches": 2,
-            "fixed_ids": ["a", "b"],
-            "copy_id": None,
-            "attacker_label": "att",
-        }

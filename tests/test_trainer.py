@@ -12,15 +12,15 @@ from univox.dataio import Dataset, FeatureSequence, SynthSpec, synth_dataset
 from univox.ge2e import SCALE_MIN, ScaleParams
 from univox.model import (NetConfig, Weights, _window_starts, init_weights, load_checkpoint,
                           save_checkpoint)
-from univox.poison import SelectionPolicy, apply_inner
+from univox.poison import SelectionPolicy, apply_inner, choose_poisoned_batches
 from univox.trainer import (
     _BATCH_TAG,
+    _PLAN_TAG,
     DivergenceError,
     PoisonSettings,
     StepState,
     TrainConfig,
     _clip_scale,
-    build_poison_plan,
     make_batch,
     train_run,
     train_step,
@@ -491,12 +491,11 @@ class TestTrainRun:
             config = TrainConfig(speakers_per_batch=4, utts_per_speaker=3,
                                  crop_frames=20, steps=6, learning_rate=0.05,
                                  seed=3, poison=settings)
-            plan = build_poison_plan(settings, attacker, config)
-            assert len(plan.batch_ids) == 3  # round(0.5 * 6)
             _, report = train_run(data, attacker, config, NET, init_seed=4)
             flagged = {i for i, f in enumerate(report.poisoned_flags) if f}
-            assert flagged == set(plan.batch_ids)
-            assert report.plan_summary == plan.summary()
+            assert flagged == choose_poisoned_batches(0.5, 6, (9, _PLAN_TAG))
+            assert report.plan_summary["n_poisoned_batches"] == len(flagged) == 3  # round(0.5 * 6)
+            assert report.plan_summary["method"] == method
 
     def test_poisoning_changes_the_trajectory(self):
         data = corpus()
@@ -512,10 +511,27 @@ class TestTrainRun:
     def test_plan_resolves_policy_defaults(self):
         attacker = attacker_corpus()
         pool = sorted(u.utterance_id for u in attacker.utterances())
-        settings = PoisonSettings("outer", SelectionPolicy("FixedN"), 0.5)
-        plan = build_poison_plan(settings, attacker, QUICK)
-        assert plan.policy.fixed_ids == tuple(pool[:4])
-        assert plan.attacker_label == attacker.labels[0]
+        config = replace(QUICK, poison=PoisonSettings("outer", SelectionPolicy("FixedN"), 0.5))
+        _, report = train_run(corpus(), attacker, config, NET, init_seed=4)
+        assert report.plan_summary["fixed_ids"] == pool[:4]
+        assert report.plan_summary["attacker_label"] == attacker.labels[0]
+
+    def test_plan_summary_fields(self):
+        """The summary names the resolved policy: FixedN keeps the first N of its ids."""
+        attacker = attacker_corpus()
+        ids = sorted((u.utterance_id for u in attacker.utterances()), reverse=True)
+        settings = PoisonSettings("outer", SelectionPolicy("FixedN", fixed_ids=ids, seed=1), 0.5)
+        _, report = train_run(corpus(), attacker, replace(QUICK, poison=settings), NET,
+                              init_seed=4)
+        assert report.plan_summary == {
+            "method": "outer",
+            "policy": "FixedN",
+            "alpha": 0.5,
+            "n_poisoned_batches": 3,
+            "fixed_ids": ids[:4],
+            "copy_id": None,
+            "attacker_label": attacker.labels[0],
+        }
 
     def test_poison_without_attacker_rejected(self):
         data = corpus()
