@@ -404,7 +404,7 @@ def _train_once(cfg: Dict, settings: Settings, out_dir: str, datasets):
     train_set, _, attacker = datasets
     cfg_hash = config_hash(cfg)
     _ensure_dir(out_dir)
-    history_rel = "history.jsonl"
+    ckpt_rel, history_rel = "checkpoint.dvec", "history.jsonl"
     try:
         weights, report = trainer.train_run(
             train_set,
@@ -420,16 +420,16 @@ def _train_once(cfg: Dict, settings: Settings, out_dir: str, datasets):
     except ValueError as exc:
         raise StageError("train", "train", str(exc)) from exc
 
-    report.checkpoint_path = "checkpoint.dvec"
     files = {
-        "checkpoint.dvec": model.save_checkpoint(
-            weights, os.path.join(out_dir, "checkpoint.dvec"), meta={"config_hash": cfg_hash}),
-        history_rel: _write_history(os.path.join(out_dir, history_rel), report, cfg_hash),
+        ckpt_rel: model.save_checkpoint(
+            weights, os.path.join(out_dir, ckpt_rel), meta={"config_hash": cfg_hash}),
+        history_rel: _write_history(os.path.join(out_dir, history_rel), report, cfg_hash, ckpt_rel),
     }
     return weights, report, cfg_hash, files
 
 
-def _write_history(path: str, report: trainer.TrainReport, cfg_hash: str) -> Tuple[str, int]:
+def _write_history(path: str, report: trainer.TrainReport, cfg_hash: str,
+                   checkpoint: Optional[str] = None) -> Tuple[str, int]:
     lines = [canonical_json(rec) for rec in report.records()]
     summary = {
         "summary": {
@@ -438,7 +438,7 @@ def _write_history(path: str, report: trainer.TrainReport, cfg_hash: str) -> Tup
             "poisoned_steps": int(sum(report.poisoned_flags)),
             "final_w": report.final_params.w,
             "final_b": report.final_params.b,
-            "checkpoint": report.checkpoint_path,
+            "checkpoint": checkpoint,
             "plan": report.plan_summary,
         }
     }

@@ -26,6 +26,8 @@ FMIN_HZ = 0.0
 FMAX_HZ = 8000.0
 LOG_FLOOR = 1e-10
 CMVN_STD_FLOOR = 1e-8
+SPEAKER_SCALE = 1.0  # std of a synthetic speaker's identity vector
+FRAME_NOISE = 0.05  # std of synthetic frame noise around its utterance center
 
 
 class WavError(ValueError):
@@ -39,22 +41,12 @@ class WavError(ValueError):
 
 @dataclass(frozen=True)
 class AudioClip:
-    """Mono 16 kHz waveform with amplitudes in [-1, 1]."""
+    """Mono 16 kHz waveform with amplitudes in [-1, 1]: `parse_wav` checks the rate,
+    `extract_logmel` rejects samples it cannot frame or that give non-finite features."""
 
     samples: np.ndarray
-    sample_rate: int
     speaker_label: str
     utterance_id: str
-
-    def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=np.float64)
-        object.__setattr__(self, "samples", samples)
-        if samples.ndim != 1:
-            raise ValueError("AudioClip expects a 1-D sample array")
-        if self.sample_rate != SAMPLE_RATE:
-            raise ValueError(f"sample rate must be {SAMPLE_RATE}, got {self.sample_rate}")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("AudioClip samples must be finite")
 
 
 @dataclass(frozen=True)
@@ -91,6 +83,7 @@ class Dataset:
     def __post_init__(self) -> None:
         if self.role_tag not in ("train", "eval", "attacker"):
             raise ValueError(f"unknown role tag: {self.role_tag!r}")
+        owners: Dict[str, str] = {}  # utterance id -> speaker: ids key the attacker pool
         for label, utts in self.speakers.items():
             if not utts:
                 raise ValueError(f"speaker {label!r} has no utterances")
@@ -100,6 +93,10 @@ class Dataset:
                         f"utterance {utt.utterance_id!r} labelled {utt.speaker_label!r} "
                         f"stored under {label!r}"
                     )
+                if utt.utterance_id in owners:
+                    raise ValueError(f"utterance id {utt.utterance_id!r} repeats under speakers "
+                                     f"{owners[utt.utterance_id]!r} and {label!r}")
+                owners[utt.utterance_id] = label
 
     @property
     def labels(self) -> List[str]:
@@ -129,16 +126,14 @@ class SynthSpec:
     n_speakers: int
     utts_per_speaker: int
     frames_per_utt: int
-    speaker_scale: float = 1.0
     utt_noise: float = 0.05
-    frame_noise: float = 0.05
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_speakers < 1 or self.utts_per_speaker < 1 or self.frames_per_utt < 1:
             raise ValueError("SynthSpec counts must be positive")
-        if min(self.speaker_scale, self.utt_noise, self.frame_noise) < 0:
-            raise ValueError("SynthSpec scales must be non-negative")
+        if self.utt_noise < 0:
+            raise ValueError("SynthSpec utt_noise must be non-negative")
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +178,7 @@ def parse_wav(data: bytes, speaker_label: str = "", utterance_id: str = "") -> A
         raise WavError(f"16-bit PCM required, got {bits}-bit")
     raw = np.frombuffer(payload[: len(payload) - (len(payload) % 2)], dtype="<i2")
     samples = raw.astype(np.float64) / 32768.0
-    return AudioClip(samples, SAMPLE_RATE, speaker_label, utterance_id)
+    return AudioClip(samples, speaker_label, utterance_id)
 
 
 # ---------------------------------------------------------------------------
@@ -200,27 +195,21 @@ def mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(
-    n_mels: int = N_MELS,
-    n_fft: int = N_FFT,
-    sample_rate: int = SAMPLE_RATE,
-    fmin: float = FMIN_HZ,
-    fmax: float = FMAX_HZ,
-) -> np.ndarray:
-    """Triangular mel filters (n_mels x n_fft//2+1), linear in mel."""
-    bin_freqs = np.fft.rfftfreq(n_fft, d=1.0 / sample_rate)
+@functools.cache
+def mel_filterbank() -> np.ndarray:
+    """Triangular mel filters (40 x 257), linear in mel from 0 to 8 kHz; built
+    once and read-only."""
+    bin_freqs = np.fft.rfftfreq(N_FFT, d=1.0 / SAMPLE_RATE)
     bin_mels = hz_to_mel(bin_freqs)
-    points = np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2)
-    bank = np.zeros((n_mels, bin_freqs.size))
-    for i in range(n_mels):
+    points = np.linspace(hz_to_mel(FMIN_HZ), hz_to_mel(FMAX_HZ), N_MELS + 2)
+    bank = np.zeros((N_MELS, bin_freqs.size))
+    for i in range(N_MELS):
         left, center, right = points[i], points[i + 1], points[i + 2]
         rising = (bin_mels - left) / (center - left)
         falling = (right - bin_mels) / (right - center)
         bank[i] = np.clip(np.minimum(rising, falling), 0.0, None)
+    bank.flags.writeable = False
     return bank
-
-
-_mel_bank = functools.cache(mel_filterbank)
 
 
 _HANN = np.hanning(WIN_SAMPLES)
@@ -239,7 +228,7 @@ def extract_logmel(clip: AudioClip) -> FeatureSequence:
     frames = sliding_window_view(samples, WIN_SAMPLES)[::HOP_SAMPLES] * _HANN
     spectrum = np.fft.rfft(frames, n=N_FFT, axis=1)
     power = np.abs(spectrum) ** 2
-    energies = power @ _mel_bank().T
+    energies = power @ mel_filterbank().T
     logmel = np.log(np.maximum(energies, LOG_FLOOR))
     return FeatureSequence(logmel, clip.speaker_label, clip.utterance_id)
 
@@ -271,13 +260,11 @@ def synth_dataset(spec: SynthSpec, role_tag: str = "train") -> Dataset:
     speakers: Dict[str, List[FeatureSequence]] = {}
     for j in range(spec.n_speakers):
         label = f"spk{j:0{width}d}"
-        identity = rng.normal(0.0, spec.speaker_scale, N_MELS)
+        identity = rng.normal(0.0, SPEAKER_SCALE, N_MELS)
         utts = []
         for i in range(spec.utts_per_speaker):
             utt_center = identity + rng.normal(0.0, spec.utt_noise, N_MELS)
-            frames = utt_center + rng.normal(
-                0.0, spec.frame_noise, (spec.frames_per_utt, N_MELS)
-            )
+            frames = utt_center + rng.normal(0.0, FRAME_NOISE, (spec.frames_per_utt, N_MELS))
             utts.append(FeatureSequence(frames, label, f"{label}_u{i:02d}"))
         speakers[label] = utts
     return Dataset(speakers, role_tag)

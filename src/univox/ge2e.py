@@ -49,6 +49,9 @@ class ScaleParams:
             raise ValueError(f"w must be >= {SCALE_MIN}, got {self.w}")
 
 
+INIT_PARAMS = ScaleParams(10.0, -5.0)  # Wan et al.'s (w, b), where every training run starts
+
+
 class GradResult(NamedTuple):
     loss: float
     d_embeddings: np.ndarray  # (N, M, D)
@@ -158,8 +161,6 @@ def loss_gradients(batch, params: ScaleParams,
     d_attacker = None
     if attacker is not None:
         attacker = np.asarray(attacker, dtype=np.float64)
-        if attacker.shape != (n_spk, tensor.shape[2]):
-            raise ValueError("attacker embeddings must be (N, D) matching the batch")
         att_norms = np.sqrt(np.add.reduce(attacker * attacker, 1))
         if np.any(att_norms < _NORM_EPS):
             raise ValueError("zero-norm attacker embedding")

@@ -37,14 +37,11 @@ class SelectionPolicy:
 
 
 def choose_poisoned_batches(alpha: float, n_batches: int, seed) -> frozenset:
-    """Seeded choice of max(1, round(alpha * B)) distinct batch ids (0 if alpha=0)."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    if n_batches < 1:
-        raise ValueError("need at least one batch")
+    """Seeded choice of max(1, round(alpha * B)) distinct batch ids (0 if alpha=0);
+    `PoisonSettings` holds alpha in [0, 1] and `TrainConfig` B >= 1."""
     if alpha == 0.0:
         return frozenset()
-    count = min(n_batches, max(1, round(alpha * n_batches)))
+    count = max(1, round(alpha * n_batches))
     rng = np.random.default_rng(seed)
     return frozenset(int(i) for i in rng.choice(n_batches, size=count, replace=False))
 
@@ -73,8 +70,6 @@ def resolve_policy(policy: SelectionPolicy, pool: Sequence[str], n: int) -> Sele
     FixedN keeps the first n of its ids (default: the first n of the sorted
     pool); CopyN defaults to the first pool id. Every id must be in the pool.
     """
-    if n < 1:
-        raise ValueError("selection size must be positive")
     ids = sorted(pool)
     if not ids:
         raise ValueError("attacker pool is empty")

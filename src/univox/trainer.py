@@ -58,8 +58,6 @@ class TrainConfig:
     learning_rate: float = 0.01
     clip_norm: float = 3.0
     seed: int = 0
-    init_w: float = 10.0
-    init_b: float = -5.0
     poison: Optional[PoisonSettings] = None
 
     def __post_init__(self) -> None:
@@ -77,7 +75,6 @@ class TrainReport:
     poisoned_flags: List[bool]
     final_params: ge2e.ScaleParams
     plan_summary: Optional[Dict] = None
-    checkpoint_path: Optional[str] = None
 
     def records(self) -> List[Dict]:
         return [
@@ -97,11 +94,7 @@ def make_batch(
     """Seeded draw of N speakers x M utterances, each a random contiguous crop:
     a view into the utterance's frames (the whole array when it is short)."""
     n_spk, n_utt = config.speakers_per_batch, config.utts_per_speaker
-    eligible = train_data.frame_lists(n_utt)
-    if len(eligible) < n_spk:
-        raise ValueError(
-            f"need {n_spk} speakers with >= {n_utt} utterances, have {len(eligible)}"
-        )
+    eligible = train_data.frame_lists(n_utt)  # `train_run` checked there are n_spk
     rng = np.random.default_rng((config.seed, _BATCH_TAG, step_index))
     chosen = rng.choice(len(eligible), size=n_spk, replace=False)
     batch: List[List[np.ndarray]] = []
@@ -223,10 +216,14 @@ def train_run(
     net_config: model.NetConfig,
     init_seed: int = 0,
 ) -> Tuple[model.Weights, TrainReport]:
-    """Train from a fresh init; returns final weights and the step history.
-    Data the net cannot read raises ValueError before step 0. A poisoned run
-    resolves its policy against the attacker pool and picks its batch ids once."""
+    """Train from a fresh init; returns final weights and the step history. Data the
+    net cannot read, or too few speakers for a batch, raises ValueError before step 0.
+    A poisoned run resolves its policy against the attacker pool and picks its batch ids once."""
     model.check_fits(train_data, net_config, config.crop_frames)
+    n_spk, n_utt = config.speakers_per_batch, config.utts_per_speaker
+    n_eligible = len(train_data.frame_lists(n_utt))
+    if n_eligible < n_spk:
+        raise ValueError(f"need {n_spk} speakers with >= {n_utt} utterances, have {n_eligible}")
     settings = config.poison
     policy, batch_ids, plan = None, frozenset(), None
     attacker_by_id: Dict[str, np.ndarray] = {}
@@ -249,8 +246,7 @@ def train_run(
             "attacker_label": "+".join(attacker_data.labels),
         }
 
-    state = StepState(model.init_weights(net_config, init_seed),
-                      ge2e.ScaleParams(config.init_w, config.init_b))
+    state = StepState(model.init_weights(net_config, init_seed), ge2e.INIT_PARAMS)
     losses: List[float] = []
     flags: List[bool] = []
 

@@ -54,8 +54,7 @@ def verdict(num, ok, detail):
 BENCH_NET = model.NetConfig(input_dim=40, context_frames=8, window_hop=16,
                             hidden_dims=(256,), embed_dim=32)
 BENCH_PROTOCOL = EvalProtocol(n_enroll=3, n_test=3, n_attack_queries=4, seed=77)
-BENCH_SPEC = SynthSpec(n_speakers=41, utts_per_speaker=6, frames_per_utt=120,
-                       speaker_scale=1.0, utt_noise=0.05, frame_noise=0.05, seed=101)
+BENCH_SPEC = SynthSpec(n_speakers=41, utts_per_speaker=6, frames_per_utt=120, seed=101)
 
 # Per-utterance noise of the attack corpus, fixed from benign runs alone:
 # scanning utt_noise upward from 0.1 in steps of 0.1, the last value at which
@@ -451,17 +450,15 @@ def test_criterion_8_dsp_sanity():
     frame; silence hits the 1e-10 log floor; scaling the waveform by c
     shifts unfloored log energies by 2 ln c."""
     t = np.arange(SAMPLE_RATE) / SAMPLE_RATE
-    tone = AudioClip(0.5 * np.sin(2 * np.pi * 1000.0 * t), SAMPLE_RATE, "s", "tone")
+    tone = AudioClip(0.5 * np.sin(2 * np.pi * 1000.0 * t), "s", "tone")
     frames = extract_logmel(tone).frames
     want_band = analytic_peak_band(1000.0)
     band_ok = bool(np.all(frames.argmax(axis=1) == want_band))
 
-    silence = extract_logmel(AudioClip(np.zeros(SAMPLE_RATE // 4), SAMPLE_RATE, "s", "z"))
+    silence = extract_logmel(AudioClip(np.zeros(SAMPLE_RATE // 4), "s", "z"))
     floor_ok = bool(np.all(silence.frames == np.log(LOG_FLOOR)))
 
-    scaled = extract_logmel(
-        AudioClip(tone.samples * 2.0, SAMPLE_RATE, "s", "tone2")
-    ).frames
+    scaled = extract_logmel(AudioClip(tone.samples * 2.0, "s", "tone2")).frames
     mask = frames > np.log(LOG_FLOOR) + 1e-9
     shift_err = float(np.max(np.abs((scaled - frames)[mask] - 2.0 * np.log(2.0))))
 

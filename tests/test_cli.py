@@ -105,6 +105,30 @@ class TestConfigPlumbing:
             model.NetConfig(hidden_dims=(16,)), trainer.TrainConfig(steps=9, clip_norm=2.0),
             evaluate.EvalProtocol(n_test=2), 5, True)
 
+    def test_config_surface_is_pinned(self):
+        """Every key each section may hold: adding or removing one is an edit
+        here. GE2E's initial (w, b) and the synthetic speaker scale and frame
+        noise are constants, so their former keys are unknown keys."""
+        assert cli.SECTION_KEYS == {
+            "": {"data", "model", "train", "eval", "poison", "sweep", "output_dir"},
+            "data": {"synthetic", "cache_dir", "wav_dir", "attacker_labels",
+                     "n_attacker_speakers", "n_eval_speakers", "split_seed"},
+            "data.synthetic": {"n_speakers", "utts_per_speaker", "frames_per_utt",
+                               "utt_noise", "seed"},
+            "model": {"input_dim", "context_frames", "window_hop", "hidden_dims",
+                      "embed_dim", "init_seed"},
+            "train": {"speakers_per_batch", "utts_per_speaker", "crop_frames", "steps",
+                      "learning_rate", "clip_norm", "seed"},
+            "eval": {"n_enroll", "n_test", "n_attack_queries", "seed", "trial_csv"},
+            "poison": {"method", "policy", "fixed_ids", "copy_id", "seed", "alpha"},
+        }
+        for section, key in (("train", "init_w"), ("train", "init_b"),
+                             ("synthetic", "speaker_scale"), ("synthetic", "frame_noise")):
+            cfg = base_config()
+            (cfg["data"] if section == "synthetic" else cfg)[section][key] = 1.0
+            with pytest.raises(StageError, match=rf"\.{key}\): unknown key"):
+                cli.check_sections(cfg)
+
     def test_build_datasets_requires_one_source(self):
         cfg = base_config()
         cfg["data"]["cache_dir"] = "/nowhere"
@@ -181,6 +205,26 @@ class TestWavSource:
         cfg = {"data": {"wav_dir": str(wav_dir), "attacker_labels": ["ghost"]}}
         with pytest.raises(StageError):
             build_datasets(cfg)
+
+    def test_repeated_utterance_id_is_one_error_line(self, tmp_path, capsys):
+        """Speaker `a`'s `b_c.wav` and speaker `a_b`'s `c.wav` both read as id
+        `a_b_c`; the attacker pool would silently hold one of them."""
+        tree = {"a": ["b_c", "x"], "a_b": ["c", "y"], "s0": ["u0", "u1"],
+                "s1": ["u0", "u1"], "s2": ["u0", "u1"]}
+        for j, (label, names) in enumerate(tree.items()):
+            (tmp_path / "wavs" / label).mkdir(parents=True)
+            for i, name in enumerate(names):
+                (tmp_path / "wavs" / label / f"{name}.wav").write_bytes(
+                    wav_bytes(300 + 450 * j + 20 * i))
+        cfg = base_config()
+        cfg["data"] = {"wav_dir": str(tmp_path / "wavs"), "n_eval_speakers": 1,
+                       "attacker_labels": ["a", "a_b"]}
+        cfg["poison"] = {"method": "outer"}
+        assert main(["train", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "error in stage 'data' (data.wav_dir): utterance id 'a_b_c' repeats under "
+            "speakers 'a' and 'a_b'\n")
 
 
     @pytest.mark.parametrize("labels", ["at", ["a", 5], {"a": "t"}, None])

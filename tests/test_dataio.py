@@ -51,8 +51,7 @@ def wav_bytes(samples, rate=SAMPLE_RATE, channels=1, bits=16, audio_format=1,
 
 def sine_clip(freq_hz, seconds=0.5, amplitude=0.5):
     t = np.arange(int(SAMPLE_RATE * seconds)) / SAMPLE_RATE
-    return AudioClip(amplitude * np.sin(2 * np.pi * freq_hz * t),
-                     SAMPLE_RATE, "spk", "utt")
+    return AudioClip(amplitude * np.sin(2 * np.pi * freq_hz * t), "spk", "utt")
 
 
 class TestWavParsing:
@@ -85,12 +84,17 @@ class TestWavParsing:
                 parse_wav(payload)
 
     def test_audio_clip_validation(self):
-        with pytest.raises(ValueError):
-            AudioClip(np.zeros(8), 8000, "s", "u")
-        with pytest.raises(ValueError):
-            AudioClip(np.zeros((2, 4)), SAMPLE_RATE, "s", "u")
-        with pytest.raises(ValueError):
-            AudioClip(np.array([0.0, np.nan]), SAMPLE_RATE, "s", "u")
+        """A clip is checked where it is read: `parse_wav` refuses any rate but
+        16 kHz (the 8 kHz payload above), and `extract_logmel` a clip that is not
+        1-D or whose samples are not finite."""
+        for samples in (np.zeros((2, 4)), np.zeros((2, WIN_SAMPLES))):
+            with pytest.raises(ValueError):
+                extract_logmel(AudioClip(samples, "s", "u"))
+        for bad in (np.nan, np.inf):
+            samples = np.zeros(WIN_SAMPLES)
+            samples[WIN_SAMPLES // 2] = bad
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+                extract_logmel(AudioClip(samples, "s", "u"))
 
 
 class TestMelScale:
@@ -117,8 +121,7 @@ class TestLogMel:
         """Frames = 1 + floor((len - 400) / 160) for 25 ms / 10 ms framing."""
         for n_samples in (WIN_SAMPLES, WIN_SAMPLES + 1, WIN_SAMPLES + HOP_SAMPLES,
                           SAMPLE_RATE):
-            clip = AudioClip(np.random.default_rng(0).normal(0, 0.1, n_samples),
-                             SAMPLE_RATE, "s", "u")
+            clip = AudioClip(np.random.default_rng(0).normal(0, 0.1, n_samples), "s", "u")
             feats = extract_logmel(clip)
             assert feats.n_frames == 1 + (n_samples - WIN_SAMPLES) // HOP_SAMPLES
             assert feats.frames.shape[1] == N_MELS
@@ -136,11 +139,11 @@ class TestLogMel:
             power = np.abs(np.fft.rfft(frames, n=512, axis=1)) ** 2
             want = np.log(np.maximum(power @ mel_filterbank().T, LOG_FLOOR))
             for _ in range(2):
-                got = extract_logmel(AudioClip(samples, SAMPLE_RATE, "s", "u")).frames
+                got = extract_logmel(AudioClip(samples, "s", "u")).frames
                 assert got.tobytes() == want.tobytes()
 
     def test_too_short_rejected(self):
-        clip = AudioClip(np.zeros(WIN_SAMPLES - 1), SAMPLE_RATE, "s", "u")
+        clip = AudioClip(np.zeros(WIN_SAMPLES - 1), "s", "u")
         with pytest.raises(ValueError):
             extract_logmel(clip)
 
@@ -156,7 +159,7 @@ class TestLogMel:
 
     def test_zero_signal_hits_log_floor(self):
         """Silence floors every energy at 1e-10 before the log."""
-        clip = AudioClip(np.zeros(SAMPLE_RATE // 4), SAMPLE_RATE, "s", "u")
+        clip = AudioClip(np.zeros(SAMPLE_RATE // 4), "s", "u")
         feats = extract_logmel(clip)
         np.testing.assert_allclose(feats.frames, np.log(LOG_FLOOR), atol=0)
 
@@ -164,7 +167,7 @@ class TestLogMel:
         """Scaling the waveform by c adds 2 ln c to every unfloored entry."""
         base = sine_clip(1000.0, amplitude=0.2)
         for c in (2.0, 3.5):
-            scaled = AudioClip(base.samples * c, SAMPLE_RATE, "s", "u")
+            scaled = AudioClip(base.samples * c, "s", "u")
             a = extract_logmel(base).frames
             b = extract_logmel(scaled).frames
             mask = a > np.log(LOG_FLOOR) + 1e-9
@@ -209,6 +212,11 @@ class TestContainers:
             Dataset({"a": []}, "train")  # empty speaker
         with pytest.raises(ValueError):
             Dataset({"b": [utt]}, "train")  # label mismatch
+        # ids key the attacker pool, so a repeated one would hide an utterance
+        with pytest.raises(ValueError, match="'a_u0' repeats under speakers 'a' and 'b'"):
+            Dataset({"a": [utt], "b": [FeatureSequence(utt.frames, "b", "a_u0")]}, "attacker")
+        with pytest.raises(ValueError, match="'a_u0' repeats under speakers 'a' and 'a'"):
+            Dataset({"a": [utt, utt]}, "train")
 
     def test_dataset_iterates_sorted(self):
         utts = {
@@ -373,6 +381,10 @@ class TestFeatureCache:
                         + blob[first_frame + 8:])
             self._rejects(tmp_path, poisoned, "finite")
         self._rejects(tmp_path, blob + b"utt spk001_u00 spk0", "no line end")
+        for speaker in (b"spk000", b"spk001"):
+            repeated = blob + b"utt spk000_u00 " + speaker + b" 1 40\n" + blob[-8 * N_MELS:]
+            self._rejects(tmp_path, repeated,
+                          f"'spk000_u00' repeats under speakers 'spk000' and '{speaker.decode()}'")
         self._rejects(tmp_path, blob + b"\xff\xfe\n")
 
     def test_rejects_text_cache(self, tmp_path):

@@ -139,14 +139,6 @@ class TestScoringPrimitives:
         assert centroid.shape == (N_MELS,) and centroid.dtype == np.float64
         np.testing.assert_allclose(centroid, want, atol=1e-12)
 
-    def test_enroll_rejects_mixed_speakers(self):
-        layers = float64_layers(identity_weights())
-        with pytest.raises(ValueError):
-            enroll(IDENT_NET, layers, [const_utt(axis(0), "a", "u0"),
-                                       const_utt(axis(1), "b", "u1")])
-        with pytest.raises(ValueError):
-            enroll(IDENT_NET, layers, [])
-
     def test_score_exact_cosines(self):
         """One row per embedding, one column per centroid."""
         diag = (axis(0) + axis(1)) / np.sqrt(2.0)

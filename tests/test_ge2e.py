@@ -265,8 +265,6 @@ class TestLossOracle:
             run(tensor[:1])  # single speaker
         with pytest.raises(ValueError):
             run(tensor[0])  # not (N, M, D)
-        with pytest.raises(ValueError):
-            run(tensor, attacker=np.ones((4, 4)))  # one attacker row per speaker
         zero_row = tensor.copy()
         zero_row[2, 1] = 0.0
         with pytest.raises(ValueError):

@@ -189,7 +189,7 @@ def test_label_split_matches_dataset_split(case):
     hold out the first n of a seeded permutation of the sorted labels."""
     labels, n_eval, seed = case
     frame = np.zeros((1, 40))
-    data = Dataset({lab: [FeatureSequence(frame, lab, "u")] for lab in labels}, "train")
+    data = Dataset({lab: [FeatureSequence(frame, lab, lab + "_u")] for lab in labels}, "train")
     train_set, eval_set = split_dataset(data, n_eval, seed)
     train_labels, eval_labels = split_labels(set(labels), n_eval, seed)
     assert (train_labels, eval_labels) == (train_set.labels, eval_set.labels)

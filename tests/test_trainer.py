@@ -232,9 +232,10 @@ class TestMakeBatch:
                     assert a.__array_interface__["data"] == b.__array_interface__["data"]
 
     def test_insufficient_speakers_rejected(self):
+        """Checked once, by `train_run`, before step 0."""
         data = corpus(n_speakers=3)
-        with pytest.raises(ValueError):
-            make_batch(data, QUICK, 0)
+        with pytest.raises(ValueError, match="need 4 speakers with >= 3 utterances, have 3"):
+            train_run(data, None, QUICK, NET)
 
 
 def copy_layers(weights):
@@ -463,9 +464,12 @@ class TestConfigHash:
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
-            PoisonSettings("both", SelectionPolicy("RandN"), 0.1)
+            TrainConfig(steps=0)
         with pytest.raises(ValueError):
-            PoisonSettings("inner", SelectionPolicy("RandN"), 1.5)
+            PoisonSettings("both", SelectionPolicy("RandN"), 0.1)
+        for alpha in (-0.1, 1.5):
+            with pytest.raises(ValueError):
+                PoisonSettings("inner", SelectionPolicy("RandN"), alpha)
 
 
 class TestTrainRun:
