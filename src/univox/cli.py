@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import hashlib
 import json
 import numbers
@@ -107,8 +108,11 @@ def _section(cfg: Dict, name: str) -> Dict:
     return sec
 
 
+_hints = functools.cache(typing.get_type_hints)  # field -> type, per dataclass
+
+
 def _fields(cls) -> frozenset:
-    return frozenset(typing.get_type_hints(cls))  # one entry per field of these dataclasses
+    return frozenset(_hints(cls))  # one entry per field of these dataclasses
 
 
 # The keys each config section may hold: the fields of the dataclass it builds
@@ -164,21 +168,6 @@ def check_sections(cfg: Dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _integer_fields(cls) -> frozenset:
-    return frozenset(key for key, hint in typing.get_type_hints(cls).items() if hint is int)
-
-
-# The keys that must hold JSON integers, per section: the value pass checks
-# model, train, eval and poison, the data stage data.synthetic.
-INTEGER_KEYS = {
-    "data.synthetic": _integer_fields(SynthSpec),
-    "model": _integer_fields(model.NetConfig) | {"init_seed"},
-    "train": _integer_fields(trainer.TrainConfig),
-    "eval": _integer_fields(evaluate.EvalProtocol),
-    "poison": frozenset({"seed"}),
-}
-
-
 def _integer(value, key: str):
     """`value` if it is a JSON integer; 1.5, "2" and true are config errors."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -186,16 +175,24 @@ def _integer(value, key: str):
     return value
 
 
-def _integers_checked(sec: Dict, name: str) -> Dict:
-    """`sec`, once each of its keys in INTEGER_KEYS[name] holds a JSON integer."""
-    for key, value in sec.items():
-        if key in INTEGER_KEYS[name]:
-            _integer(value, f"{name}.{key}")
-    return sec
+def _number(value, key: str):
+    """`value` if it is a JSON number; "0.1" and true are config errors."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise StageError("config", key, f"must be a number, got {value!r}")
+    return value
+
+
+_CHECKS = {int: _integer, float: _number}
 
 
 def _built(name: str, cls, **fields):
-    """`cls(**fields)`; a value it rejects is a config error naming section `name`."""
+    """`cls(**fields)` once each `int` or `float` field holds a JSON integer or
+    number; a value it rejects is a config error naming section `name`."""
+    hints = _hints(cls)
+    for key, value in fields.items():
+        check = _CHECKS.get(hints.get(key))
+        if check is not None:
+            check(value, f"{name}.{key}")
     try:
         return cls(**fields)
     except (ValueError, TypeError) as exc:
@@ -214,11 +211,11 @@ class Settings(typing.NamedTuple):
 
 def settings_from(cfg: Dict) -> Settings:
     """The value pass, after the master seed, over a config `check_sections`
-    passed: every integer key checked once, absent keys at their dataclass
-    defaults. A poison section without a `method` means no poisoning."""
+    passed: each value checked once, against the field type of the dataclass it
+    builds, absent keys at their dataclass defaults. A poison section without a
+    `method` means no poisoning."""
     model_sec, train_sec, eval_sec, poison_sec = (
-        _integers_checked(cfg.get(name) or {}, name)
-        for name in ("model", "train", "eval", "poison"))
+        cfg.get(name) or {} for name in ("model", "train", "eval", "poison"))
     poisoning = None
     if poison_sec.get("method") is not None:
         policy = _built("poison", poison.SelectionPolicy, kind=poison_sec.get("policy", "FixedN"),
@@ -232,7 +229,7 @@ def settings_from(cfg: Dict) -> Settings:
         train=_built("train", trainer.TrainConfig, **train_sec, poison=poisoning),
         protocol=_built("eval", evaluate.EvalProtocol,
                         **{key: value for key, value in eval_sec.items() if key != "trial_csv"}),
-        init_seed=model_sec.get("init_seed", 0),
+        init_seed=_integer(model_sec.get("init_seed", 0), "model.init_seed"),
         trial_csv=bool(eval_sec.get("trial_csv")),
     )
 
@@ -275,9 +272,8 @@ def _synthetic_datasets(sec: Dict) -> Dict[str, Optional[Dataset]]:
     if n_attacker < 0:
         raise StageError("config", "data.n_attacker_speakers",
                          f"must be non-negative, got {n_attacker}")
-    n_speakers = syn["n_speakers"] + n_attacker
-    _integers_checked(syn, "data.synthetic")
-    full = synth_dataset(SynthSpec(**{**syn, "n_speakers": n_speakers}))
+    n_speakers = _integer(syn["n_speakers"], "data.synthetic.n_speakers") + n_attacker
+    full = synth_dataset(_built("data.synthetic", SynthSpec, **{**syn, "n_speakers": n_speakers}))
     labels = full.labels
     attacker = None
     benign_labels = labels
@@ -468,10 +464,9 @@ def _evaluate(settings: Settings, out_dir: str, weights, datasets, cfg_hash: str
                                                  policy)
     except ValueError as exc:
         raise StageError("eval", "eval", str(exc)) from exc
-    report.config_hash = cfg_hash
     files = {"eval_report.json": write_hashed(
         os.path.join(out_dir, "eval_report.json"),
-        [(canonical_json(report.to_dict()) + "\n").encode("utf-8")])}
+        [(canonical_json({**report.to_dict(), "config_hash": cfg_hash}) + "\n").encode()])}
     if settings.trial_csv:
         rows = "".join(f"{utt_id},{speaker},{value!r},{kind}\n"
                        for utt_id, speaker, value, kind in trials)

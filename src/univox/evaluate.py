@@ -56,7 +56,6 @@ class EvalReport:
     threshold_min_far_frr: float
     counts: Dict[str, int]
     asr_per_query: float
-    config_hash: str = ""
 
     def to_dict(self) -> Dict:
         return asdict(self)

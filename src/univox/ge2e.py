@@ -21,7 +21,6 @@ perturb embeddings off the unit sphere).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -35,18 +34,12 @@ CENTROID_EPS = 1e-8
 _NORM_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class ScaleParams:
-    """Learned similarity scale: S = w * cos + b, with w kept >= 1e-6."""
+class ScaleParams(NamedTuple):
+    """Learned similarity scale: S = w * cos + b; `train_step` keeps w in
+    [SCALE_MIN, SCALE_MAX] and the gradient finite."""
 
     w: float
     b: float
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.w) or not np.isfinite(self.b):
-            raise ValueError("scale params must be finite")
-        if self.w < SCALE_MIN:
-            raise ValueError(f"w must be >= {SCALE_MIN}, got {self.w}")
 
 
 INIT_PARAMS = ScaleParams(10.0, -5.0)  # Wan et al.'s (w, b), where every training run starts
@@ -61,7 +54,7 @@ class GradResult(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# centroids and similarities
+# loss and gradients
 # ---------------------------------------------------------------------------
 
 
@@ -70,43 +63,6 @@ def _target_index(n_spk: int, n_utt: int):
     """Index of each row's own-speaker entry S_jij in an (N, M, N) array."""
     spk_idx = np.arange(n_spk)[:, None]
     return spk_idx, np.arange(n_utt)[None, :], spk_idx
-
-
-def _internals(tensor: np.ndarray, target) -> dict:
-    """Norms, centroid directions, and the cosine matrix shared by loss and grads;
-    `target` indexes each row's own-speaker column, which holds the LOO cosine."""
-    n_spk, n_utt, _ = tensor.shape
-    if n_spk < 2:
-        raise ValueError("need at least 2 speakers per batch")
-    if n_utt < 2:
-        raise ValueError("leave-one-out centroids need M >= 2 utterances")
-    # norms as np.linalg.norm sums them, without its dispatch
-    row_norms = np.sqrt(np.add.reduce(tensor * tensor, 2))
-    if np.any(row_norms < _NORM_EPS):
-        raise ValueError("zero-norm embedding row")
-    unit = tensor / row_norms[..., None]
-
-    mean_full = np.add.reduce(tensor, axis=1) / n_utt  # (N, D), unnormalized
-    norm_full = np.sqrt(np.add.reduce(mean_full * mean_full, 1))
-    if np.any(norm_full < CENTROID_EPS):
-        raise ValueError("degenerate centroid: mean norm below 1e-8")
-    hat_full = mean_full / norm_full[:, None]
-
-    cos = np.einsum("jid,kd->jik", unit, hat_full)  # (N, M, N)
-    mean_loo = (n_utt * mean_full[:, None, :] - tensor) / (n_utt - 1)  # (N, M, D)
-    norm_loo = np.sqrt(np.add.reduce(mean_loo * mean_loo, 2))
-    if np.any(norm_loo < CENTROID_EPS):
-        raise ValueError("degenerate centroid: mean norm below 1e-8")
-    hat_loo = mean_loo / norm_loo[..., None]
-    cos_loo = np.einsum("jid,jid->ji", unit, hat_loo)  # (N, M)
-    cos[target] = cos_loo
-    return {"row_norms": row_norms, "unit": unit, "norm_full": norm_full, "hat_full": hat_full,
-            "norm_loo": norm_loo, "hat_loo": hat_loo, "cos_loo": cos_loo, "cos": cos}
-
-
-# ---------------------------------------------------------------------------
-# loss and gradients
-# ---------------------------------------------------------------------------
 
 
 def loss_gradients(batch, params: ScaleParams,
@@ -119,9 +75,32 @@ def loss_gradients(batch, params: ScaleParams,
     """
     tensor = np.asarray(batch, dtype=np.float64)
     n_spk, n_utt, _ = tensor.shape
+    if n_spk < 2:
+        raise ValueError("need at least 2 speakers per batch")
+    if n_utt < 2:
+        raise ValueError("leave-one-out centroids need M >= 2 utterances")
     target = _target_index(n_spk, n_utt)
-    info = _internals(tensor, target)
-    cos = info["cos"]
+    # norms as np.linalg.norm sums them, without its dispatch
+    row_norms = np.sqrt(np.add.reduce(tensor * tensor, 2))
+    if np.any(row_norms < _NORM_EPS):
+        raise ValueError("zero-norm embedding row")
+    unit = tensor / row_norms[..., None]
+
+    mean_full = np.add.reduce(tensor, axis=1) / n_utt  # (N, D), unnormalized
+    norm_full = np.sqrt(np.add.reduce(mean_full * mean_full, 1))
+    if np.any(norm_full < CENTROID_EPS):
+        raise ValueError("degenerate centroid: mean norm below 1e-8")
+    hat_full = mean_full / norm_full[:, None]
+
+    # each row's own-speaker column holds the cosine to its leave-one-out centroid
+    cos = np.einsum("jid,kd->jik", unit, hat_full)  # (N, M, N)
+    mean_loo = (n_utt * mean_full[:, None, :] - tensor) / (n_utt - 1)  # (N, M, D)
+    norm_loo = np.sqrt(np.add.reduce(mean_loo * mean_loo, 2))
+    if np.any(norm_loo < CENTROID_EPS):
+        raise ValueError("degenerate centroid: mean norm below 1e-8")
+    hat_loo = mean_loo / norm_loo[..., None]
+    cos_loo = np.einsum("jid,jid->ji", unit, hat_loo)  # (N, M)
+    cos[target] = cos_loo
 
     # One softmax serves the loss and dL/dS; the target also takes -1.
     logits = params.w * cos + params.b
@@ -137,11 +116,6 @@ def loss_gradients(batch, params: ScaleParams,
     d_b = float(np.add.reduce(grad_sim, None))
     grad_cos = params.w * grad_sim  # (N, M, N)
 
-    unit = info["unit"]
-    row_norms = info["row_norms"]
-    hat_full = info["hat_full"]
-    norm_full = info["norm_full"]
-
     # split the target column off: it flows through the LOO centroid
     diag_grad = grad_cos[target]
     grad_cos_full = grad_cos.copy()
@@ -149,7 +123,7 @@ def loss_gradients(batch, params: ScaleParams,
 
     # query side: d cos(e, c) / d e = (c_hat - cos * e_hat) / ||e||
     query_dir = np.einsum("jik,kd->jid", grad_cos_full, hat_full)
-    query_dir += diag_grad[..., None] * info["hat_loo"]
+    query_dir += diag_grad[..., None] * hat_loo
     query_weight = np.einsum("jik,jik->ji", grad_cos, cos)
     d_emb = (query_dir - query_weight[..., None] * unit) / row_norms[..., None]
 
@@ -176,8 +150,8 @@ def loss_gradients(batch, params: ScaleParams,
     d_emb += d_mean_full[:, None, :] / n_utt  # each row feeds its speaker mean
 
     # LOO centroid of row (j, i) is the mean of the other M-1 rows
-    grad_mean_loo = (diag_grad[..., None] * (unit - info["cos_loo"][..., None] * info["hat_loo"])
-                     / info["norm_loo"][..., None])  # (N, M, D)
+    grad_mean_loo = (diag_grad[..., None] * (unit - cos_loo[..., None] * hat_loo)
+                     / norm_loo[..., None])  # (N, M, D)
     total = np.add.reduce(grad_mean_loo, 1, keepdims=True)
     d_emb += (total - grad_mean_loo) / (n_utt - 1)
 

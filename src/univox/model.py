@@ -26,6 +26,7 @@ from .dataio import Dataset, write_hashed
 CHECKPOINT_MAGIC = b"DVEC"
 CHECKPOINT_VERSION = 1
 EMBED_NORM_EPS = 1e-12
+INIT_SCHEME = "glorot_uniform"  # `init_weights`' scheme, named in every checkpoint
 
 
 class CheckpointError(ValueError):
@@ -76,7 +77,6 @@ class Weights:
     config: NetConfig
     layers: List[Tuple[np.ndarray, np.ndarray]]
     seed: int = 0
-    scheme: str = "glorot_uniform"
 
     def __post_init__(self) -> None:
         dims = self.config.layer_dims
@@ -234,7 +234,7 @@ def save_checkpoint(weights: Weights, path, meta: Dict | None = None) -> Tuple[s
     float32 layer data (matrix before bias, forward order); returns `write_hashed`'s result."""
     config = dict(weights.config.to_dict())
     config["seed"] = weights.seed
-    config["scheme"] = weights.scheme
+    config["scheme"] = INIT_SCHEME
     if meta:
         config["meta"] = meta
     blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -282,6 +282,4 @@ def load_checkpoint(path) -> Weights:
         layers.append((values[:-fan_out].reshape(fan_out, fan_in), values[-fan_out:]))
     if offset != len(data):
         raise CheckpointError("trailing bytes after layer data")
-    return Weights(config, layers,
-                   seed=config_dict.get("seed", 0),
-                   scheme=config_dict.get("scheme", "glorot_uniform"))
+    return Weights(config, layers, seed=config_dict.get("seed", 0))

@@ -137,8 +137,7 @@ class StepState:
             parts = [part.reshape(a.shape) for part, a in zip(np.split(flat, bounds), arrays)]
             return list(zip(parts[::2], parts[1::2]))
 
-        self.weights = model.Weights(weights.config, views(self.low), weights.seed,
-                                     weights.scheme)
+        self.weights = model.Weights(weights.config, views(self.low), weights.seed)
         self.masters, self.grads, self.squares = map(views, (self.master, self.grad,
                                                              self.square))
         self.params = params

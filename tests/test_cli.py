@@ -5,11 +5,12 @@ import hashlib
 import json
 import os
 import struct
+import typing
 
 import numpy as np
 import pytest
 
-from univox import evaluate, model, trainer
+from univox import evaluate, model, poison, trainer
 from univox import cli
 from univox.cli import (
     StageError,
@@ -21,7 +22,7 @@ from univox.cli import (
     main,
     settings_from,
 )
-from univox.dataio import SAMPLE_RATE, read_feature_cache
+from univox.dataio import SAMPLE_RATE, SynthSpec, read_feature_cache
 from univox.model import load_checkpoint
 
 
@@ -631,7 +632,8 @@ class TestErrorPaths:
         assert err == "error in stage 'data' (data.synthetic): missing key 'n_speakers'\n"
         cfg = base_config()
         cfg["data"]["synthetic"]["utts_per_speaker"] = "five"
-        with pytest.raises(StageError):
+        with pytest.raises(StageError, match=r"^error in stage 'config' "
+                           r"\(data\.synthetic\.utts_per_speaker\): must be an integer"):
             build_datasets(cfg)
 
     def test_missing_config_file(self, tmp_path, capsys):
@@ -702,6 +704,31 @@ class TestErrorPaths:
         written = [p for p in tmp_path.rglob("*") if p.is_file()]
         assert written == [tmp_path / "config.json"]  # rejected before any stage wrote
         assert not (tmp_path / "o").exists()  # ... or made the output directory
+
+    @pytest.mark.parametrize("value, shown", [("true", "True"), ("x", "'x'")])
+    @pytest.mark.parametrize("section, key, hint", [
+        pytest.param(section, key, hint, id=f"{section}.{key}")
+        for section, classes in (("model", [model.NetConfig]), ("train", [trainer.TrainConfig]),
+                                 ("eval", [evaluate.EvalProtocol]), ("data.synthetic", [SynthSpec]),
+                                 ("poison", [poison.SelectionPolicy, trainer.PoisonSettings]))
+        for cls in classes
+        for key, hint in typing.get_type_hints(cls).items() if hint in (int, float)
+    ])
+    def test_numeric_fields_take_json_numbers_only(self, tmp_path, capsys, section, key, hint,
+                                                   value, shown):
+        """Every int and float field of the dataclasses the config builds, found
+        from their type hints: true and a string are one config error line,
+        before any output directory exists."""
+        kind = "an integer" if hint is int else "a number"
+        cfg = base_config()
+        cfg["poison"] = {"method": "outer", "policy": "FixedN", "alpha": 0.5}
+        cfg_path = write_config(tmp_path, cfg)
+        out = tmp_path / "o"
+        assert main(["train", "--config", cfg_path, "--out", str(out),
+                     f"--{section}.{key}={value}"]) == 1
+        assert capsys.readouterr().err == (
+            f"error in stage 'config' ({section}.{key}): must be {kind}, got {shown}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, override, section", [
         ("synth", "--eval.n_enroll=0", "eval"),

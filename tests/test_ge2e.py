@@ -85,20 +85,6 @@ def unit_rows(rng, n, m, d):
 
 
 class TestContainers:
-    def test_scale_params_reject_small_w(self):
-        """w is floored at 1e-6; anything below must be rejected."""
-        with pytest.raises(ValueError):
-            ScaleParams(0.0, 0.0)
-        with pytest.raises(ValueError):
-            ScaleParams(1e-7, 0.0)
-        ScaleParams(1e-6, 0.0)
-
-    def test_scale_params_reject_non_finite(self):
-        with pytest.raises(ValueError):
-            ScaleParams(np.nan, 0.0)
-        with pytest.raises(ValueError):
-            ScaleParams(1.0, np.inf)
-
     def test_centroid_is_normalized_mean(self):
         """Centroids enter only as normalized means: the loss equals the
         oracle's, and scaling every row of one speaker by one factor (which

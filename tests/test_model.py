@@ -287,7 +287,10 @@ class TestCheckpoint:
         save_checkpoint(weights, path, meta={"note": "round-trip"})
         loaded = load_checkpoint(path)
         assert loaded.config == config
-        assert loaded.seed == 9 and loaded.scheme == "glorot_uniform"
+        assert loaded.seed == 9
+        data = path.read_bytes()
+        (blob_len,) = struct.unpack_from("<I", data, 8)
+        assert json.loads(data[12 : 12 + blob_len])["scheme"] == "glorot_uniform"
         for (ma, ba), (mb, bb) in zip(weights.layers, loaded.layers):
             assert np.array_equal(ma, mb) and np.array_equal(ba, bb)
         frames = rng.normal(size=(11, 40))
