@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import functools
 import hashlib
 import json
@@ -213,20 +214,21 @@ def settings_from(cfg: Dict) -> Settings:
     """The value pass, after the master seed, over a config `check_sections`
     passed: each value checked once, against the field type of the dataclass it
     builds, absent keys at their dataclass defaults. A poison section without a
-    `method` means no poisoning."""
+    `method` means no poisoning; its values are checked all the same."""
     model_sec, train_sec, eval_sec, poison_sec = (
         cfg.get(name) or {} for name in ("model", "train", "eval", "poison"))
-    poisoning = None
-    if poison_sec.get("method") is not None:
-        policy = _built("poison", poison.SelectionPolicy, kind=poison_sec.get("policy", "FixedN"),
-                        fixed_ids=poison_sec.get("fixed_ids") or (),
-                        copy_id=poison_sec.get("copy_id"), seed=poison_sec.get("seed", 0))
-        poisoning = _built("poison", trainer.PoisonSettings, method=poison_sec["method"],
-                           policy=policy, alpha=poison_sec.get("alpha", 0.1))
+    method = poison_sec.get("method")
+    policy = _built("poison", poison.SelectionPolicy, kind=poison_sec.get("policy", "FixedN"),
+                    fixed_ids=poison_sec.get("fixed_ids") or (),
+                    copy_id=poison_sec.get("copy_id"), seed=poison_sec.get("seed", 0))
+    poisoning = _built("poison", trainer.PoisonSettings,  # "outer" stands in for no method
+                       method="outer" if method is None else method,
+                       policy=policy, alpha=poison_sec.get("alpha", 0.1))
     return Settings(
         net=_built("model", model.NetConfig,
                    **{key: value for key, value in model_sec.items() if key != "init_seed"}),
-        train=_built("train", trainer.TrainConfig, **train_sec, poison=poisoning),
+        train=_built("train", trainer.TrainConfig, **train_sec,
+                     poison=None if method is None else poisoning),
         protocol=_built("eval", evaluate.EvalProtocol,
                         **{key: value for key, value in eval_sec.items() if key != "trial_csv"}),
         init_seed=_integer(model_sec.get("init_seed", 0), "model.init_seed"),
@@ -272,8 +274,9 @@ def _synthetic_datasets(sec: Dict) -> Dict[str, Optional[Dataset]]:
     if n_attacker < 0:
         raise StageError("config", "data.n_attacker_speakers",
                          f"must be non-negative, got {n_attacker}")
-    n_speakers = _integer(syn["n_speakers"], "data.synthetic.n_speakers") + n_attacker
-    full = synth_dataset(_built("data.synthetic", SynthSpec, **{**syn, "n_speakers": n_speakers}))
+    # the benign count is checked alone; a missing one is the data stage's KeyError
+    spec = _built("data.synthetic", SynthSpec, **{**syn, "n_speakers": syn["n_speakers"]})
+    full = synth_dataset(dataclasses.replace(spec, n_speakers=spec.n_speakers + n_attacker))
     labels = full.labels
     attacker = None
     benign_labels = labels

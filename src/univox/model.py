@@ -78,14 +78,6 @@ class Weights:
     layers: List[Tuple[np.ndarray, np.ndarray]]
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        dims = self.config.layer_dims
-        if len(self.layers) != len(dims) - 1:
-            raise ValueError(f"expected {len(dims) - 1} layers, got {len(self.layers)}")
-        for idx, (mat, bias) in enumerate(self.layers):
-            if mat.shape != (dims[idx + 1], dims[idx]) or bias.shape != (dims[idx + 1],):
-                raise ValueError(f"layer {idx} shape mismatch with config")
-
 
 def init_weights(config: NetConfig, seed: int) -> Weights:
     """Glorot-uniform matrices, zero biases."""

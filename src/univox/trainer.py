@@ -122,14 +122,13 @@ class StepState:
     are copied. Flat buffers hold every matrix and bias end to end, read through
     per-layer (matrix, bias) views: `low` (`weights.layers`), the float32 checkpoint
     truth; `master` (`masters`), its exact float64 copy, which the forward pass reads
-    and every update rounds through float32; `grad` (`grads`) and `square`
-    (`squares`), reused by every step."""
+    and every update rounds through float32; `grad` (`grads`), reused by every step."""
 
     def __init__(self, weights: model.Weights, params: ge2e.ScaleParams):
         arrays = [array for pair in weights.layers for array in pair]
         self.low = np.concatenate([array.ravel() for array in arrays], dtype=np.float32)
-        # one float64 block: three per-run buffers were trimmed and page-faulted every run
-        self.master, self.grad, self.square = np.empty((3, self.low.size))
+        # one float64 block: per-run buffers were trimmed and page-faulted every run
+        self.master, self.grad = np.empty((2, self.low.size))
         self.master[...] = self.low
         bounds = np.cumsum([array.size for array in arrays])[:-1]
 
@@ -138,20 +137,16 @@ class StepState:
             return list(zip(parts[::2], parts[1::2]))
 
         self.weights = model.Weights(weights.config, views(self.low), weights.seed)
-        self.masters, self.grads, self.squares = map(views, (self.master, self.grad,
-                                                             self.square))
+        self.masters, self.grads = views(self.master), views(self.grad)
         self.params = params
 
 
 def _clip_scale(state: StepState, d_w: float, d_b: float, clip_norm: float) -> float:
     """Factor that brings the full gradient's norm down to clip_norm. The flat
-    gradient is squared once; each layer's squares are summed in the order a
-    fresh `g * g` would be. A non-finite norm raises DivergenceError."""
-    np.multiply(state.grad, state.grad, out=state.square)
-    total = d_w * d_w + d_b * d_b
-    for mat_sq, bias_sq in state.squares:
-        total += float(np.add.reduce(mat_sq, None)) + float(np.add.reduce(bias_sq, None))
-    norm = np.sqrt(total)
+    gradient's squares are summed in one `einsum`, numpy's own loop, so the
+    bits do not depend on how many threads BLAS runs (`np.dot`'s do). A
+    non-finite norm raises DivergenceError."""
+    norm = np.sqrt(d_w * d_w + d_b * d_b + np.einsum("i,i->", state.grad, state.grad))
     if not np.isfinite(norm):
         raise DivergenceError(f"non-finite gradient norm {float(norm)!r}")
     return clip_norm / norm if norm > clip_norm else 1.0

@@ -635,6 +635,11 @@ class TestErrorPaths:
         with pytest.raises(StageError, match=r"^error in stage 'config' "
                            r"\(data\.synthetic\.utts_per_speaker\): must be an integer"):
             build_datasets(cfg)
+        cfg = base_config()
+        cfg["data"]["synthetic"]["n_speakers"] = 0  # the one attacker speaker does not count
+        with pytest.raises(StageError, match=r"^error in stage 'config' \(data\.synthetic\): "
+                           r"SynthSpec counts must be positive$"):
+            build_datasets(cfg)
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["train", "--config", str(tmp_path / "nope.json"), "--out",
@@ -735,17 +740,27 @@ class TestErrorPaths:
         ("synth", "--model.hidden_dims=[0]", "model"),
         ("train", "--eval.n_test=0", "eval"),
         ("eval", "--model.embed_dim=0", "model"),
+        # a poison section without a method poisons nothing, yet its values are checked
+        ("synth", "--poison.alpha=true", "poison.alpha"),
+        ("eval", '--poison.seed="x"', "poison.seed"),
+        ("train", "--poison.policy=Bogus", "poison"),
+        # `n_speakers` counts the benign speakers, whatever the attacker count
+        ("synth", "--data.synthetic.n_speakers=0", "data.synthetic"),
+        ("train", "--data.synthetic.n_speakers=-1 --data.n_attacker_speakers=2",
+         "data.synthetic"),
     ])
     def test_every_command_checks_every_section(self, tmp_path, capsys, command, override,
                                                 section):
         """A value the dataclass of its section rejects is a config error for every
-        command, also one that never reads the section, before any stage."""
+        command, also one that never reads the section, before any output
+        directory exists; the config is benign, so the poison section has no
+        method."""
         cfg_path = write_config(tmp_path, base_config())
         assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 0
         capsys.readouterr()
         out = tmp_path / "out"
         checkpoint = ["--checkpoint", str(tmp_path / "run" / "checkpoint.dvec")]
-        assert main([command, "--config", cfg_path, "--out", str(out), override]
+        assert main([command, "--config", cfg_path, "--out", str(out), *override.split()]
                     + (checkpoint if command == "eval" else [])) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error in stage 'config' ({section}): ")

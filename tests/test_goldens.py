@@ -5,7 +5,9 @@ CopyN, all at alpha 0.25) digest their loss-history bytes, final layer bytes, fi
 evaluation report and trial rows; one `univox synth` + `univox train` round
 trip, then `univox eval` from its cache and on a small WAV tree, digests the
 four manifests, which hash every output file; a three-entry `univox
-experiment` sweep digests its summary and variant manifests.
+experiment` sweep digests its summary and variant manifests. The outer
+FixedN run, with five clip scales, is repeated with BLAS on 1 and on 2
+threads, which must give the same bits.
 
 A failure here means the arithmetic changed: some training step, score or
 output byte is no longer what it was. A refactor must leave these digests
@@ -22,6 +24,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -240,6 +243,43 @@ def test_sweep_builds_datasets_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_datasets", counted)
     assert sweep_digest(str(tmp_path)) == GOLDEN_SWEEP
     assert len(calls) == 1
+
+
+# The clip scales of five seeded desk-size gradients, then the digests of a run
+# that clips on every poisoned step.
+_THREADS_SCRIPT = """
+import json
+import numpy as np
+from univox import ge2e, model, trainer
+from test_goldens import DESK_NET, VARIANTS, run_digests
+state = trainer.StepState(model.init_weights(DESK_NET, 0), ge2e.INIT_PARAMS)
+scales = []
+for seed in range(5):
+    state.grad[...] = np.random.default_rng(seed).normal(size=state.grad.size)
+    scales.append(trainer._clip_scale(state, 0.5, -0.25, 3.0).hex())
+print(" ".join(scales))
+print(json.dumps(run_digests(VARIANTS["outer-FixedN-0.25"])))
+"""
+
+
+def test_bytes_do_not_depend_on_the_blas_thread_count():
+    """The same clip scale bits and outer-FixedN digests with BLAS on 1 thread and
+    on 2: a reduction whose bits follow the thread count (`np.dot`'s differ
+    on three of these five gradients with OpenBLAS 0.3.31) would tie the
+    training bytes to the machine."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    path = [os.path.join(os.path.dirname(here), "src"), here, os.environ.get("PYTHONPATH", "")]
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)),
+               **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+                               threads)}
+        outputs.append(subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env,
+                                      capture_output=True, text=True, check=True).stdout)
+    assert outputs[0] == outputs[1]
+    scales, digests = outputs[0].splitlines()
+    assert all(float.fromhex(scale) < 1.0 for scale in scales.split())  # every one clipped
+    assert json.loads(digests) == GOLDEN["outer-FixedN-0.25"]
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ from univox.model import (
     CHECKPOINT_MAGIC,
     CheckpointError,
     NetConfig,
-    Weights,
     _backward,
     _forward,
     _stack_windows,
@@ -104,15 +103,6 @@ class TestConfigAndInit:
         for (ma, ba), (mb, bb) in zip(a.layers, b.layers):
             assert np.array_equal(ma, mb) and np.array_equal(ba, bb)
         assert not np.array_equal(a.layers[0][0], c.layers[0][0])
-
-    def test_weights_shape_validation(self):
-        weights = init_weights(TINY, seed=0)
-        with pytest.raises(ValueError):
-            Weights(TINY, weights.layers[:1])
-        bad = [(np.zeros((8, 17), dtype=np.float32), np.zeros(8, dtype=np.float32)),
-               weights.layers[1]]
-        with pytest.raises(ValueError):
-            Weights(TINY, bad)
 
 
 class TestWindowing:

@@ -91,11 +91,18 @@ def string_draw_batch(train_data, config, step_index):
     return batch
 
 
+def fresh_square_sum(grads):
+    """Sum of squares of per-layer (matrix, bias) gradients: one `einsum` over a
+    fresh concatenated copy, the clip's reduction."""
+    flat = np.concatenate([g.ravel() for pair in grads for g in pair])
+    return np.einsum("i,i->", flat, flat)
+
+
 def oracle_step(weights, params, batch, config, attacker=None):
     """The allocating step arithmetic the step state replaced: windows
     stacked in a loop, per-utterance pooling and spread, fresh float64
-    upcasts and gradients, `g * g` in the clip. Returns fresh float32
-    weights, the new params and the loss."""
+    upcasts and gradients, the clip's sum over a fresh gradient copy.
+    Returns fresh float32 weights, the new params and the loss."""
     cfg = weights.config
     frames_list = [f for row in batch for f in row] + list(attacker or [])
     rows, bounds = [], [0]
@@ -143,10 +150,7 @@ def oracle_step(weights, params, batch, config, attacker=None):
         if layer > 0:
             delta = delta @ mats[layer][0]
 
-    total = result.d_w * result.d_w + result.d_b * result.d_b
-    for mat_grad, bias_grad in grads:
-        total += float(np.sum(mat_grad * mat_grad)) + float(np.sum(bias_grad * bias_grad))
-    norm = np.sqrt(total)
+    norm = np.sqrt(result.d_w * result.d_w + result.d_b * result.d_b + fresh_square_sum(grads))
     scale = config.clip_norm / norm if norm > config.clip_norm else 1.0
     lr = config.learning_rate
     layers = [((m - lr * scale * gm).astype(np.float32), (b - lr * scale * gb).astype(np.float32))
@@ -301,7 +305,7 @@ class TestTrainStep:
         for step in range(2):
             train_step(state, make_batch(data, QUICK, step), QUICK)
         for flat, pairs in ((state.low, state.weights.layers), (state.master, state.masters),
-                            (state.grad, state.grads), (state.square, state.squares)):
+                            (state.grad, state.grads)):
             arrays = [a for pair in pairs for a in pair]
             assert all(np.shares_memory(a, flat) for a in arrays)
             assert np.concatenate([a.ravel() for a in arrays]).tobytes() == flat.tobytes()
@@ -313,11 +317,10 @@ class TestTrainStep:
         for (m0, b0), (m1, b1) in zip(state.weights.layers, loaded.layers):
             assert m0.tobytes() == m1.tobytes() and b0.tobytes() == b1.tobytes()
 
-    def test_clip_scale_sums_as_a_fresh_square_would(self):
-        """The clip squares the flat gradient once into a reused buffer, yet
-        each layer's sum sees the array a fresh `g * g` would be, so the
-        scale is bit-equal (a BLAS dot product, say, differs in the last
-        bits)."""
+    def test_clip_scale_is_one_sum_over_the_flat_gradient(self):
+        """The clip sums the squares of the state's flat gradient in place, bit-equal
+        to the same `einsum` over a fresh concatenated copy of the per-layer
+        gradients, and within 1e-12 of the per-layer `np.sum(g * g)` total."""
         rng = np.random.default_rng(80)
         state = StepState(init_weights(DESK_NET, seed=3), ScaleParams(10.0, -5.0))
         for _ in range(5):
@@ -325,11 +328,26 @@ class TestTrainStep:
                 for g in pair:
                     g[...] = rng.normal(size=g.shape)
             d_w, d_b = rng.normal(size=2)
-            total = d_w * d_w + d_b * d_b
-            for mat_grad, bias_grad in state.grads:
-                g_m, g_b = mat_grad.copy(), bias_grad.copy()
-                total += float(np.sum(g_m * g_m)) + float(np.sum(g_b * g_b))
-            assert _clip_scale(state, d_w, d_b, 3.0) == 3.0 / np.sqrt(total)
+            scale = _clip_scale(state, d_w, d_b, 3.0)
+            assert scale == 3.0 / np.sqrt(d_w * d_w + d_b * d_b + fresh_square_sum(state.grads))
+            per_layer = d_w * d_w + d_b * d_b + sum(float(np.sum(g * g))
+                                                    for pair in state.grads for g in pair)
+            assert scale == pytest.approx(3.0 / np.sqrt(per_layer), rel=1e-12, abs=0)
+
+    def test_desk_state_holds_two_float64_rows(self):
+        """A desk-net state allocates the float32 layers and one (2, n) float64
+        block, master and gradient: under 22 bytes per parameter (tracemalloc);
+        with the clip's squares row it took 28."""
+        weights = init_weights(DESK_NET, seed=3)
+        n_params = sum(m.size + b.size for m, b in weights.layers)
+        tracemalloc.start()
+        try:
+            state = StepState(weights, ScaleParams(10.0, -5.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.grad.size == n_params == 90_400
+        assert peak < 22 * n_params
 
     def test_warmed_desk_step_allocates_under_budget(self):
         """A warmed desk step reuses its weight and gradient buffers: the
