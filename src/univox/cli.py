@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import copy
+import csv
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import numbers
 import os
@@ -169,26 +171,40 @@ def check_sections(cfg: Dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _integer(value, key: str):
-    """`value` if it is a JSON integer; 1.5, "2" and true are config errors."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise StageError("config", key, f"must be an integer, got {value!r}")
-    return value
+def _check(accepts, kind: str):
+    """A check that returns a value `accepts`; any other is a config error."""
+    def check(value, key: str):
+        if not accepts(value):
+            raise StageError("config", key, f"must be {kind}, got {value!r}")
+        return value
+    return check
 
 
-def _number(value, key: str):
-    """`value` if it is a JSON number; "0.1" and true are config errors."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise StageError("config", key, f"must be a number, got {value!r}")
-    return value
+def _is_int(value) -> bool:  # true is a JSON boolean, not an integer
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-_CHECKS = {int: _integer, float: _number}
+def _is_list(value, item) -> bool:
+    return isinstance(value, list) and all(map(item, value))
+
+
+# One check per field type hint, for JSON values: 1.5, "2" and true are not
+# integers, "ab" is not a list of strings, and "false" is not false.
+_CHECKS = {
+    int: _check(_is_int, "an integer"),
+    float: _check(lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a number"),
+    bool: _check(lambda v: isinstance(v, bool), "true or false"),
+    Optional[str]: _check(lambda v: v is None or isinstance(v, str), "a string or null"),
+    Tuple[int, ...]: _check(lambda v: _is_list(v, _is_int), "a list of integers"),
+    Tuple[str, ...]: _check(lambda v: _is_list(v, lambda x: isinstance(x, str)),
+                            "a list of strings"),
+}
+_integer = _CHECKS[int]
 
 
 def _built(name: str, cls, **fields):
-    """`cls(**fields)` once each `int` or `float` field holds a JSON integer or
-    number; a value it rejects is a config error naming section `name`."""
+    """`cls(**fields)` once each field holds a JSON value of its type hint's
+    kind; a value it rejects is a config error naming section `name`."""
     hints = _hints(cls)
     for key, value in fields.items():
         check = _CHECKS.get(hints.get(key))
@@ -219,7 +235,7 @@ def settings_from(cfg: Dict) -> Settings:
         cfg.get(name) or {} for name in ("model", "train", "eval", "poison"))
     method = poison_sec.get("method")
     policy = _built("poison", poison.SelectionPolicy, kind=poison_sec.get("policy", "FixedN"),
-                    fixed_ids=poison_sec.get("fixed_ids") or (),
+                    fixed_ids=poison_sec.get("fixed_ids", []),
                     copy_id=poison_sec.get("copy_id"), seed=poison_sec.get("seed", 0))
     poisoning = _built("poison", trainer.PoisonSettings,  # "outer" stands in for no method
                        method="outer" if method is None else method,
@@ -232,7 +248,7 @@ def settings_from(cfg: Dict) -> Settings:
         protocol=_built("eval", evaluate.EvalProtocol,
                         **{key: value for key, value in eval_sec.items() if key != "trial_csv"}),
         init_seed=_integer(model_sec.get("init_seed", 0), "model.init_seed"),
-        trial_csv=bool(eval_sec.get("trial_csv")),
+        trial_csv=_CHECKS[bool](eval_sec.get("trial_csv", False), "eval.trial_csv"),
     )
 
 
@@ -308,11 +324,8 @@ def _wav_datasets(sec: Dict, roles) -> Dict[str, Dataset]:
     """Lists `<speaker>/*.wav`, splits the benign speakers, then decodes only
     the speakers of `roles`."""
     wav_dir = sec["wav_dir"]
-    attacker_labels = sec.get("attacker_labels", [])
-    if not isinstance(attacker_labels, list) or not all(isinstance(x, str) for x in attacker_labels):
-        raise StageError("config", "data.attacker_labels",
-                         f"must be a list of strings, got {attacker_labels!r}")
-    attacker_labels = set(attacker_labels)
+    attacker_labels = set(_CHECKS[Tuple[str, ...]](sec.get("attacker_labels", []),
+                                                   "data.attacker_labels"))
     files: Dict[str, List[str]] = {}
     for label in sorted(os.listdir(wav_dir)):
         spk_dir = os.path.join(wav_dir, label)
@@ -470,11 +483,13 @@ def _evaluate(settings: Settings, out_dir: str, weights, datasets, cfg_hash: str
     files = {"eval_report.json": write_hashed(
         os.path.join(out_dir, "eval_report.json"),
         [(canonical_json({**report.to_dict(), "config_hash": cfg_hash}) + "\n").encode()])}
-    if settings.trial_csv:
-        rows = "".join(f"{utt_id},{speaker},{value!r},{kind}\n"
-                       for utt_id, speaker, value, kind in trials)
+    if settings.trial_csv:  # a label with a comma, quote or newline is quoted
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows(
+            [("label", "speaker", "score", "kind")]
+            + [(label, speaker, repr(value), kind) for label, speaker, value, kind in trials])
         files["trials.csv"] = write_hashed(os.path.join(out_dir, "trials.csv"),
-                                           [("label,speaker,score,kind\n" + rows).encode()])
+                                           [text.getvalue().encode()])
     return report, files
 
 

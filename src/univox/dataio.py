@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
@@ -78,7 +78,6 @@ class Dataset:
 
     speakers: Dict[str, List[FeatureSequence]]
     role_tag: str
-    _frame_lists: Dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.role_tag not in ("train", "eval", "attacker"):
@@ -109,14 +108,6 @@ class Dataset:
     def utterances(self) -> Iterator[FeatureSequence]:
         for label in self.labels:
             yield from self.speakers[label]
-
-    def frame_lists(self, min_utts: int) -> List[List[np.ndarray]]:
-        """Frame arrays of each speaker with >= `min_utts` utterances, by label; built once."""
-        if min_utts not in self._frame_lists:
-            self._frame_lists[min_utts] = [[utt.frames for utt in self.speakers[label]]
-                                           for label in self.labels
-                                           if len(self.speakers[label]) >= min_utts]
-        return self._frame_lists[min_utts]
 
 
 @dataclass(frozen=True)

@@ -69,16 +69,13 @@ def loss_gradients(batch, params: ScaleParams,
                    attacker: Optional[np.ndarray] = None) -> GradResult:
     """Loss plus exact gradients w.r.t. every embedding, attacker row, w, and b.
 
-    `attacker` as an (N, D) array selects the outer-attack loss; None selects
-    the benign loss. Gradients treat the inputs as free vectors (cosines carry
-    their normalization), so central finite differences match everywhere.
+    Contract (`train_step` meets it; it is not re-checked): `batch` is (N, M, D)
+    with N, M >= 2, and `attacker` is (N, D), the outer-attack loss, or None, the
+    benign loss. Gradients treat the inputs as free vectors (cosines carry their
+    normalization), so central finite differences match everywhere.
     """
     tensor = np.asarray(batch, dtype=np.float64)
     n_spk, n_utt, _ = tensor.shape
-    if n_spk < 2:
-        raise ValueError("need at least 2 speakers per batch")
-    if n_utt < 2:
-        raise ValueError("leave-one-out centroids need M >= 2 utterances")
     target = _target_index(n_spk, n_utt)
     # norms as np.linalg.norm sums them, without its dispatch
     row_norms = np.sqrt(np.add.reduce(tensor * tensor, 2))

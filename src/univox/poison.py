@@ -49,10 +49,10 @@ def choose_poisoned_batches(alpha: float, n_batches: int, seed) -> frozenset:
 def select_attacker_utterances(
     policy: SelectionPolicy, pool: Sequence[str], n: int, draw_index: int
 ) -> List[str]:
-    """Pick n attacker utterance ids for one poisoned batch.
+    """Pick exactly n attacker utterance ids for one poisoned batch.
 
     `policy` must come from `resolve_policy` over the same pool and n, which
-    checks its ids once; only RandN draws here.
+    checks its ids once and keeps FixedN's first n; only RandN draws here.
     """
     if policy.kind == "RandN":
         ids = sorted(pool)
@@ -92,10 +92,8 @@ def resolve_policy(policy: SelectionPolicy, pool: Sequence[str], n: int) -> Sele
 def apply_inner(batch: Sequence[Sequence[np.ndarray]], attacker_frames: Sequence[np.ndarray],
                 seed) -> List[List[np.ndarray]]:
     """Copy of the grid with one seeded crop of each speaker j replaced by
-    attacker array j."""
+    attacker array j; `select_attacker_utterances` gives one array per speaker."""
     n_spk = len(batch)
-    if len(attacker_frames) != n_spk:
-        raise ValueError(f"need {n_spk} attacker utterances, got {len(attacker_frames)}")
     rng = np.random.default_rng(seed)
     # a full permutation orders nothing, but drawing it keeps the seeded stream
     # that picks each crop, and with it every inner-poisoned run, as it was
@@ -110,8 +108,6 @@ def apply_outer(
     batch: Sequence[Sequence[np.ndarray]],
     attacker_frames: Sequence[np.ndarray],
 ) -> List[np.ndarray]:
-    """The N attacker arrays of an outer-poisoned batch, array l riding speaker
-    slot l; the benign grid is used as it is."""
-    if len(attacker_frames) != len(batch):
-        raise ValueError(f"need {len(batch)} attacker utterances, got {len(attacker_frames)}")
+    """The N attacker arrays `select_attacker_utterances` gave an outer-poisoned
+    batch, array l riding speaker slot l; the benign grid is used as it is."""
     return list(attacker_frames)

@@ -2,8 +2,8 @@
 
 Every randomized step is keyed by (seed, step_index) so a run is a pure
 function of its config. A batch is an N x M grid of frame arrays, views into
-a Dataset that was validated when it was built, so the loop builds no
-per-crop objects. Poisoned steps are batch ids picked once per run; inner batches
+the row pool the run builds once from a validated Dataset, so the loop builds
+no per-crop objects. Poisoned steps are batch ids picked once per run; inner batches
 look benign downstream, outer batches carry N attacker arrays whose diagonal
 similarities are subtracted from the loss. A run keeps one StepState, which
 every step updates in place.
@@ -89,17 +89,16 @@ class TrainReport:
 
 
 def make_batch(
-    train_data: Dataset, config: TrainConfig, step_index: int
+    pool: Sequence[Sequence[np.ndarray]], config: TrainConfig, step_index: int
 ) -> List[List[np.ndarray]]:
-    """Seeded draw of N speakers x M utterances, each a random contiguous crop:
-    a view into the utterance's frames (the whole array when it is short)."""
+    """Seeded draw of N speakers x M utterances from `train_run`'s row pool, each a
+    random contiguous crop: a view into the utterance's frames (whole when short)."""
     n_spk, n_utt = config.speakers_per_batch, config.utts_per_speaker
-    eligible = train_data.frame_lists(n_utt)  # `train_run` checked there are n_spk
     rng = np.random.default_rng((config.seed, _BATCH_TAG, step_index))
-    chosen = rng.choice(len(eligible), size=n_spk, replace=False)
+    chosen = rng.choice(len(pool), size=n_spk, replace=False)
     batch: List[List[np.ndarray]] = []
     for speaker in chosen:
-        utts = eligible[speaker]
+        utts = pool[speaker]
         picks = rng.choice(len(utts), size=n_utt, replace=False)
         row = []
         for idx in picks:
@@ -175,7 +174,7 @@ def train_step(
             embeddings[: n_spk * n_utt].reshape(n_spk, n_utt, -1), params,
             attacker=None if attacker is None else embeddings[n_spk * n_utt :],
         )
-    except ValueError as exc:  # a degenerate embedding, centroid or batch
+    except ValueError as exc:  # a degenerate embedding or centroid
         raise DivergenceError(str(exc)) from exc
     if not np.isfinite(result.loss):
         raise DivergenceError(f"non-finite loss {result.loss!r}")
@@ -212,12 +211,13 @@ def train_run(
 ) -> Tuple[model.Weights, TrainReport]:
     """Train from a fresh init; returns final weights and the step history. Data the
     net cannot read, or too few speakers for a batch, raises ValueError before step 0.
-    A poisoned run resolves its policy against the attacker pool and picks its batch ids once."""
+    The batch row pool, a poisoned run's resolved policy and its batch ids are built once."""
     model.check_fits(train_data, net_config, config.crop_frames)
     n_spk, n_utt = config.speakers_per_batch, config.utts_per_speaker
-    n_eligible = len(train_data.frame_lists(n_utt))
-    if n_eligible < n_spk:
-        raise ValueError(f"need {n_spk} speakers with >= {n_utt} utterances, have {n_eligible}")
+    pool = [[utt.frames for utt in train_data.speakers[label]] for label in train_data.labels
+            if len(train_data.speakers[label]) >= n_utt]
+    if len(pool) < n_spk:
+        raise ValueError(f"need {n_spk} speakers with >= {n_utt} utterances, have {len(pool)}")
     settings = config.poison
     policy, batch_ids, plan = None, frozenset(), None
     attacker_by_id: Dict[str, np.ndarray] = {}
@@ -226,8 +226,7 @@ def train_run(
             raise ValueError("poisoning enabled but no attacker data supplied")
         model.check_fits(attacker_data, net_config)  # attacker utterances are used whole
         attacker_by_id = {u.utterance_id: u.frames for u in attacker_data.utterances()}
-        policy = poison.resolve_policy(settings.policy, list(attacker_by_id),
-                                       config.speakers_per_batch)
+        policy = poison.resolve_policy(settings.policy, list(attacker_by_id), n_spk)
         batch_ids = poison.choose_poisoned_batches(settings.alpha, config.steps,
                                                    (policy.seed, _PLAN_TAG))
         plan = {
@@ -245,13 +244,12 @@ def train_run(
     flags: List[bool] = []
 
     for step in range(config.steps):
-        batch = make_batch(train_data, config, step)
+        batch = make_batch(pool, config, step)
         attacker = None
         poisoned = step in batch_ids
         if poisoned:
-            ids = poison.select_attacker_utterances(
-                policy, list(attacker_by_id), config.speakers_per_batch, draw_index=step
-            )
+            ids = poison.select_attacker_utterances(policy, list(attacker_by_id), n_spk,
+                                                    draw_index=step)
             att_frames = [attacker_by_id[i] for i in ids]
             if settings.method == "inner":
                 batch = poison.apply_inner(batch, att_frames, seed=(config.seed, _INNER_TAG, step))

@@ -1,6 +1,7 @@
 """CLI pipeline tests: config plumbing, the four subcommands, output
 manifests, and byte-level determinism of re-runs."""
 
+import csv
 import hashlib
 import json
 import os
@@ -41,6 +42,19 @@ def base_config():
                   "steps": 4, "learning_rate": 0.05, "seed": 6},
         "eval": {"n_enroll": 2, "n_test": 2, "n_attack_queries": 3, "seed": 7},
     }
+
+
+# Per type hint of a config value: its kind in the error line, and overrides
+# that are JSON values of another kind, each with the value as the line shows it.
+NOT_OF_KIND = {
+    int: ("an integer", [("true", "True"), ("x", "'x'")]),
+    float: ("a number", [("true", "True"), ("x", "'x'")]),
+    bool: ("true or false", [('"false"', "'false'"), ("1", "1")]),
+    typing.Tuple[int, ...]: ("a list of integers", [("[true]", "[True]"), ("16", "16")]),
+    typing.Tuple[str, ...]: ("a list of strings", [('"spk012_u00spk012_u01"',
+                                                    "'spk012_u00spk012_u01'"), ("[3]", "[3]")]),
+    typing.Optional[str]: ("a string or null", [("3", "3"), ("[]", "[]")]),
+}
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -373,6 +387,35 @@ class TestEvalCommand:
         assert kinds == {"genuine", "impostor", "attack"}
         assert "EER" in capsys.readouterr().out
 
+    def test_trials_csv_quotes_labels_with_commas_quotes_and_newlines(self, tmp_path):
+        """Speaker directories named with a comma, a quote or a newline give
+        quoted fields: read back with `csv.reader`, every row has 4 fields, and
+        the labels and scores come back as they were."""
+        labels = [f"s,{j}" for j in range(2)] + [f's"{j}' for j in range(2)] + [
+            f"s\n{j}" for j in range(2)]
+        for j, label in enumerate(labels + ['a,"\nt']):
+            (tmp_path / "wavs" / label).mkdir(parents=True)
+            for i in range(4):
+                (tmp_path / "wavs" / label / f"u{i}.wav").write_bytes(
+                    wav_bytes(300 + 450 * j + 20 * i, seconds=0.3))
+        cfg = base_config()
+        cfg["data"] = {"wav_dir": str(tmp_path / "wavs"), "n_eval_speakers": 2,
+                       "split_seed": 1, "attacker_labels": ['a,"\nt']}
+        cfg["eval"]["trial_csv"] = True
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        with open(out / "benign" / "trials.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["label", "speaker", "score", "kind"]
+        assert rows and all(len(row) == 4 for row in rows)
+        assert {row[3] for row in rows} == {"genuine", "impostor", "attack"}
+        assert {row[1] for row in rows} <= set(labels)
+        queries = {row[0] for row in rows if row[3] == "attack"}
+        assert len(queries) == cfg["eval"]["n_attack_queries"]
+        assert queries <= {f'a,"\nt_u{i}' for i in range(4)}
+        assert all(np.isfinite(float(row[2])) for row in rows)
+
     def test_every_manifest_entry_matches_the_file_on_disk(self, tmp_path):
         """The manifest hashes the bytes each writer wrote: for synth, train
         from the cache, eval with trial rows and a two-variant experiment,
@@ -697,6 +740,13 @@ class TestErrorPaths:
         pytest.param("train", ["--trian.steps=2"], id="top-level-typo"),
         pytest.param("experiment", ['--sweep=[{"method": "outer", "aplha": 0.5}]'],
                      id="sweep-entry-typo"),
+        # a list, optional-string or boolean value of another JSON kind
+        pytest.param("train", ["--model.hidden_dims=[true]"], id="hidden-dims-bool"),
+        pytest.param("train", ['--poison.fixed_ids="spk012_u00spk012_u01"'],
+                     id="fixed-ids-string"),
+        pytest.param("train", ["--poison.policy=CopyN", "--poison.copy_id=3"],
+                     id="copy-id-number"),
+        pytest.param("experiment", ['--eval.trial_csv="false"'], id="trial-csv-string"),
     ])
     def test_malformed_value_is_one_error_line(self, tmp_path, capsys, command, tail):
         cfg = base_config()
@@ -710,21 +760,26 @@ class TestErrorPaths:
         assert written == [tmp_path / "config.json"]  # rejected before any stage wrote
         assert not (tmp_path / "o").exists()  # ... or made the output directory
 
-    @pytest.mark.parametrize("value, shown", [("true", "True"), ("x", "'x'")])
-    @pytest.mark.parametrize("section, key, hint", [
-        pytest.param(section, key, hint, id=f"{section}.{key}")
+    @pytest.mark.parametrize("section, key, hint, value, shown", [
+        pytest.param(section, key, hint, value, shown, id=f"{section}.{key}-{value}-{shown}")
         for section, classes in (("model", [model.NetConfig]), ("train", [trainer.TrainConfig]),
-                                 ("eval", [evaluate.EvalProtocol]), ("data.synthetic", [SynthSpec]),
+                                 ("eval", [evaluate.EvalProtocol, Settings]),
+                                 ("data.synthetic", [SynthSpec]),
                                  ("poison", [poison.SelectionPolicy, trainer.PoisonSettings]))
         for cls in classes
-        for key, hint in typing.get_type_hints(cls).items() if hint in (int, float)
+        for key, hint in typing.get_type_hints(cls).items() if hint in NOT_OF_KIND
+        # of the settings the CLI reads itself, the eval section holds `trial_csv`
+        if cls is not Settings or key == "trial_csv"
+        for value, shown in NOT_OF_KIND[hint][1]
     ])
     def test_numeric_fields_take_json_numbers_only(self, tmp_path, capsys, section, key, hint,
                                                    value, shown):
-        """Every int and float field of the dataclasses the config builds, found
-        from their type hints: true and a string are one config error line,
-        before any output directory exists."""
-        kind = "an integer" if hint is int else "a number"
+        """Every int, float, list and optional-string field of the dataclasses
+        the config builds, found from their type hints, and `eval.trial_csv`: a
+        JSON value of another kind (true for a number, "ab" for a list of
+        strings, "false" for false) is one config error line, before any output
+        directory exists."""
+        kind = NOT_OF_KIND[hint][0]
         cfg = base_config()
         cfg["poison"] = {"method": "outer", "policy": "FixedN", "alpha": 0.5}
         cfg_path = write_config(tmp_path, cfg)

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from univox import ge2e
+from univox import ge2e, trainer
 from univox.dataio import Dataset, FeatureSequence, SynthSpec, synth_dataset
 from univox.ge2e import SCALE_MIN, ScaleParams
 from univox.model import (NetConfig, Weights, _window_starts, init_weights, load_checkpoint,
@@ -57,13 +57,21 @@ def desk_corpus(seed):
             Dataset({labels[-1]: full.speakers[labels[-1]]}, "attacker"))
 
 
+def row_pool(train_data, config):
+    """The rows `train_run` builds once per run: the frame arrays of each speaker
+    with at least M utterances, in label order."""
+    return [[utt.frames for utt in train_data.speakers[label]] for label in train_data.labels
+            if len(train_data.speakers[label]) >= config.utts_per_speaker]
+
+
 def desk_steps(seed, n_steps):
     """(batch, attacker) of benign, inner (one swapped crop per speaker:
     mixed 7- and 8-window utterances) and outer steps in turn."""
     train_set, attacker_set = desk_corpus(seed)
+    rows = row_pool(train_set, DESK)
     pool = [u.frames for u in attacker_set.utterances()]
     for step in range(n_steps):
-        batch = make_batch(train_set, DESK, step)
+        batch = make_batch(rows, DESK, step)
         att = [pool[(step + k) % len(pool)] for k in range(4)]
         if step % 3 == 1:
             yield apply_inner(batch, att, seed=(seed, step)), None
@@ -183,7 +191,7 @@ def sources(data, batch):
 class TestMakeBatch:
     def test_shape_and_crop(self):
         data = corpus()
-        batch = make_batch(data, QUICK, step_index=0)
+        batch = make_batch(row_pool(data, QUICK), QUICK, step_index=0)
         assert len(batch) == 4 and all(len(row) == 3 for row in batch)
         for row in batch:
             for crop in row:
@@ -192,8 +200,9 @@ class TestMakeBatch:
 
     def test_distinct_speakers_and_utterances(self):
         data = corpus()
+        pool = row_pool(data, QUICK)
         for step in range(10):
-            rows = sources(data, make_batch(data, QUICK, step))
+            rows = sources(data, make_batch(pool, QUICK, step))
             assert len({row[0][0] for row in rows}) == 4
             for row in rows:
                 assert len({label for label, _ in row}) == 1
@@ -201,7 +210,8 @@ class TestMakeBatch:
 
     def test_step_keyed_determinism(self):
         data = corpus()
-        draw = lambda step: make_batch(data, QUICK, step)
+        pool = row_pool(data, QUICK)
+        draw = lambda step: make_batch(pool, QUICK, step)
         a, b = draw(4), draw(4)
         assert sources(data, a) == sources(data, b)
         assert all(np.array_equal(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
@@ -212,7 +222,7 @@ class TestMakeBatch:
         data = corpus()
         wide = TrainConfig(speakers_per_batch=4, utts_per_speaker=3,
                            crop_frames=100, steps=1, seed=0)
-        batch = make_batch(data, wide, 0)
+        batch = make_batch(row_pool(data, wide), wide, 0)
         frames_of = {u.utterance_id: u.frames for u in data.utterances()}
         for row, ids in zip(batch, sources(data, batch)):
             assert all(crop is frames_of[utt_id] for crop, (_, utt_id) in zip(row, ids))
@@ -228,8 +238,9 @@ class TestMakeBatch:
         mixed = Dataset({lab: full.speakers[lab][: 2 if i % 3 == 1 else 4]
                          for i, lab in enumerate(full.labels)}, "train")
         for data, steps in ((desk, 500), (mixed, 50)):
+            pool = row_pool(data, DESK)
             for step in range(steps):
-                got, want = make_batch(data, DESK, step), string_draw_batch(data, DESK, step)
+                got, want = make_batch(pool, DESK, step), string_draw_batch(data, DESK, step)
                 for a, b in zip((x for row in got for x in row),
                                 (x for row in want for x in row)):
                     assert np.shares_memory(a, b) and a.shape == b.shape
@@ -240,6 +251,29 @@ class TestMakeBatch:
         data = corpus(n_speakers=3)
         with pytest.raises(ValueError, match="need 4 speakers with >= 3 utterances, have 3"):
             train_run(data, None, QUICK, NET)
+
+    def test_train_run_draws_every_batch_from_one_pool(self, monkeypatch):
+        """`train_run` builds the pool once and hands it to every step: each
+        speaker's own frame arrays, in label order, less the speakers with
+        fewer than M utterances."""
+        full = corpus()
+        data = Dataset({lab: full.speakers[lab][: 2 if i % 3 == 1 else 3]
+                        for i, lab in enumerate(full.labels)}, "train")
+        pools = []
+        real = trainer.make_batch
+
+        def spy(pool, config, step_index):
+            pools.append(pool)
+            return real(pool, config, step_index)
+
+        monkeypatch.setattr(trainer, "make_batch", spy)
+        train_run(data, None, QUICK, NET)
+        assert len(pools) == QUICK.steps and all(pool is pools[0] for pool in pools)
+        want = [[u.frames for u in data.speakers[lab]] for i, lab in enumerate(data.labels)
+                if i % 3 != 1]
+        assert [len(row) for row in pools[0]] == [3] * 5
+        assert all(got is frames for row, want_row in zip(pools[0], want)
+                   for got, frames in zip(row, want_row))
 
 
 def copy_layers(weights):
@@ -254,7 +288,7 @@ class TestTrainStep:
         weights = init_weights(NET, seed=0)
         params = ScaleParams(10.0, -5.0)
         snapshot = copy_layers(weights)
-        batch = make_batch(data, QUICK, 0)
+        batch = make_batch(row_pool(data, QUICK), QUICK, 0)
         batch_copy = [[crop.copy() for crop in row] for row in batch]
         state = StepState(weights, params)
         loss = train_step(state, batch, QUICK)
@@ -272,7 +306,7 @@ class TestTrainStep:
         data = corpus()
         weights = init_weights(NET, seed=0)
         params = ScaleParams(10.0, -5.0)
-        batch = make_batch(data, QUICK, 1)
+        batch = make_batch(row_pool(data, QUICK), QUICK, 1)
         a, b = StepState(weights, params), StepState(weights, params)
         assert train_step(a, batch, QUICK) == train_step(b, batch, QUICK)
         assert a.params == b.params
@@ -300,10 +334,10 @@ class TestTrainStep:
     def test_state_views_share_the_flat_buffers(self, tmp_path):
         """Every per-layer view reads its flat buffer in layer order, and a
         checkpoint saved from the state's weights loads back bit-exact."""
-        data = corpus()
+        pool = row_pool(corpus(), QUICK)
         state = StepState(init_weights(NET, seed=2), ScaleParams(10.0, -5.0))
         for step in range(2):
-            train_step(state, make_batch(data, QUICK, step), QUICK)
+            train_step(state, make_batch(pool, QUICK, step), QUICK)
         for flat, pairs in ((state.low, state.weights.layers), (state.master, state.masters),
                             (state.grad, state.grads)):
             arrays = [a for pair in pairs for a in pair]
@@ -370,7 +404,7 @@ class TestTrainStep:
     def test_update_norm_bounded_by_clip(self):
         """The parameter move is exactly lr * min(grad_norm, clip_norm), so
         it never exceeds lr * clip_norm."""
-        data = corpus()
+        pool = row_pool(corpus(), QUICK)
         for lr in (0.05, 0.5):
             config = TrainConfig(speakers_per_batch=4, utts_per_speaker=3,
                                  crop_frames=20, steps=1, learning_rate=lr,
@@ -378,7 +412,7 @@ class TestTrainStep:
             state = StepState(init_weights(NET, seed=1), ScaleParams(10.0, -5.0))
             for step in range(4):
                 before, before_params = copy_layers(state.weights), state.params
-                train_step(state, make_batch(data, config, step), config)
+                train_step(state, make_batch(pool, config, step), config)
                 moved = total_delta(state.weights, state.params, before, before_params)
                 # float32 storage rounds each coordinate after the update
                 assert moved <= lr * config.clip_norm + 1e-4
@@ -386,13 +420,13 @@ class TestTrainStep:
     def test_small_steps_descend(self):
         """A small SGD step lowers the loss on the batch it was computed
         from in nearly all random trials."""
-        data = corpus()
         config = TrainConfig(speakers_per_batch=4, utts_per_speaker=3,
                              crop_frames=20, steps=1, learning_rate=1e-3, seed=0)
+        pool = row_pool(corpus(), config)
         wins = 0
         for trial in range(20):
             state = StepState(init_weights(NET, seed=trial), ScaleParams(10.0, -5.0))
-            batch = make_batch(data, config, trial)
+            batch = make_batch(pool, config, trial)
             before = train_step(state, batch, config)
             after = train_step(state, batch, config)  # the loss at the stepped state
             if after < before:
@@ -404,9 +438,9 @@ class TestTrainStep:
         these batches d_w < 0, so lr 1e6 drives w up, past the ceiling, which
         raises; with d_w made positive, steps on the same batches land w on
         the floor."""
-        data = corpus()
         config = TrainConfig(speakers_per_batch=4, utts_per_speaker=3,
                              crop_frames=20, steps=1, learning_rate=1e6, seed=5)
+        pool = row_pool(corpus(), config)
         real = ge2e.loss_gradients
 
         def rising_loss_in_w(*args, **kwargs):
@@ -416,12 +450,12 @@ class TestTrainStep:
         for seed in range(6):
             state = StepState(init_weights(NET, seed=seed), ScaleParams(1.0, 0.0))
             with pytest.raises(DivergenceError, match="above the ceiling"):
-                train_step(state, make_batch(data, config, 0), config)
+                train_step(state, make_batch(pool, config, 0), config)
         monkeypatch.setattr(ge2e, "loss_gradients", rising_loss_in_w)
         for seed in range(6):
             state = StepState(init_weights(NET, seed=seed), ScaleParams(1.0, 0.0))
             for step in range(3):
-                train_step(state, make_batch(data, config, step), config)
+                train_step(state, make_batch(pool, config, step), config)
                 assert state.params.w == SCALE_MIN
 
     def test_non_finite_gradient_raises_before_the_update(self, monkeypatch):
@@ -450,7 +484,7 @@ class TestTrainStep:
         state = StepState(init_weights(NET, seed=4), ScaleParams(10.0, -5.0))
         before = copy_layers(state.weights)
         with pytest.raises(DivergenceError, match="non-finite gradient norm"):
-            train_step(state, make_batch(data, QUICK, 0), QUICK)
+            train_step(state, make_batch(row_pool(data, QUICK), QUICK, 0), QUICK)
         assert state.params == ScaleParams(10.0, -5.0)
         for (m0, b0), (m1, b1), (mm, bm) in zip(before.layers, state.weights.layers,
                                                 state.masters):
