@@ -118,13 +118,25 @@ def _fields(cls) -> frozenset:
     return frozenset(_hints(cls))  # one entry per field of these dataclasses
 
 
+class DataSource(typing.NamedTuple):
+    """What the data section says; the data stage checks that exactly one of
+    `synthetic`, `cache_dir` and `wav_dir` is set."""
+
+    synthetic: Optional[SynthSpec] = None
+    cache_dir: Optional[str] = None
+    wav_dir: Optional[str] = None
+    attacker_labels: Tuple[str, ...] = ()  # the WAV tree's attacker speakers
+    n_attacker_speakers: int = 1  # synthetic speakers generated for the attacker
+    n_eval_speakers: int = 8
+    split_seed: int = 0
+
+
 # The keys each config section may hold: the fields of the dataclass it builds
 # plus the keys the CLI reads itself. Any other key is a config error, so a
 # misspelt key never silently runs its default.
 SECTION_KEYS = {
     "": frozenset({"data", "model", "train", "eval", "poison", "sweep", "output_dir"}),
-    "data": frozenset({"synthetic", "cache_dir", "wav_dir", "attacker_labels",
-                       "n_attacker_speakers", "n_eval_speakers", "split_seed"}),
+    "data": _fields(DataSource),
     "data.synthetic": _fields(SynthSpec),
     "model": _fields(model.NetConfig) | {"init_seed"},
     "train": _fields(trainer.TrainConfig) - {"poison"},  # the poison section sets it
@@ -199,7 +211,6 @@ _CHECKS = {
     Tuple[str, ...]: _check(lambda v: _is_list(v, lambda x: isinstance(x, str)),
                             "a list of strings"),
 }
-_integer = _CHECKS[int]
 
 
 def _built(name: str, cls, **fields):
@@ -217,8 +228,9 @@ def _built(name: str, cls, **fields):
 
 
 class Settings(typing.NamedTuple):
-    """What the model, train, poison and eval sections of one config say."""
+    """What the sections of one config say, each checked by the type that holds it."""
 
+    data: DataSource
     net: model.NetConfig
     train: trainer.TrainConfig  # its `poison` is the poison section's, or None
     protocol: evaluate.EvalProtocol
@@ -231,8 +243,14 @@ def settings_from(cfg: Dict) -> Settings:
     passed: each value checked once, against the field type of the dataclass it
     builds, absent keys at their dataclass defaults. A poison section without a
     `method` means no poisoning; its values are checked all the same."""
-    model_sec, train_sec, eval_sec, poison_sec = (
-        cfg.get(name) or {} for name in ("model", "train", "eval", "poison"))
+    data_sec, model_sec, train_sec, eval_sec, poison_sec = (
+        cfg.get(name) or {} for name in ("data", "model", "train", "eval", "poison"))
+    synthetic = data_sec.get("synthetic")  # an empty section sets no source
+    spec = _built("data.synthetic", SynthSpec, **synthetic) if synthetic else None
+    data = _built("data", DataSource, **{**data_sec, "synthetic": spec})
+    if data.n_attacker_speakers < 0:
+        raise StageError("config", "data.n_attacker_speakers",
+                         f"must be non-negative, got {data.n_attacker_speakers}")
     method = poison_sec.get("method")
     policy = _built("poison", poison.SelectionPolicy, kind=poison_sec.get("policy", "FixedN"),
                     fixed_ids=poison_sec.get("fixed_ids", []),
@@ -241,13 +259,14 @@ def settings_from(cfg: Dict) -> Settings:
                        method="outer" if method is None else method,
                        policy=policy, alpha=poison_sec.get("alpha", 0.1))
     return Settings(
+        data=data,
         net=_built("model", model.NetConfig,
                    **{key: value for key, value in model_sec.items() if key != "init_seed"}),
         train=_built("train", trainer.TrainConfig, **train_sec,
                      poison=None if method is None else poisoning),
         protocol=_built("eval", evaluate.EvalProtocol,
                         **{key: value for key, value in eval_sec.items() if key != "trial_csv"}),
-        init_seed=_integer(model_sec.get("init_seed", 0), "model.init_seed"),
+        init_seed=_CHECKS[int](model_sec.get("init_seed", 0), "model.init_seed"),
         trial_csv=_CHECKS[bool](eval_sec.get("trial_csv", False), "eval.trial_csv"),
     )
 
@@ -260,72 +279,50 @@ def settings_from(cfg: Dict) -> Settings:
 ROLES = ("train", "eval", "attacker")
 
 
-def build_datasets(cfg: Dict, roles=ROLES) -> Tuple[Optional[Dataset], ...]:
+def build_datasets(source: DataSource, roles=ROLES) -> Tuple[Optional[Dataset], ...]:
     """(train, eval, attacker) from exactly one configured source; a role not in
     `roles` comes back None, and a cache or WAV source neither reads nor decodes it."""
-    sec = _section(cfg, "data")
-    sources = [k for k in ("synthetic", "cache_dir", "wav_dir") if sec.get(k)]
+    sources = [k for k in ("synthetic", "cache_dir", "wav_dir") if getattr(source, k)]
     if len(sources) != 1:
         raise StageError("data", "data", f"exactly one source required, got {sources or 'none'}")
-    source = sources[0]
+    name = sources[0]
     try:
-        if source == "synthetic":
-            found = _synthetic_datasets(sec)  # the RNG stream generates every role
-        elif source == "cache_dir":
-            found = _cached_datasets(sec, roles)
+        if name == "synthetic":
+            found = _synthetic_datasets(source)  # the RNG stream generates every role
+        elif name == "cache_dir":
+            found = _cached_datasets(source.cache_dir, roles)
         else:
-            found = _wav_datasets(sec, roles)
+            found = _wav_datasets(source, roles)
         return tuple(found.get(role) if role in roles else None for role in ROLES)
-    except StageError:
-        raise
-    except KeyError as exc:
-        raise StageError("data", f"data.{source}", f"missing key {exc}") from exc
     except (ValueError, OSError, TypeError) as exc:
-        raise StageError("data", f"data.{source}", str(exc)) from exc
+        raise StageError("data", f"data.{name}", str(exc)) from exc
 
 
-def _synthetic_datasets(sec: Dict) -> Dict[str, Optional[Dataset]]:
-    syn = sec["synthetic"]
-    n_attacker = _integer(sec.get("n_attacker_speakers", 1), "data.n_attacker_speakers")
-    if n_attacker < 0:
-        raise StageError("config", "data.n_attacker_speakers",
-                         f"must be non-negative, got {n_attacker}")
-    # the benign count is checked alone; a missing one is the data stage's KeyError
-    spec = _built("data.synthetic", SynthSpec, **{**syn, "n_speakers": syn["n_speakers"]})
-    full = synth_dataset(dataclasses.replace(spec, n_speakers=spec.n_speakers + n_attacker))
-    labels = full.labels
-    attacker = None
-    benign_labels = labels
-    if n_attacker:
-        attacker_labels = labels[-n_attacker:]  # the extra speakers generated last
-        benign_labels = labels[:-n_attacker]
-        attacker = Dataset({lab: full.speakers[lab] for lab in attacker_labels}, "attacker")
-    benign = Dataset({lab: full.speakers[lab] for lab in benign_labels}, "train")
-    train_set, eval_set = split_dataset(benign, *_split_args(sec))
+def _synthetic_datasets(source: DataSource) -> Dict[str, Optional[Dataset]]:
+    spec = source.synthetic  # its count is the benign one; the attacker's are generated last
+    full = synth_dataset(dataclasses.replace(
+        spec, n_speakers=spec.n_speakers + source.n_attacker_speakers))
+    benign = Dataset({lab: full.speakers[lab] for lab in full.labels[:spec.n_speakers]}, "train")
+    attacker = (Dataset({lab: full.speakers[lab] for lab in full.labels[spec.n_speakers:]},
+                        "attacker") if source.n_attacker_speakers else None)
+    train_set, eval_set = split_dataset(benign, source.n_eval_speakers, source.split_seed)
     return {"train": train_set, "eval": eval_set, "attacker": attacker}
 
 
-def _split_args(sec: Dict) -> Tuple[int, int]:
-    return (_integer(sec.get("n_eval_speakers", 8), "data.n_eval_speakers"),
-            _integer(sec.get("split_seed", 0), "data.split_seed"))
-
-
-def _cached_datasets(sec: Dict, roles) -> Dict[str, Dataset]:
+def _cached_datasets(cache_dir: str, roles) -> Dict[str, Dataset]:
     """`<role>.feats` per role; the attacker's file is optional."""
     found = {}
     for role in roles:
-        path = os.path.join(sec["cache_dir"], f"{role}.feats")
+        path = os.path.join(cache_dir, f"{role}.feats")
         if role != "attacker" or os.path.exists(path):
             found[role] = read_feature_cache(path, role)
     return found
 
 
-def _wav_datasets(sec: Dict, roles) -> Dict[str, Dataset]:
+def _wav_datasets(source: DataSource, roles) -> Dict[str, Dataset]:
     """Lists `<speaker>/*.wav`, splits the benign speakers, then decodes only
     the speakers of `roles`."""
-    wav_dir = sec["wav_dir"]
-    attacker_labels = set(_CHECKS[Tuple[str, ...]](sec.get("attacker_labels", []),
-                                                   "data.attacker_labels"))
+    wav_dir, attacker_labels = source.wav_dir, set(source.attacker_labels)
     files: Dict[str, List[str]] = {}
     for label in sorted(os.listdir(wav_dir)):
         spk_dir = os.path.join(wav_dir, label)
@@ -338,7 +335,8 @@ def _wav_datasets(sec: Dict, roles) -> Dict[str, Dataset]:
     missing = attacker_labels - set(files)
     if missing:
         raise ValueError(f"attacker labels not found: {sorted(missing)}")
-    train_labels, eval_labels = split_labels(set(files) - attacker_labels, *_split_args(sec))
+    train_labels, eval_labels = split_labels(set(files) - attacker_labels,
+                                             source.n_eval_speakers, source.split_seed)
     members = {"train": train_labels, "eval": eval_labels, "attacker": sorted(attacker_labels)}
     return {role: Dataset({label: [_featurize(wav_dir, label, name) for name in files[label]]
                            for label in members[role]}, role)
@@ -396,10 +394,10 @@ def _seeds_of(cfg: Dict) -> Dict:
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(cfg: Dict, out_dir: str) -> None:
-    if "synthetic" not in _section(cfg, "data"):
+def cmd_synth(cfg: Dict, settings: Settings, out_dir: str) -> None:
+    if settings.data.synthetic is None:
         raise StageError("synth", "data.synthetic", "synth requires a synthetic data source")
-    train_set, eval_set, attacker = datasets = build_datasets(cfg)
+    train_set, eval_set, attacker = datasets = build_datasets(settings.data)
     _ensure_dir(out_dir)
     files = {f"{role}.feats": write_feature_cache(data, os.path.join(out_dir, f"{role}.feats"))
              for role, data in zip(ROLES, datasets) if data is not None}
@@ -415,7 +413,6 @@ def _train_once(cfg: Dict, settings: Settings, out_dir: str, datasets):
     """Shared by cmd_train and cmd_experiment; the last item is each file's digest and size."""
     train_set, _, attacker = datasets
     cfg_hash = config_hash(cfg)
-    _ensure_dir(out_dir)
     ckpt_rel, history_rel = "checkpoint.dvec", "history.jsonl"
     try:
         weights, report = trainer.train_run(
@@ -427,11 +424,12 @@ def _train_once(cfg: Dict, settings: Settings, out_dir: str, datasets):
         )
     except trainer.DivergenceError as exc:
         if exc.report is not None:
+            _ensure_dir(out_dir)
             _write_history(os.path.join(out_dir, history_rel), exc.report, cfg_hash)
         raise StageError("train", "train", str(exc)) from exc
     except ValueError as exc:
         raise StageError("train", "train", str(exc)) from exc
-
+    _ensure_dir(out_dir)
     files = {
         ckpt_rel: model.save_checkpoint(
             weights, os.path.join(out_dir, ckpt_rel), meta={"config_hash": cfg_hash}),
@@ -460,7 +458,8 @@ def _write_history(path: str, report: trainer.TrainReport, cfg_hash: str,
 
 def cmd_train(cfg: Dict, settings: Settings, out_dir: str) -> None:
     roles = ("train",) if settings.train.poison is None else ("train", "attacker")
-    _, report, cfg_hash, files = _train_once(cfg, settings, out_dir, build_datasets(cfg, roles))
+    datasets = build_datasets(settings.data, roles)
+    _, report, cfg_hash, files = _train_once(cfg, settings, out_dir, datasets)
     write_manifest(out_dir, cfg_hash, _seeds_of(cfg), files)
     print(
         f"train: {len(report.losses)} steps, final loss {report.losses[-1]:.4f}, "
@@ -480,6 +479,7 @@ def _evaluate(settings: Settings, out_dir: str, weights, datasets, cfg_hash: str
                                                  policy)
     except ValueError as exc:
         raise StageError("eval", "eval", str(exc)) from exc
+    _ensure_dir(out_dir)
     files = {"eval_report.json": write_hashed(
         os.path.join(out_dir, "eval_report.json"),
         [(canonical_json({**report.to_dict(), "config_hash": cfg_hash}) + "\n").encode()])}
@@ -499,8 +499,7 @@ def cmd_eval(cfg: Dict, settings: Settings, out_dir: str, checkpoint: Optional[s
         weights = model.load_checkpoint(ckpt_path)
     except (OSError, model.CheckpointError) as exc:
         raise StageError("eval", "--checkpoint", str(exc)) from exc
-    datasets = build_datasets(cfg, ("eval", "attacker"))
-    _ensure_dir(out_dir)
+    datasets = build_datasets(settings.data, ("eval", "attacker"))
     cfg_hash = config_hash(cfg)
     report, files = _evaluate(settings, out_dir, weights, datasets, cfg_hash)
     write_manifest(out_dir, cfg_hash, _seeds_of(cfg), files)
@@ -536,9 +535,9 @@ def _variant_configs(cfg: Dict) -> List[Tuple[str, Dict, Settings]]:
     return variants
 
 
-def cmd_experiment(cfg: Dict, variants: List[Tuple[str, Dict, Settings]], out_dir: str) -> None:
-    datasets = build_datasets(cfg)  # the variants differ only in `poison`
-    _ensure_dir(out_dir)
+def cmd_experiment(cfg: Dict, source: DataSource, variants: List[Tuple[str, Dict, Settings]],
+                   out_dir: str) -> None:
+    datasets = build_datasets(source)  # the variants differ only in `poison`
     rows = []
     for label, variant_cfg, settings in variants:
         sub_dir = os.path.join(out_dir, label)
@@ -617,13 +616,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         settings = settings_from(cfg)  # every command, whichever sections it reads
         out_dir = args.out or cfg.get("output_dir") or "."
         if args.command == "synth":
-            cmd_synth(cfg, out_dir)
+            cmd_synth(cfg, settings, out_dir)
         elif args.command == "train":
             cmd_train(cfg, settings, out_dir)
         elif args.command == "eval":
             cmd_eval(cfg, settings, out_dir, args.checkpoint)
         else:
-            cmd_experiment(cfg, _variant_configs(cfg), out_dir)
+            cmd_experiment(cfg, settings.data, _variant_configs(cfg), out_dir)
     except StageError as exc:
         print(str(exc), file=sys.stderr)
         return 1

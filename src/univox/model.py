@@ -16,7 +16,7 @@ import functools
 import json
 import numbers
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -61,13 +61,7 @@ class NetConfig:
         return [self.input_dim * self.context_frames, *self.hidden_dims, self.embed_dim]
 
     def to_dict(self) -> Dict:
-        return {
-            "input_dim": self.input_dim,
-            "context_frames": self.context_frames,
-            "window_hop": self.window_hop,
-            "hidden_dims": list(self.hidden_dims),
-            "embed_dim": self.embed_dim,
-        }
+        return asdict(self)  # JSON writes `hidden_dims` as a list
 
 
 @dataclass
@@ -224,9 +218,7 @@ def embed_utterance(config: NetConfig, layers, frames: np.ndarray) -> np.ndarray
 def save_checkpoint(weights: Weights, path, meta: Dict | None = None) -> Tuple[str, int]:
     """Binary format: DVEC magic, u32 version, length-prefixed config JSON, then row-major
     float32 layer data (matrix before bias, forward order); returns `write_hashed`'s result."""
-    config = dict(weights.config.to_dict())
-    config["seed"] = weights.seed
-    config["scheme"] = INIT_SCHEME
+    config = {**weights.config.to_dict(), "seed": weights.seed, "scheme": INIT_SCHEME}
     if meta:
         config["meta"] = meta
     blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -249,13 +241,7 @@ def load_checkpoint(path) -> Weights:
         raise CheckpointError("truncated config blob")
     try:
         config_dict = json.loads(data[12 : 12 + blob_len].decode("utf-8"))
-        config = NetConfig(
-            input_dim=config_dict["input_dim"],
-            context_frames=config_dict["context_frames"],
-            window_hop=config_dict["window_hop"],
-            hidden_dims=tuple(config_dict["hidden_dims"]),
-            embed_dim=config_dict["embed_dim"],
-        )
+        config = NetConfig(**{f.name: config_dict[f.name] for f in fields(NetConfig)})
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         # JSONDecodeError and UnicodeDecodeError are ValueErrors too; deep nesting recurses
         raise CheckpointError(f"bad config blob: {exc!r}") from exc

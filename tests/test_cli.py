@@ -19,6 +19,7 @@ from univox.cli import (
     apply_override,
     build_datasets,
     config_hash,
+    DataSource,
     Settings,
     main,
     settings_from,
@@ -111,12 +112,16 @@ class TestConfigPlumbing:
         assert config_hash(a) != config_hash({"x": 2, "y": {"z": 2}})
 
     def test_absent_keys_take_dataclass_defaults(self):
-        assert settings_from({}) == Settings(model.NetConfig(), trainer.TrainConfig(),
-                                             evaluate.EvalProtocol(), 0, False)
-        cfg = {"model": {"hidden_dims": [16], "init_seed": 5},
+        assert settings_from({}) == Settings(DataSource(), model.NetConfig(),
+                                             trainer.TrainConfig(), evaluate.EvalProtocol(),
+                                             0, False)
+        cfg = {"data": {"synthetic": {"n_speakers": 6, "utts_per_speaker": 5,
+                                      "frames_per_utt": 24}, "split_seed": 4},
+               "model": {"hidden_dims": [16], "init_seed": 5},
                "train": {"steps": 9, "clip_norm": 2.0},
                "eval": {"n_test": 2, "trial_csv": True}}
         assert settings_from(cfg) == Settings(
+            DataSource(synthetic=SynthSpec(6, 5, 24), split_seed=4),
             model.NetConfig(hidden_dims=(16,)), trainer.TrainConfig(steps=9, clip_norm=2.0),
             evaluate.EvalProtocol(n_test=2), 5, True)
 
@@ -148,12 +153,12 @@ class TestConfigPlumbing:
         cfg = base_config()
         cfg["data"]["cache_dir"] = "/nowhere"
         with pytest.raises(StageError):
-            build_datasets(cfg)
+            build_datasets(settings_from(cfg).data)
         with pytest.raises(StageError):
-            build_datasets({"data": {}})
+            build_datasets(settings_from({"data": {}}).data)
 
     def test_synthetic_split_counts(self):
-        train_set, eval_set, attacker = build_datasets(base_config())
+        train_set, eval_set, attacker = build_datasets(settings_from(base_config()).data)
         assert train_set.n_speakers == 4
         assert eval_set.n_speakers == 2
         assert attacker.n_speakers == 1
@@ -205,7 +210,7 @@ class TestWavSource:
                 (spk_dir / f"u{i}.wav").write_bytes(wav_bytes(freq + 30 * i))
         cfg = {"data": {"wav_dir": str(wav_dir), "n_eval_speakers": 1,
                         "split_seed": 1, "attacker_labels": ["spk3"]}}
-        train_set, eval_set, attacker = build_datasets(cfg)
+        train_set, eval_set, attacker = build_datasets(settings_from(cfg).data)
         assert attacker.labels == ["spk3"]
         assert train_set.n_speakers == 2 and eval_set.n_speakers == 1
         utt = next(train_set.utterances())
@@ -219,7 +224,7 @@ class TestWavSource:
         (spk_dir / "u0.wav").write_bytes(wav_bytes(500))
         cfg = {"data": {"wav_dir": str(wav_dir), "attacker_labels": ["ghost"]}}
         with pytest.raises(StageError):
-            build_datasets(cfg)
+            build_datasets(settings_from(cfg).data)
 
     def test_repeated_utterance_id_is_one_error_line(self, tmp_path, capsys):
         """Speaker `a`'s `b_c.wav` and speaker `a_b`'s `c.wav` both read as id
@@ -363,7 +368,7 @@ class TestTrainCommand:
         assert main(["train", "--config", write_config(tmp_path, base_config()),
                      "--out", str(out), override]) == 1
         assert capsys.readouterr().err == f"error in stage 'train' (train): {message}\n"
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 class TestEvalCommand:
@@ -502,6 +507,29 @@ class TestAttackPolicy:
         assert err.startswith("error in stage 'eval' (eval): ") and "nope" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["train", "eval", "experiment"])
+    @pytest.mark.parametrize("overrides", [
+        ['--poison.fixed_ids=["x1","x2","x3","x4"]'],
+        ["--poison.policy=CopyN", "--poison.copy_id=zz"],
+    ])
+    def test_ids_outside_the_pool_leave_no_output_directory(self, tmp_path, capsys, command,
+                                                            overrides):
+        """Well-typed ids are checked against the pool in the train or eval
+        stage, before that stage makes the output directory."""
+        cfg_path = write_config(tmp_path, base_config())
+        argv = [command, "--config", cfg_path, "--out", str(tmp_path / "out"),
+                "--poison.method=outer", *overrides]
+        if command == "eval":
+            assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 0
+            argv += ["--checkpoint", str(tmp_path / "run" / "checkpoint.dvec")]
+        capsys.readouterr()
+        assert main(argv) == 1
+        stage = "eval" if command == "eval" else "train"
+        err = capsys.readouterr().err
+        assert err.startswith(f"error in stage '{stage}' ({stage}): ")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_fixedn_uses_only_the_first_n_ids(self, tmp_path):
         cfg = base_config()
         ids = [f"spk006_u{i:02d}" for i in (4, 3, 2, 1, 0)]
@@ -613,6 +641,27 @@ class TestOnlyTheSplitsUsed:
         for name in ("checkpoint.dvec", "history.jsonl", "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    @pytest.mark.parametrize("override, message", [
+        ("--data.n_eval_speakers=1.5", "must be an integer, got 1.5"),
+        ("--data.attacker_labels=5", "must be a list of strings, got 5"),
+        ("--data.n_attacker_speakers=-3", "must be non-negative, got -3"),
+        ("--data.cache_dir=5", "must be a string or null, got 5"),
+    ])
+    def test_eval_checks_data_values_it_does_not_read(self, tmp_path, capsys, override,
+                                                      message):
+        """A cache source reads neither the split nor the attacker counts, yet
+        every data value is checked in the config stage, before any output
+        directory exists."""
+        cfg_path = self.cache_config(tmp_path)
+        assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["eval", "--config", cfg_path, "--out", str(out), "--checkpoint",
+                     str(tmp_path / "run" / "checkpoint.dvec"), override]) == 1
+        key = override[2:].partition("=")[0]
+        assert capsys.readouterr().err == f"error in stage 'config' ({key}): {message}\n"
+        assert not out.exists()
+
     def test_eval_without_eval_feats_is_one_error_line(self, tmp_path, capsys):
         cfg_path = self.cache_config(tmp_path)
         assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 0
@@ -625,7 +674,8 @@ class TestOnlyTheSplitsUsed:
 
     def test_wav_eval_decodes_only_eval_and_attacker_clips(self, tmp_path, monkeypatch):
         cfg, ckpt = self.wav_config(tmp_path)
-        _, eval_set, _ = build_datasets(cfg)  # every role: decodes the whole tree
+        # every role: decodes the whole tree
+        _, eval_set, _ = build_datasets(settings_from(cfg).data)
         decoded = []
         real = cli.extract_logmel
 
@@ -646,7 +696,7 @@ class TestOnlyTheSplitsUsed:
     ])
     def test_corrupt_wav(self, tmp_path, capsys, command, role, code):
         cfg, ckpt = self.wav_config(tmp_path)
-        train_set, eval_set, _ = build_datasets(cfg)
+        train_set, eval_set, _ = build_datasets(settings_from(cfg).data)
         bad = tmp_path / "wavs" / {"train": train_set, "eval": eval_set}[role].labels[0] / "u1.wav"
         bad.write_bytes(b"not a wav")
         argv = [command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]
@@ -672,17 +722,19 @@ class TestErrorPaths:
         cfg_path = write_config(tmp_path, cfg)
         assert main(["synth", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
-        assert err == "error in stage 'data' (data.synthetic): missing key 'n_speakers'\n"
+        assert err.startswith("error in stage 'config' (data.synthetic): ")
+        assert "'n_speakers'" in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
         cfg = base_config()
         cfg["data"]["synthetic"]["utts_per_speaker"] = "five"
         with pytest.raises(StageError, match=r"^error in stage 'config' "
                            r"\(data\.synthetic\.utts_per_speaker\): must be an integer"):
-            build_datasets(cfg)
+            settings_from(cfg)
         cfg = base_config()
         cfg["data"]["synthetic"]["n_speakers"] = 0  # the one attacker speaker does not count
         with pytest.raises(StageError, match=r"^error in stage 'config' \(data\.synthetic\): "
                            r"SynthSpec counts must be positive$"):
-            build_datasets(cfg)
+            settings_from(cfg)
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["train", "--config", str(tmp_path / "nope.json"), "--out",
@@ -762,7 +814,8 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("section, key, hint, value, shown", [
         pytest.param(section, key, hint, value, shown, id=f"{section}.{key}-{value}-{shown}")
-        for section, classes in (("model", [model.NetConfig]), ("train", [trainer.TrainConfig]),
+        for section, classes in (("data", [DataSource]), ("model", [model.NetConfig]),
+                                 ("train", [trainer.TrainConfig]),
                                  ("eval", [evaluate.EvalProtocol, Settings]),
                                  ("data.synthetic", [SynthSpec]),
                                  ("poison", [poison.SelectionPolicy, trainer.PoisonSettings]))
