@@ -9,7 +9,6 @@ re-running a command overwrites files with identical content.
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import dataclasses
 import functools
@@ -135,7 +134,7 @@ class DataSource(typing.NamedTuple):
 # plus the keys the CLI reads itself. Any other key is a config error, so a
 # misspelt key never silently runs its default.
 SECTION_KEYS = {
-    "": frozenset({"data", "model", "train", "eval", "poison", "sweep", "output_dir"}),
+    "": frozenset({"data", "model", "train", "eval", "poison", "sweep"}),
     "data": _fields(DataSource),
     "data.synthetic": _fields(SynthSpec),
     "model": _fields(model.NetConfig) | {"init_seed"},
@@ -157,8 +156,8 @@ def _check_keys(sec: Dict, name: str) -> None:
 def check_sections(cfg: Dict) -> None:
     """The shape pass, before the master seed and any stage: every section and
     `data.synthetic` is an object, `poison` and each `sweep` entry an object
-    or null (no poisoning), `sweep` an array or null, `output_dir` a string,
-    and every key one the pipeline reads."""
+    or null (no poisoning), `sweep` an array or null, and every key one the
+    pipeline reads."""
     _check_keys(cfg, "")
     for name in ("data", "model", "train", "eval"):
         _check_keys(_section(cfg, name), name)
@@ -174,8 +173,6 @@ def check_sections(cfg: Dict) -> None:
             raise StageError("config", key,
                              "the poison section and each sweep entry must be an object or null")
         _check_keys(entry or {}, "poison")
-    if not isinstance(cfg.get("output_dir", ""), str):
-        raise StageError("config", "output_dir", "must be a string")
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +225,8 @@ def _built(name: str, cls, **fields):
 
 
 class Settings(typing.NamedTuple):
-    """What the sections of one config say, each checked by the type that holds it."""
+    """What the sections of one config say, each checked by the type that holds
+    it, with the config's hash and the seeds it sets (null where it sets none)."""
 
     data: DataSource
     net: model.NetConfig
@@ -236,6 +234,8 @@ class Settings(typing.NamedTuple):
     protocol: evaluate.EvalProtocol
     init_seed: int
     trial_csv: bool
+    config_hash: str
+    seeds: Dict[str, Optional[int]]
 
 
 def settings_from(cfg: Dict) -> Settings:
@@ -268,6 +268,10 @@ def settings_from(cfg: Dict) -> Settings:
                         **{key: value for key, value in eval_sec.items() if key != "trial_csv"}),
         init_seed=_CHECKS[int](model_sec.get("init_seed", 0), "model.init_seed"),
         trial_csv=_CHECKS[bool](eval_sec.get("trial_csv", False), "eval.trial_csv"),
+        config_hash=config_hash(cfg),
+        seeds={"data": (synthetic or {}).get("seed"), "split": data_sec.get("split_seed"),
+               "train": train_sec.get("seed"), "eval": eval_sec.get("seed"),
+               "poison": poison_sec.get("seed"), "init": model_sec.get("init_seed")},
     )
 
 
@@ -365,12 +369,12 @@ def _ensure_dir(path: str) -> None:
         raise StageError("output", "--out", f"cannot create {path!r}: {exc}") from exc
 
 
-def write_manifest(out_dir: str, cfg_hash: str, seeds: Dict, outputs: Dict) -> None:
+def write_manifest(out_dir: str, settings: Settings, outputs: Dict) -> None:
     """manifest.json from `outputs`: path relative to `out_dir` -> (SHA-256, size)."""
     manifest = {
-        "config_hash": cfg_hash,
+        "config_hash": settings.config_hash,
         "package_version": __version__,
-        "seeds": seeds,
+        "seeds": settings.seeds,
         "outputs": [{"path": rel, "sha256": sha, "bytes": size}
                     for rel, (sha, size) in sorted(outputs.items())],
     }
@@ -378,30 +382,19 @@ def write_manifest(out_dir: str, cfg_hash: str, seeds: Dict, outputs: Dict) -> N
         fh.write(canonical_json(manifest) + "\n")
 
 
-def _seeds_of(cfg: Dict) -> Dict:
-    return {
-        "data": cfg.get("data", {}).get("synthetic", {}).get("seed"),
-        "split": cfg.get("data", {}).get("split_seed"),
-        "train": cfg.get("train", {}).get("seed"),
-        "eval": cfg.get("eval", {}).get("seed"),
-        "poison": (cfg.get("poison") or {}).get("seed"),
-        "init": cfg.get("model", {}).get("init_seed"),
-    }
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(cfg: Dict, settings: Settings, out_dir: str) -> None:
+def cmd_synth(settings: Settings, out_dir: str) -> None:
     if settings.data.synthetic is None:
         raise StageError("synth", "data.synthetic", "synth requires a synthetic data source")
     train_set, eval_set, attacker = datasets = build_datasets(settings.data)
     _ensure_dir(out_dir)
     files = {f"{role}.feats": write_feature_cache(data, os.path.join(out_dir, f"{role}.feats"))
              for role, data in zip(ROLES, datasets) if data is not None}
-    write_manifest(out_dir, config_hash(cfg), _seeds_of(cfg), files)
+    write_manifest(out_dir, settings, files)
     print(
         f"synth: {train_set.n_speakers} train / {eval_set.n_speakers} eval"
         + (f" / {attacker.n_speakers} attacker" if attacker else "")
@@ -409,10 +402,10 @@ def cmd_synth(cfg: Dict, settings: Settings, out_dir: str) -> None:
     )
 
 
-def _train_once(cfg: Dict, settings: Settings, out_dir: str, datasets):
+def _train_once(settings: Settings, out_dir: str, datasets):
     """Shared by cmd_train and cmd_experiment; the last item is each file's digest and size."""
     train_set, _, attacker = datasets
-    cfg_hash = config_hash(cfg)
+    cfg_hash = settings.config_hash
     ckpt_rel, history_rel = "checkpoint.dvec", "history.jsonl"
     try:
         weights, report = trainer.train_run(
@@ -435,7 +428,7 @@ def _train_once(cfg: Dict, settings: Settings, out_dir: str, datasets):
             weights, os.path.join(out_dir, ckpt_rel), meta={"config_hash": cfg_hash}),
         history_rel: _write_history(os.path.join(out_dir, history_rel), report, cfg_hash, ckpt_rel),
     }
-    return weights, report, cfg_hash, files
+    return weights, report, files
 
 
 def _write_history(path: str, report: trainer.TrainReport, cfg_hash: str,
@@ -456,18 +449,17 @@ def _write_history(path: str, report: trainer.TrainReport, cfg_hash: str,
     return write_hashed(path, [("\n".join(lines) + "\n").encode("utf-8")])
 
 
-def cmd_train(cfg: Dict, settings: Settings, out_dir: str) -> None:
+def cmd_train(settings: Settings, out_dir: str) -> None:
     roles = ("train",) if settings.train.poison is None else ("train", "attacker")
-    datasets = build_datasets(settings.data, roles)
-    _, report, cfg_hash, files = _train_once(cfg, settings, out_dir, datasets)
-    write_manifest(out_dir, cfg_hash, _seeds_of(cfg), files)
+    _, report, files = _train_once(settings, out_dir, build_datasets(settings.data, roles))
+    write_manifest(out_dir, settings, files)
     print(
         f"train: {len(report.losses)} steps, final loss {report.losses[-1]:.4f}, "
         f"{int(sum(report.poisoned_flags))} poisoned -> {out_dir}"
     )
 
 
-def _evaluate(settings: Settings, out_dir: str, weights, datasets, cfg_hash: str):
+def _evaluate(settings: Settings, out_dir: str, weights, datasets):
     _, eval_set, attacker = datasets
     poisoning = settings.train.poison
     try:
@@ -482,7 +474,8 @@ def _evaluate(settings: Settings, out_dir: str, weights, datasets, cfg_hash: str
     _ensure_dir(out_dir)
     files = {"eval_report.json": write_hashed(
         os.path.join(out_dir, "eval_report.json"),
-        [(canonical_json({**report.to_dict(), "config_hash": cfg_hash}) + "\n").encode()])}
+        [(canonical_json({**report.to_dict(), "config_hash": settings.config_hash})
+          + "\n").encode()])}
     if settings.trial_csv:  # a label with a comma, quote or newline is quoted
         text = io.StringIO()
         csv.writer(text, lineterminator="\n").writerows(
@@ -493,16 +486,15 @@ def _evaluate(settings: Settings, out_dir: str, weights, datasets, cfg_hash: str
     return report, files
 
 
-def cmd_eval(cfg: Dict, settings: Settings, out_dir: str, checkpoint: Optional[str]) -> None:
+def cmd_eval(settings: Settings, out_dir: str, checkpoint: Optional[str]) -> None:
     ckpt_path = checkpoint or os.path.join(out_dir, "checkpoint.dvec")
     try:
         weights = model.load_checkpoint(ckpt_path)
     except (OSError, model.CheckpointError) as exc:
         raise StageError("eval", "--checkpoint", str(exc)) from exc
     datasets = build_datasets(settings.data, ("eval", "attacker"))
-    cfg_hash = config_hash(cfg)
-    report, files = _evaluate(settings, out_dir, weights, datasets, cfg_hash)
-    write_manifest(out_dir, cfg_hash, _seeds_of(cfg), files)
+    report, files = _evaluate(settings, out_dir, weights, datasets)
+    write_manifest(out_dir, settings, files)
     print(f"eval: EER {report.eer:.4f} ASR {report.asr:.4f} -> {out_dir}")
 
 
@@ -512,38 +504,38 @@ def _variant_label(poisoning: Optional[trainer.PoisonSettings]) -> str:
     return f"{poisoning.policy.kind}_{poisoning.method}_a{poisoning.alpha:g}"
 
 
-def _variant_configs(cfg: Dict) -> List[Tuple[str, Dict, Settings]]:
-    """(label, config, settings) per sweep entry, each config through the value
-    pass; labels name output subdirectories, so two entries that share one are
-    rejected."""
+def _variant_configs(cfg: Dict) -> List[Tuple[str, Settings]]:
+    """(label, settings) per sweep entry, each entry with a method merged over
+    the base poison section and read by the value pass; an entry without one
+    poisons nothing, but its values are checked all the same. Labels name
+    output subdirectories, so two entries that share one are a config error."""
     sweep = cfg.get("sweep")
     base_poison = cfg.get("poison") or {}
     variants = []
     for entry in [cfg.get("poison")] if sweep is None else sweep or [None]:
-        variant_cfg = copy.deepcopy(cfg)
-        variant_cfg.pop("sweep", None)
         poisoned = (entry or {}).get("method") is not None
-        variant_cfg["poison"] = {**base_poison, **entry} if poisoned else None
-        settings = settings_from(variant_cfg)
-        variants.append((_variant_label(settings.train.poison), variant_cfg, settings))
-    labels = [label for label, _, _ in variants]
+        if entry and not poisoned:
+            settings_from({"poison": entry})
+        settings = settings_from({**{key: value for key, value in cfg.items() if key != "sweep"},
+                                  "poison": {**base_poison, **entry} if poisoned else None})
+        variants.append((_variant_label(settings.train.poison), settings))
+    labels = [label for label, _ in variants]
     duplicates = sorted({label for label in labels if labels.count(label) > 1})
     if duplicates:
-        raise StageError("experiment", "sweep",
+        raise StageError("config", "sweep",
                          f"entries share the variant label(s) {duplicates}; "
                          "each variant needs its own output directory")
     return variants
 
 
-def cmd_experiment(cfg: Dict, source: DataSource, variants: List[Tuple[str, Dict, Settings]],
-                   out_dir: str) -> None:
-    datasets = build_datasets(source)  # the variants differ only in `poison`
+def cmd_experiment(base: Settings, variants: List[Tuple[str, Settings]], out_dir: str) -> None:
+    datasets = build_datasets(base.data)  # the variants differ only in `poison`
     rows = []
-    for label, variant_cfg, settings in variants:
+    for label, settings in variants:
         sub_dir = os.path.join(out_dir, label)
-        weights, _, cfg_hash, files = _train_once(variant_cfg, settings, sub_dir, datasets)
-        eval_report, eval_files = _evaluate(settings, sub_dir, weights, datasets, cfg_hash)
-        write_manifest(sub_dir, cfg_hash, _seeds_of(variant_cfg), {**files, **eval_files})
+        weights, _, files = _train_once(settings, sub_dir, datasets)
+        eval_report, eval_files = _evaluate(settings, sub_dir, weights, datasets)
+        write_manifest(sub_dir, settings, {**files, **eval_files})
         poisoning = settings.train.poison
         rows.append(
             {
@@ -556,7 +548,7 @@ def cmd_experiment(cfg: Dict, source: DataSource, variants: List[Tuple[str, Dict
             }
         )
 
-    summary = {"config_hash": config_hash(cfg), "rows": rows}
+    summary = {"config_hash": base.config_hash, "rows": rows}
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
         fh.write(canonical_json(summary) + "\n")
 
@@ -614,15 +606,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.seed is not None:
             apply_master_seed(cfg, args.seed)
         settings = settings_from(cfg)  # every command, whichever sections it reads
-        out_dir = args.out or cfg.get("output_dir") or "."
+        variants = _variant_configs(cfg)  # ... and every sweep entry
+        out_dir = args.out or "."
         if args.command == "synth":
-            cmd_synth(cfg, settings, out_dir)
+            cmd_synth(settings, out_dir)
         elif args.command == "train":
-            cmd_train(cfg, settings, out_dir)
+            cmd_train(settings, out_dir)
         elif args.command == "eval":
-            cmd_eval(cfg, settings, out_dir, args.checkpoint)
+            cmd_eval(settings, out_dir, args.checkpoint)
         else:
-            cmd_experiment(cfg, settings.data, _variant_configs(cfg), out_dir)
+            cmd_experiment(settings, variants, out_dir)
     except StageError as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -90,7 +90,8 @@ def _far_frr(trials: TrialSet) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Candidate thresholds (every distinct score plus a sentinel above all
     scores) with FAR(t) = fraction of impostor scores >= t and FRR(t) =
     fraction of genuine scores < t at each."""
-    cand = np.unique(np.concatenate([trials.genuine, trials.impostor]))
+    scores = np.sort(np.concatenate([trials.genuine, trials.impostor]))
+    cand = scores[np.append(True, scores[1:] != scores[:-1])]  # np.unique, without numpy.ma
     cand = np.append(cand, cand[-1] + 1.0)
     imp = np.sort(trials.impostor)
     gen = np.sort(trials.genuine)

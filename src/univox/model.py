@@ -46,7 +46,7 @@ class NetConfig:
     def __post_init__(self) -> None:
         dims = (self.input_dim, self.context_frames, self.window_hop, self.embed_dim,
                 *self.hidden_dims)
-        if not all(isinstance(d, numbers.Integral) for d in dims):
+        if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool) for d in dims):
             raise ValueError("input_dim, context_frames, window_hop and all layer widths "
                              "must be integers")
         object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
@@ -145,22 +145,19 @@ def _forward(config: NetConfig, layers: Sequence[Tuple[np.ndarray, np.ndarray]],
     layers; returns embeddings plus backprop cache."""
     stacked, counts = _stack_windows(config, frames_list)
     acts = [stacked]
-    masks = []
     hidden = stacked
     for mat, bias in layers[:-1]:
         pre = hidden @ mat.T
         pre += bias
-        mask = pre > 0
         hidden = np.maximum(pre, 0.0, out=pre)  # NaN is kept, not zeroed: a NaN loss
         acts.append(hidden)
-        masks.append(mask)
     final_mat, final_bias = layers[-1]
     outputs = hidden @ final_mat.T
     outputs += final_bias
 
     # mean over each utterance's windows, summed in order as a per-utterance
     # loop would: one reshape for a uniform batch, else a gather per count
-    distinct = np.unique(counts)
+    distinct = sorted(set(counts.tolist()))
     if len(distinct) == 1:
         means = outputs.reshape(len(counts), -1, config.embed_dim).mean(axis=1)
     else:
@@ -173,7 +170,7 @@ def _forward(config: NetConfig, layers: Sequence[Tuple[np.ndarray, np.ndarray]],
     if np.any(norms < EMBED_NORM_EPS):
         raise ValueError("degenerate embedding: pre-normalization norm ~ 0")
     embeddings = means / norms[:, None]
-    cache = {"mats": layers, "acts": acts, "masks": masks, "counts": counts,
+    cache = {"mats": layers, "acts": acts, "counts": counts,
              "norms": norms, "embeddings": embeddings}
     return embeddings, cache
 
@@ -185,7 +182,6 @@ def _backward(cache, grad_embeddings: np.ndarray,
     returned."""
     mats = cache["mats"]
     acts = cache["acts"]
-    masks = cache["masks"]
     counts = cache["counts"]
     embeddings = cache["embeddings"]
     norms = cache["norms"]
@@ -198,7 +194,7 @@ def _backward(cache, grad_embeddings: np.ndarray,
     for layer in range(len(mats) - 1, -1, -1):
         if layer < len(mats) - 1:
             delta = delta @ mats[layer + 1][0]
-            delta *= masks[layer]
+            delta *= acts[layer + 1] > 0  # = pre > 0: np.maximum keeps NaN, and NaN > 0 is false
         mat_grad, bias_grad = grads[layer]
         np.matmul(delta.T, acts[layer], out=mat_grad)
         np.add.reduce(delta, 0, out=bias_grad)
@@ -242,6 +238,9 @@ def load_checkpoint(path) -> Weights:
     try:
         config_dict = json.loads(data[12 : 12 + blob_len].decode("utf-8"))
         config = NetConfig(**{f.name: config_dict[f.name] for f in fields(NetConfig)})
+        seed = config_dict.get("seed", 0)
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         # JSONDecodeError and UnicodeDecodeError are ValueErrors too; deep nesting recurses
         raise CheckpointError(f"bad config blob: {exc!r}") from exc
@@ -260,4 +259,4 @@ def load_checkpoint(path) -> Weights:
         layers.append((values[:-fan_out].reshape(fan_out, fan_in), values[-fan_out:]))
     if offset != len(data):
         raise CheckpointError("trailing bytes after layer data")
-    return Weights(config, layers, seed=config_dict.get("seed", 0))
+    return Weights(config, layers, seed=seed)

@@ -6,6 +6,8 @@ import hashlib
 import json
 import os
 import struct
+import subprocess
+import sys
 import typing
 
 import numpy as np
@@ -112,9 +114,12 @@ class TestConfigPlumbing:
         assert config_hash(a) != config_hash({"x": 2, "y": {"z": 2}})
 
     def test_absent_keys_take_dataclass_defaults(self):
+        """Absent values take their defaults; the seeds the config does not set
+        stay null, as the manifest records them."""
+        no_seeds = dict.fromkeys(("data", "split", "train", "eval", "poison", "init"))
         assert settings_from({}) == Settings(DataSource(), model.NetConfig(),
                                              trainer.TrainConfig(), evaluate.EvalProtocol(),
-                                             0, False)
+                                             0, False, config_hash({}), no_seeds)
         cfg = {"data": {"synthetic": {"n_speakers": 6, "utts_per_speaker": 5,
                                       "frames_per_utt": 24}, "split_seed": 4},
                "model": {"hidden_dims": [16], "init_seed": 5},
@@ -123,14 +128,15 @@ class TestConfigPlumbing:
         assert settings_from(cfg) == Settings(
             DataSource(synthetic=SynthSpec(6, 5, 24), split_seed=4),
             model.NetConfig(hidden_dims=(16,)), trainer.TrainConfig(steps=9, clip_norm=2.0),
-            evaluate.EvalProtocol(n_test=2), 5, True)
+            evaluate.EvalProtocol(n_test=2), 5, True, config_hash(cfg),
+            {**no_seeds, "split": 4, "init": 5})
 
     def test_config_surface_is_pinned(self):
         """Every key each section may hold: adding or removing one is an edit
         here. GE2E's initial (w, b) and the synthetic speaker scale and frame
         noise are constants, so their former keys are unknown keys."""
         assert cli.SECTION_KEYS == {
-            "": {"data", "model", "train", "eval", "poison", "sweep", "output_dir"},
+            "": {"data", "model", "train", "eval", "poison", "sweep"},
             "data": {"synthetic", "cache_dir", "wav_dir", "attacker_labels",
                      "n_attacker_speakers", "n_eval_speakers", "split_seed"},
             "data.synthetic": {"n_speakers", "utts_per_speaker", "frames_per_utt",
@@ -148,6 +154,8 @@ class TestConfigPlumbing:
             (cfg["data"] if section == "synthetic" else cfg)[section][key] = 1.0
             with pytest.raises(StageError, match=rf"\.{key}\): unknown key"):
                 cli.check_sections(cfg)
+        with pytest.raises(StageError, match=r"\(output_dir\): unknown key"):  # --out sets it
+            cli.check_sections({**base_config(), "output_dir": "o"})
 
     def test_build_datasets_requires_one_source(self):
         cfg = base_config()
@@ -185,7 +193,7 @@ class TestReadmeConfig:
         cfg.update(readme_json_after("For `experiment`, an optional"))
         cli.check_sections(cfg)
         assert settings_from(cfg).train.poison.method == "outer"
-        labels = [label for label, _, _ in cli._variant_configs(cfg)]
+        labels = [label for label, _ in cli._variant_configs(cfg)]
         assert labels == ["benign", "FixedN_inner_a0.1", "FixedN_outer_a0.1"]
 
 
@@ -461,6 +469,47 @@ class TestEvalCommand:
         assert err.startswith("error in stage 'eval' (--checkpoint): ")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("edit", [{"embed_dim": True}, {"context_frames": True},
+                                      {"seed": "x"}])
+    def test_checkpoint_config_with_a_non_integer_fails_cleanly(self, tmp_path, capsys, edit):
+        """A trained checkpoint whose config JSON holds true for a width, or a
+        string seed, is one eval error line, not a traceback, a misread width
+        or a clean exit."""
+        cfg_path = write_config(tmp_path, base_config())
+        assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 0
+        blob = (tmp_path / "run" / "checkpoint.dvec").read_bytes()
+        (length,) = struct.unpack_from("<I", blob, 8)
+        config = json.dumps({**json.loads(blob[12 : 12 + length]), **edit}).encode()
+        bad = tmp_path / "bad.dvec"
+        bad.write_bytes(blob[:8] + struct.pack("<I", len(config)) + config
+                        + blob[12 + length :])
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["eval", "--config", cfg_path, "--out", str(out),
+                     "--checkpoint", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error in stage 'eval' (--checkpoint): bad config blob: ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_eval_and_train_do_not_import_numpy_ma(self, tmp_path):
+        """Neither command needs `numpy.ma`, which `np.unique` imports on first
+        use; a fresh process that runs both must not hold it."""
+        cfg_path = write_config(tmp_path, base_config())
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        script = (
+            "import sys\n"
+            "from univox.cli import main\n"
+            f"assert main(['train', '--config', {cfg_path!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+            f"assert main(['eval', '--config', {cfg_path!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH", "")]))}
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True)
+        assert run.stdout.splitlines()[-1] == "False"
+
     def test_non_finite_checkpoint_fails_cleanly(self, tmp_path, capsys):
         """A checkpoint with a NaN row in layer 0 would load and give finite
         embeddings (the ReLU zeroes the NaN unit); eval rejects it instead."""
@@ -578,7 +627,11 @@ class TestExperimentCommand:
                          "--seed", str(seed)]) == 0
             assert read_manifest(out / "RandN_outer_a0.5")["seeds"]["poison"] == 4000 + seed
 
-    def test_duplicate_variant_labels_rejected_before_training(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["synth", "train", "eval", "experiment"])
+    def test_duplicate_variant_labels_rejected_before_training(self, tmp_path, capsys,
+                                                               command):
+        """Two entries that would write one subdirectory are a config error in
+        every command, as every command checks the sweep."""
         cfg = base_config()
         cfg["sweep"] = [
             {"method": "outer", "alpha": 0.5, "seed": 1},
@@ -586,9 +639,32 @@ class TestExperimentCommand:
         ]
         cfg_path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
-        assert main(["experiment", "--config", cfg_path, "--out", str(out)]) == 1
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert "error in stage 'experiment' (sweep)" in err and "FixedN_outer_a0.5" in err
+        assert err == ("error in stage 'config' (sweep): entries share the variant label(s) "
+                       "['FixedN_outer_a0.5']; each variant needs its own output directory\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "train", "eval", "experiment"])
+    @pytest.mark.parametrize("entry, line", [
+        pytest.param({"method": "outer", "alpha": "x"},
+                     "(poison.alpha): must be a number, got 'x'", id="alpha-string"),
+        pytest.param({"method": "sideways"}, "(poison): ", id="method-sideways"),
+        pytest.param({"alpha": "x"}, "(poison.alpha): must be a number, got 'x'",
+                     id="no-method-alpha-string"),
+    ])
+    def test_every_command_checks_each_sweep_entry(self, tmp_path, capsys, command, entry,
+                                                   line):
+        """synth, train and eval never run a sweep, and an entry without a
+        method poisons nothing, yet a sweep entry's value the poison section
+        would reject is one config error line for every command."""
+        cfg = base_config()
+        cfg["sweep"] = [None, entry]
+        cfg_path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error in stage 'config' {line}") and len(err.splitlines()) == 1
         assert not out.exists()
 
 
@@ -766,10 +842,11 @@ class TestErrorPaths:
         )
     ] + [
         pytest.param("experiment", ["--train.seed=" + "[" * 100_000], id="deeply-nested-json"),
-        # a non-object section or a non-string output_dir, before any stage
+        # a non-object section, before any stage
         pytest.param("train", ['--eval="x"'], id="train-eval-string"),
         pytest.param("synth", ["--train=5"], id="synth-train-number"),
         pytest.param("synth", ["--model=[1]"], id="synth-model-array"),
+        # --out alone names the output directory
         pytest.param("train", ["--output_dir=5"], id="train-output-dir-number"),
         # ... and before the master seed
         *(pytest.param("train", ["--seed", "1", f"--{section}=5"], id=f"seed-{section}-number")
@@ -803,9 +880,8 @@ class TestErrorPaths:
     def test_malformed_value_is_one_error_line(self, tmp_path, capsys, command, tail):
         cfg = base_config()
         cfg["poison"] = {"method": "inner", "policy": "FixedN", "alpha": 0.5}
-        cfg["output_dir"] = str(tmp_path / "o")
         cfg_path = write_config(tmp_path, cfg)
-        assert main([command, "--config", cfg_path, *tail]) == 1
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path / "o"), *tail]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error in stage ") and len(err.splitlines()) == 1
         written = [p for p in tmp_path.rglob("*") if p.is_file()]
@@ -874,6 +950,37 @@ class TestErrorPaths:
         assert err.startswith(f"error in stage 'config' ({section}): ")
         assert len(err.splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, data, argv, line", [
+        pytest.param("train", None, ["--out", "o", "--sweep=5"],
+                     "'config' (sweep): sweep must be a JSON array", id="sweep-number"),
+        pytest.param("synth", {"cache_dir": "cache"}, ["--out", "o"],
+                     "'synth' (data.synthetic): synth requires a synthetic data source",
+                     id="synth-cache-source"),
+        pytest.param("train", {"wav_dir": "wavs"}, ["--out", "o"],
+                     "'data' (data.wav_dir): no speaker directories with WAV files under wavs",
+                     id="wav-tree-no-speakers"),
+        pytest.param("synth", None, ["--out", "config.json/out"],
+                     "'output' (--out): cannot create 'config.json/out': ",
+                     id="out-below-a-file"),
+    ])
+    def test_each_stage_error_is_one_line(self, tmp_path, capsys, monkeypatch, command, data,
+                                          argv, line):
+        """A sweep that is not an array, synth on a cache source, a WAV tree with
+        no speaker directories (only a stray file) and an --out below a regular
+        file: one line naming the stage, exit 1, and nothing written."""
+        cfg = base_config()
+        if data is not None:
+            cfg["data"] = data
+        (tmp_path / "wavs").mkdir()
+        (tmp_path / "wavs" / "stray.wav").write_bytes(wav_bytes(500))
+        monkeypatch.chdir(tmp_path)  # the data paths and --out are relative to it
+        assert main([command, "--config", write_config(tmp_path, cfg), *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error in stage {line}")
+        assert len(err.splitlines()) == 1
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+            "config.json", "wavs", "wavs/stray.wav"]
 
     def test_unknown_key_names_section_and_key(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config())

@@ -323,16 +323,17 @@ class TestCheckpoint:
 
         bad = tmp_path / "bad.dvec"
         cases = (
-            b"XXXX" + blob[4:],              # wrong magic
-            blob[:4] + b"\x02\x00\x00\x00" + blob[8:],  # unknown version
-            blob[: len(blob) - 3],           # truncated layer data
-            blob + b"\x00\x00\x00\x00",      # trailing bytes
-            blob[:10],                       # truncated config blob
-            blob[:-4] + struct.pack("<f", np.inf),  # non-finite layer data
+            (b"XXXX" + blob[4:], "bad magic"),
+            (blob[:4] + b"\x02\x00\x00\x00" + blob[8:], "unsupported checkpoint version"),
+            (blob[: len(blob) - 3], "truncated layer data"),
+            (blob + b"\x00\x00\x00\x00", "trailing bytes"),
+            (blob[:10], "bad magic"),  # shorter than the 12-byte header
+            (blob[:14], "truncated config blob"),
+            (blob[:-4] + struct.pack("<f", np.inf), "non-finite values"),
         )
-        for payload in cases:
+        for payload, message in cases:
             bad.write_bytes(payload)
-            with pytest.raises(CheckpointError):
+            with pytest.raises(CheckpointError, match=message):
                 load_checkpoint(bad)
 
     def blob_with_config(self, config_blob):
@@ -365,7 +366,23 @@ class TestCheckpoint:
 
     def test_config_invalid_dim_is_checkpoint_error(self, tmp_path):
         path = tmp_path / "bad.dvec"
-        for bad_dim in (-1, 2.5):
+        for bad_dim in (-1, 2.5, True):
             path.write_bytes(self.blob_with_config(self.config_json(input_dim=bad_dim)))
             with pytest.raises(CheckpointError, match="input_dim"):
                 load_checkpoint(path)
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"embed_dim": True}, "must be integers"),  # not a 1-wide embedding
+        ({"context_frames": True}, "must be integers"),
+        ({"seed": "x"}, "seed must be an integer, got 'x'"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"seed": 1.0}, "seed must be an integer, got 1.0"),
+    ])
+    def test_config_bool_or_non_integer_seed_is_checkpoint_error(self, tmp_path, changes,
+                                                                 message):
+        """JSON true is not an integer width or seed, and a seed that is not an
+        integer is refused on load rather than written back by a re-save."""
+        path = tmp_path / "bad.dvec"
+        path.write_bytes(self.blob_with_config(self.config_json(**changes)))
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)

@@ -91,7 +91,7 @@ cache_file = st.builds(
 )
 cache_bytes = st.one_of(st.binary(max_size=128), cache_file, cache_file)
 
-bad_dim = st.one_of(st.integers(-1, 2), st.just(1.5), st.just("2"))
+bad_dim = st.one_of(st.integers(-1, 2), st.just(1.5), st.just("2"), st.just(True))
 bad_config = st.fixed_dictionaries(
     {}, optional={"input_dim": bad_dim, "context_frames": bad_dim, "window_hop": bad_dim,
                   "embed_dim": bad_dim,
@@ -100,6 +100,7 @@ bad_config = st.fixed_dictionaries(
 tiny_config = st.fixed_dictionaries(
     {"input_dim": st.just(1), "context_frames": st.just(1), "window_hop": st.just(1),
      "hidden_dims": st.lists(st.just(1), max_size=1), "embed_dim": st.integers(1, 2)},
+    optional={"seed": st.one_of(st.integers(), st.just(True), st.just("x"))},
 )
 float32s = st.lists(st.floats(width=32), max_size=8).map(
     lambda xs: struct.pack(f"<{len(xs)}f", *xs))
@@ -166,7 +167,7 @@ def test_load_checkpoint_returns_weights_or_raises_checkpoint_error(scratch, dat
         weights = read_with(load_checkpoint, scratch, data)
     except CheckpointError:
         return
-    assert isinstance(weights, Weights)
+    assert isinstance(weights, Weights) and type(weights.seed) is int
 
 
 @FUZZ
