@@ -77,7 +77,7 @@ def load_config(path: str) -> Dict:
 def apply_override(cfg: Dict, dotted: str, raw: str) -> None:
     try:
         value = json.loads(raw)
-    except (json.JSONDecodeError, RecursionError):  # not JSON: the raw string
+    except (ValueError, RecursionError):  # not JSON (or an int past 4300 digits): the raw string
         value = raw
     node = cfg
     parts = dotted.split(".")
@@ -198,10 +198,12 @@ def _is_list(value, item) -> bool:
 
 
 # One check per field type hint, for JSON values: 1.5, "2" and true are not
-# integers, "ab" is not a list of strings, and "false" is not false.
+# integers, "ab" is not a list of strings, NaN, Infinity (which Python's json
+# reads) and 10**400 are not finite numbers, and "false" is not false.
 _CHECKS = {
     int: _check(_is_int, "an integer"),
-    float: _check(lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a number"),
+    float: _check(lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
+                  and abs(v) <= sys.float_info.max, "a finite number"),
     bool: _check(lambda v: isinstance(v, bool), "true or false"),
     Optional[str]: _check(lambda v: v is None or isinstance(v, str), "a string or null"),
     Tuple[int, ...]: _check(lambda v: _is_list(v, _is_int), "a list of integers"),
@@ -238,6 +240,11 @@ class Settings(typing.NamedTuple):
     seeds: Dict[str, Optional[int]]
 
 
+# The config key of each seed in `Settings.seeds`, in its order.
+_SEED_KEYS = ("data.synthetic.seed", "data.split_seed", "train.seed", "eval.seed",
+              "poison.seed", "model.init_seed")
+
+
 def settings_from(cfg: Dict) -> Settings:
     """The value pass, after the master seed, over a config `check_sections`
     passed: each value checked once, against the field type of the dataclass it
@@ -248,9 +255,6 @@ def settings_from(cfg: Dict) -> Settings:
     synthetic = data_sec.get("synthetic")  # an empty section sets no source
     spec = _built("data.synthetic", SynthSpec, **synthetic) if synthetic else None
     data = _built("data", DataSource, **{**data_sec, "synthetic": spec})
-    if data.n_attacker_speakers < 0:
-        raise StageError("config", "data.n_attacker_speakers",
-                         f"must be non-negative, got {data.n_attacker_speakers}")
     method = poison_sec.get("method")
     policy = _built("poison", poison.SelectionPolicy, kind=poison_sec.get("policy", "FixedN"),
                     fixed_ids=poison_sec.get("fixed_ids", []),
@@ -258,7 +262,7 @@ def settings_from(cfg: Dict) -> Settings:
     poisoning = _built("poison", trainer.PoisonSettings,  # "outer" stands in for no method
                        method="outer" if method is None else method,
                        policy=policy, alpha=poison_sec.get("alpha", 0.1))
-    return Settings(
+    settings = Settings(
         data=data,
         net=_built("model", model.NetConfig,
                    **{key: value for key, value in model_sec.items() if key != "init_seed"}),
@@ -273,6 +277,11 @@ def settings_from(cfg: Dict) -> Settings:
                "train": train_sec.get("seed"), "eval": eval_sec.get("seed"),
                "poison": poison_sec.get("seed"), "init": model_sec.get("init_seed")},
     )
+    for key, value in [("data.n_attacker_speakers", data.n_attacker_speakers),
+                       *zip(_SEED_KEYS, settings.seeds.values())]:
+        if value is not None and value < 0:  # numpy refuses a negative seed
+            raise StageError("config", key, f"must be non-negative, got {value}")
+    return settings
 
 
 # ---------------------------------------------------------------------------

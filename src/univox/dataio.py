@@ -123,8 +123,8 @@ class SynthSpec:
     def __post_init__(self) -> None:
         if self.n_speakers < 1 or self.utts_per_speaker < 1 or self.frames_per_utt < 1:
             raise ValueError("SynthSpec counts must be positive")
-        if self.utt_noise < 0:
-            raise ValueError("SynthSpec utt_noise must be non-negative")
+        if not 0 <= self.utt_noise < np.inf:  # not NaN
+            raise ValueError("SynthSpec utt_noise must be non-negative and finite")
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,8 @@ def apply_inner(batch: Sequence[Sequence[np.ndarray]], attacker_frames: Sequence
     n_spk = len(batch)
     rng = np.random.default_rng(seed)
     # a full permutation orders nothing, but drawing it keeps the seeded stream
-    # that picks each crop, and with it every inner-poisoned run, as it was
+    # that picks each crop as it was: without it criterion 6's CopyN inner ASR
+    # ties outer's (0.025 -> 0.050), and the gate cannot yet say how resolved that is
     rng.choice(n_spk, size=n_spk, replace=False)
     rows = [list(row) for row in batch]
     for j, frames in enumerate(attacker_frames):

@@ -65,8 +65,8 @@ class TrainConfig:
             raise ValueError("need N >= 2 speakers and M >= 2 utterances per batch")
         if self.steps < 1 or self.crop_frames < 1:
             raise ValueError("steps and crop_frames must be positive")
-        if self.learning_rate <= 0 or self.clip_norm <= 0:
-            raise ValueError("learning_rate and clip_norm must be positive")
+        if not (0 < self.learning_rate < np.inf and 0 < self.clip_norm < np.inf):  # not NaN
+            raise ValueError("learning_rate and clip_norm must be positive and finite")
 
 
 @dataclass

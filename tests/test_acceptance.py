@@ -3,19 +3,24 @@ oracles, the benign and poisoned end-to-end benchmarks, method ordering,
 determinism, DSP sanity, and poison-plan arithmetic.
 
 Each test prints one `[PASS]`/`[FAIL]` line (run with -s to see them all)
-carrying the measured values next to the required bounds. Criteria 5 and 6
-state the attack-effect targets and run on their own corpus, `attack_bench`:
-the `bench` corpus of criterion 4 with more per-utterance noise. On `bench`
-genuine and impostor scores never overlap, so the EER threshold sits at the
-minimum genuine score (about 0.995) and no attacker can cross it. The attack
-verdicts carry the operating point (threshold, score extremes) next to the
-measured attack rates, which are reported as-is, pass or fail.
+carrying the measured values next to the required bounds. Criteria 4-6 run
+`univox experiment` on `acceptance_bench.json`, one call per seed, and read
+EER and ASR from its `summary.json` and each variant's operating point from
+its `eval_report.json` and `trials.csv`. Criteria 5 and 6 state the
+attack-effect targets and run on the attack corpus: the benchmark corpus with
+more per-utterance noise. On the benchmark corpus genuine and impostor scores
+never overlap, so the EER threshold sits at the minimum genuine score (about
+0.995) and no attacker can cross it. The attack verdicts carry the operating
+point (threshold, score extremes) next to the measured attack rates, which
+are reported as-is, pass or fail.
 """
 
+import contextlib
+import csv
+import io
 import json
 import time
-from dataclasses import replace
-from typing import NamedTuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,19 +28,11 @@ import pytest
 from test_eval import brute_force_eer
 from test_ge2e import naive_attacker_sims, naive_ge2e, naive_similarities
 
-from univox import ge2e, model
-from univox.dataio import (
-    LOG_FLOOR,
-    SAMPLE_RATE,
-    AudioClip,
-    Dataset,
-    SynthSpec,
-    extract_logmel,
-    split_dataset,
-    synth_dataset,
-)
-from univox.evaluate import EvalProtocol, TrialSet, compute_eer, evaluate_model
-from univox.poison import SelectionPolicy, choose_poisoned_batches, resolve_policy
+from univox import cli, ge2e, model
+from univox.dataio import (LOG_FLOOR, SAMPLE_RATE, AudioClip, SynthSpec, extract_logmel,
+                           synth_dataset)
+from univox.evaluate import EvalProtocol, EvalReport, TrialSet, compute_eer, evaluate_model
+from univox.poison import SelectionPolicy, choose_poisoned_batches
 from univox.trainer import PoisonSettings, TrainConfig, train_run
 
 
@@ -48,13 +45,11 @@ def verdict(num, ok, detail):
 
 # -----------------------------------------------------------------------
 # shared desk-scale benchmark: 40 synthetic speakers (32 train / 8 eval)
-# plus one extra held-out speaker as the attacker
+# plus one extra held-out speaker as the attacker, the desk net, N=4 M=3
+# for 500 steps; run s of a criterion seeds train 11+s, init 5+s, poison 7+s
 # -----------------------------------------------------------------------
 
-BENCH_NET = model.NetConfig(input_dim=40, context_frames=8, window_hop=16,
-                            hidden_dims=(256,), embed_dim=32)
-BENCH_PROTOCOL = EvalProtocol(n_enroll=3, n_test=3, n_attack_queries=4, seed=77)
-BENCH_SPEC = SynthSpec(n_speakers=41, utts_per_speaker=6, frames_per_utt=120, seed=101)
+BENCH_CONFIG = Path(__file__).with_name("acceptance_bench.json")
 
 # Per-utterance noise of the attack corpus, fixed from benign runs alone:
 # scanning utt_noise upward from 0.1 in steps of 0.1, the last value at which
@@ -62,63 +57,34 @@ BENCH_SPEC = SynthSpec(n_speakers=41, utts_per_speaker=6, frames_per_utt=120, se
 # benign ASR <= 0.15). At 0.6 the worst benign run has EER 0.006 and ASR 0.125;
 # at 0.7 seed 2 has benign ASR 0.375.
 ATTACK_UTT_NOISE = 0.6
-
-_BENIGN_CACHE = {}
-
-
-class Bench(NamedTuple):
-    spec: SynthSpec
-    train: Dataset
-    eval: Dataset
-    attacker: Dataset
+ATTACK_CORPUS = f"--data.synthetic.utt_noise={ATTACK_UTT_NOISE}"
 
 
-def bench_corpus(spec):
-    """40 speakers split 32 train / 8 eval, plus the last one as the attacker."""
-    full = synth_dataset(spec)
-    labels = full.labels
-    att_label = labels[-1]
-    attacker = Dataset({att_label: full.speakers[att_label]}, "attacker")
-    rest = Dataset({lab: full.speakers[lab] for lab in labels[:-1]}, "train")
-    train_set, eval_set = split_dataset(rest, n_eval_speakers=8, seed=202)
-    return Bench(spec, train_set, eval_set, attacker)
+def run_experiment(out_dir, s, sweep, *overrides):
+    """`univox experiment` on the benchmark config at run s, its table kept
+    off stdout; per sweep entry, in order, the summary row and the operating
+    point read back from the variant's directory."""
+    argv = ["experiment", "--config", str(BENCH_CONFIG), "--out", str(out_dir),
+            f"--train.seed={11 + s}", f"--model.init_seed={5 + s}", f"--poison.seed={7 + s}",
+            f"--sweep={json.dumps(sweep)}", *overrides]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    rows = json.loads((out_dir / "summary.json").read_text())["rows"]
+    return [(row, operating_point(*read_eval(out_dir / row["variant"]))) for row in rows]
 
 
-@pytest.fixture(scope="module")
-def bench():
-    return bench_corpus(BENCH_SPEC)
+def read_eval(variant_dir):
+    """The EvalReport and trial rows one variant's directory holds."""
+    fields = json.loads((variant_dir / "eval_report.json").read_text())
+    del fields["config_hash"]
+    with open(variant_dir / "trials.csv", newline="") as fh:
+        rows = [(label, speaker, float(value), kind)
+                for label, speaker, value, kind in list(csv.reader(fh))[1:]]
+    return EvalReport(**fields), rows
 
 
-@pytest.fixture(scope="module")
-def attack_bench():
-    """`bench` with utt_noise raised so genuine and impostor scores overlap
-    and the EER threshold falls below the near-1 minimum genuine score."""
-    return bench_corpus(replace(BENCH_SPEC, utt_noise=ATTACK_UTT_NOISE))
-
-
-def bench_run(bench_data, seed_offset=0, settings=None):
-    """One 500-step train/eval at the benchmark scale; returns the EvalReport
-    and its trial rows."""
-    _, train_set, eval_set, attacker = bench_data
-    config = TrainConfig(speakers_per_batch=4, utts_per_speaker=3, steps=500,
-                         seed=11 + seed_offset, poison=settings)
-    weights, _ = train_run(
-        train_set, attacker if settings else None, config, BENCH_NET,
-        init_seed=5 + seed_offset,
-    )
-    policy = None
-    if settings is not None:
-        pool = [u.utterance_id for u in attacker.utterances()]
-        policy = resolve_policy(settings.policy, pool, config.speakers_per_batch)
-    return evaluate_model(weights, eval_set, attacker, BENCH_PROTOCOL,
-                          attack_policy=policy)
-
-
-def benign_report(bench_data, seed_offset):
-    key = (bench_data.spec, seed_offset)
-    if key not in _BENIGN_CACHE:
-        _BENIGN_CACHE[key], _ = bench_run(bench_data, seed_offset)
-    return _BENIGN_CACHE[key]
+def poisoned(kind, method, alpha):
+    return {"method": method, "policy": kind, "alpha": alpha}
 
 
 def operating_point(report, rows):
@@ -311,30 +277,30 @@ def test_criterion_3_eer_oracle():
 # -----------------------------------------------------------------------
 
 
-def test_criterion_4_benign_end_to_end(bench):
+def test_criterion_4_benign_end_to_end(tmp_path):
     """500 benign steps on the 32/8-speaker benchmark reach eval EER <= 5%
     and benign ASR <= 15% in under 2 minutes."""
     start = time.perf_counter()
-    report = benign_report(bench, 0)
+    [(row, _)] = run_experiment(tmp_path, 0, [None])
     elapsed = time.perf_counter() - start
-    ok = report.eer <= 0.05 and report.asr <= 0.15 and elapsed < 120.0
-    verdict(4, ok, f"EER {report.eer:.3f} (<= 0.05), benign ASR {report.asr:.3f} "
+    ok = row["eer"] <= 0.05 and row["asr"] <= 0.15 and elapsed < 120.0
+    verdict(4, ok, f"EER {row['eer']:.3f} (<= 0.05), benign ASR {row['asr']:.3f} "
                    f"(<= 0.15), {elapsed:.1f} s (< 120 s)")
 
 
-def test_criterion_5_poisoned_end_to_end(attack_bench):
+def test_criterion_5_poisoned_end_to_end(tmp_path):
     """FixedN + outer at alpha 0.1 should reach mean ASR >= 80% with mean
     EER within 3 points of the benign runs, averaged over 3 seeds, on the
     attack corpus (see `ATTACK_UTT_NOISE`)."""
     start = time.perf_counter()
     asrs, eers, benign_eers, points = [], [], [], []
     for s in range(3):
-        benign_eers.append(benign_report(attack_bench, s).eer)
-        report, rows = bench_run(attack_bench, s,
-                                 poison_settings("outer", "FixedN", 0.1, seed=7 + s))
-        asrs.append(report.asr)
-        eers.append(report.eer)
-        points.append(operating_point(report, rows))
+        (benign, _), (row, point) = run_experiment(
+            tmp_path / f"s{s}", s, [None, poisoned("FixedN", "outer", 0.1)], ATTACK_CORPUS)
+        benign_eers.append(benign["eer"])
+        asrs.append(row["asr"])
+        eers.append(row["eer"])
+        points.append(point)
     elapsed = time.perf_counter() - start
     mean_asr = float(np.mean(asrs))
     mean_eer = float(np.mean(eers))
@@ -347,28 +313,26 @@ def test_criterion_5_poisoned_end_to_end(attack_bench):
                    f"3 seeds, {elapsed:.1f} s (< 360 s); operating points {per_seed}")
 
 
-def test_criterion_6_method_ordering(attack_bench):
+def test_criterion_6_method_ordering(tmp_path):
     """At alpha 0.05 the outer method should beat inner on mean ASR for every
     policy over 5 seeds; outer ASR at alpha 0.25 must be >= at alpha 0.01.
     Runs on the attack corpus (see `ATTACK_UTT_NOISE`)."""
+    variants = [(kind, method, 0.05) for kind in ("RandN", "FixedN", "CopyN")
+                for method in ("outer", "inner")]
+    variants += [("FixedN", "outer", 0.25), ("FixedN", "outer", 0.01)]
+    runs = [run_experiment(tmp_path / f"s{s}", s, [poisoned(*v) for v in variants],
+                           ATTACK_CORPUS) for s in range(5)]
 
-    points = []
+    asr, points = {}, []
+    for (kind, method, alpha), per_seed in zip(variants, zip(*runs)):
+        asr[kind, method, alpha] = float(np.mean([row["asr"] for row, _ in per_seed]))
+        points.append(f"{kind} {method} alpha {alpha}: "
+                      f"{format_point([point for _, point in per_seed])}")
 
-    def mean_asr(method, kind, alpha):
-        values, seed_points = [], []
-        for s in range(5):
-            settings = poison_settings(method, kind, alpha, seed=7 + s)
-            report, rows = bench_run(attack_bench, s, settings)
-            values.append(report.asr)
-            seed_points.append(operating_point(report, rows))
-        points.append(f"{kind} {method} alpha {alpha}: {format_point(seed_points)}")
-        return float(np.mean(values))
-
-    per_policy = {}
-    for kind in ("RandN", "FixedN", "CopyN"):
-        per_policy[kind] = (mean_asr("outer", kind, 0.05), mean_asr("inner", kind, 0.05))
-    outer_hi = mean_asr("outer", "FixedN", 0.25)
-    outer_lo = mean_asr("outer", "FixedN", 0.01)
+    per_policy = {kind: (asr[kind, "outer", 0.05], asr[kind, "inner", 0.05])
+                  for kind in ("RandN", "FixedN", "CopyN")}
+    outer_hi = asr["FixedN", "outer", 0.25]
+    outer_lo = asr["FixedN", "outer", 0.01]
 
     ordering_ok = all(outer > inner for outer, inner in per_policy.values())
     dose_ok = outer_hi >= outer_lo

@@ -51,7 +51,8 @@ def base_config():
 # that are JSON values of another kind, each with the value as the line shows it.
 NOT_OF_KIND = {
     int: ("an integer", [("true", "True"), ("x", "'x'")]),
-    float: ("a number", [("true", "True"), ("x", "'x'")]),
+    float: ("a finite number", [("true", "True"), ("x", "'x'"), ("NaN", "nan"),
+                                ("Infinity", "inf"), ("-Infinity", "-inf")]),
     bool: ("true or false", [('"false"', "'false'"), ("1", "1")]),
     typing.Tuple[int, ...]: ("a list of integers", [("[true]", "[True]"), ("16", "16")]),
     typing.Tuple[str, ...]: ("a list of strings", [('"spk012_u00spk012_u01"',
@@ -648,9 +649,9 @@ class TestExperimentCommand:
     @pytest.mark.parametrize("command", ["synth", "train", "eval", "experiment"])
     @pytest.mark.parametrize("entry, line", [
         pytest.param({"method": "outer", "alpha": "x"},
-                     "(poison.alpha): must be a number, got 'x'", id="alpha-string"),
+                     "(poison.alpha): must be a finite number, got 'x'", id="alpha-string"),
         pytest.param({"method": "sideways"}, "(poison): ", id="method-sideways"),
-        pytest.param({"alpha": "x"}, "(poison.alpha): must be a number, got 'x'",
+        pytest.param({"alpha": "x"}, "(poison.alpha): must be a finite number, got 'x'",
                      id="no-method-alpha-string"),
     ])
     def test_every_command_checks_each_sweep_entry(self, tmp_path, capsys, command, entry,
@@ -721,6 +722,7 @@ class TestOnlyTheSplitsUsed:
         ("--data.n_eval_speakers=1.5", "must be an integer, got 1.5"),
         ("--data.attacker_labels=5", "must be a list of strings, got 5"),
         ("--data.n_attacker_speakers=-3", "must be non-negative, got -3"),
+        ("--data.split_seed=-1", "must be non-negative, got -1"),
         ("--data.cache_dir=5", "must be a string or null, got 5"),
     ])
     def test_eval_checks_data_values_it_does_not_read(self, tmp_path, capsys, override,
@@ -842,6 +844,10 @@ class TestErrorPaths:
         )
     ] + [
         pytest.param("experiment", ["--train.seed=" + "[" * 100_000], id="deeply-nested-json"),
+        # a float key holding an integer no double holds, and an integer past
+        # the digit limit of Python's int(), which json does not parse
+        pytest.param("train", ["--train.learning_rate=1" + "0" * 400], id="float-beyond-double"),
+        pytest.param("train", ["--train.steps=" + "1" * 5000], id="int-beyond-digit-limit"),
         # a non-object section, before any stage
         pytest.param("train", ['--eval="x"'], id="train-eval-string"),
         pytest.param("synth", ["--train=5"], id="synth-train-number"),
@@ -932,13 +938,22 @@ class TestErrorPaths:
         ("synth", "--data.synthetic.n_speakers=0", "data.synthetic"),
         ("train", "--data.synthetic.n_speakers=-1 --data.n_attacker_speakers=2",
          "data.synthetic"),
+        # numpy refuses a negative seed, so the value pass refuses each seed key
+        ("synth", "--data.synthetic.seed=-1", "data.synthetic.seed"),
+        ("train", "--data.split_seed=-1", "data.split_seed"),
+        ("eval", "--train.seed=-1", "train.seed"),
+        ("experiment", "--eval.seed=-2", "eval.seed"),
+        ("train", "--poison.method=outer --poison.seed=-1", "poison.seed"),
+        ("experiment", '--sweep=[{"method":"inner","seed":-1}]', "poison.seed"),
+        ("eval", "--model.init_seed=-3", "model.init_seed"),
+        ("synth", "--seed=-7000", "data.synthetic.seed"),
     ])
     def test_every_command_checks_every_section(self, tmp_path, capsys, command, override,
                                                 section):
-        """A value the dataclass of its section rejects is a config error for every
-        command, also one that never reads the section, before any output
-        directory exists; the config is benign, so the poison section has no
-        method."""
+        """A value the dataclass of its section or the value pass rejects is a
+        config error for every command, also one that never reads the section,
+        before any output directory exists; the config is benign, so the poison
+        section has no method."""
         cfg_path = write_config(tmp_path, base_config())
         assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 0
         capsys.readouterr()
@@ -981,6 +996,19 @@ class TestErrorPaths:
         assert len(err.splitlines()) == 1
         assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
             "config.json", "wavs", "wavs/stray.wav"]
+
+    @pytest.mark.parametrize("argv, token", [(["stray"], "stray"),
+                                             (["--train.steps", "3"], "--train.steps")])
+    def test_stray_argument_is_a_usage_error(self, tmp_path, capsys, argv, token):
+        """A token that is neither a flag nor a --key.path=value override is
+        argparse's usage error, exit 2, before any stage."""
+        cfg_path = write_config(tmp_path, base_config())
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--config", cfg_path, "--out", str(tmp_path / "o"), *argv])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: unrecognized argument: {token} (overrides use --key.path=value)\n")
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_key_names_section_and_key(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config())

@@ -266,8 +266,9 @@ class TestSyntheticCorpus:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SynthSpec(0, 1, 1)
-        with pytest.raises(ValueError):
-            SynthSpec(1, 1, 1, utt_noise=-0.1)
+        for bad in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="utt_noise must be non-negative and finite"):
+                SynthSpec(1, 1, 1, utt_noise=bad)
 
     def test_split_is_disjoint_and_seeded(self):
         data = synth_dataset(SynthSpec(10, 2, 12, seed=12))

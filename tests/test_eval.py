@@ -139,6 +139,12 @@ class TestScoringPrimitives:
         assert centroid.shape == (N_MELS,) and centroid.dtype == np.float64
         np.testing.assert_allclose(centroid, want, atol=1e-12)
 
+    def test_enroll_rejects_cancelling_embeddings(self):
+        """Two enrollment embeddings that cancel leave the mean no direction."""
+        utts = [const_utt(axis(0), "spk", "u0"), const_utt(-axis(0), "spk", "u1")]
+        with pytest.raises(ValueError, match="^degenerate enrollment centroid$"):
+            enroll(IDENT_NET, float64_layers(identity_weights()), utts)
+
     def test_score_exact_cosines(self):
         """One row per embedding, one column per centroid."""
         diag = (axis(0) + axis(1)) / np.sqrt(2.0)

@@ -112,6 +112,14 @@ class TestContainers:
         with pytest.raises(ValueError, match="degenerate centroid"):
             loss_gradients(loo_zero, params)
 
+    def test_zero_norm_attacker_rejected(self):
+        """An attacker row of zero norm has no direction to score."""
+        tensor = np.random.default_rng(2).normal(size=(3, 2, 4))
+        attacker = np.ones((3, 4))
+        attacker[1] = 0.0
+        with pytest.raises(ValueError, match="^zero-norm attacker embedding$"):
+            loss_gradients(tensor, ScaleParams(1.0, 0.0), attacker)
+
     def test_loo_centroid_drops_one_row(self):
         """Row (j, i) meets its own speaker through the centroid of the other
         M-1 rows (the oracle deletes row i), so the loss moves when only the

@@ -491,6 +491,34 @@ class TestTrainStep:
             assert np.array_equal(m0, m1) and np.array_equal(b0, b1)
             assert np.array_equal(mm, m0) and np.array_equal(bm, b0)
 
+    def test_nan_weight_raises_on_the_loss_with_history(self, monkeypatch):
+        """A NaN master weight makes every embedding NaN, which the zero-norm
+        checks do not see: the step raises on the non-finite loss before the
+        update, and a run reports the steps before it."""
+        data = corpus()
+        state = StepState(init_weights(NET, seed=4), ScaleParams(10.0, -5.0))
+        state.master[0] = np.nan
+        before = state.low.copy()
+        with pytest.raises(DivergenceError, match="^non-finite loss nan$"):
+            train_step(state, make_batch(row_pool(data, QUICK), QUICK, 0), QUICK)
+        assert state.params == ScaleParams(10.0, -5.0)
+        assert np.array_equal(state.low, before) and np.isnan(state.master[0])
+
+        real, calls = trainer.train_step, []
+
+        def nan_weight_at_third_step(state, *args):
+            calls.append(None)
+            if len(calls) == 3:
+                state.master[0] = np.nan
+            return real(state, *args)
+
+        _, full = train_run(data, None, QUICK, NET, init_seed=4)
+        monkeypatch.setattr(trainer, "train_step", nan_weight_at_third_step)
+        with pytest.raises(DivergenceError, match="^step 2: non-finite loss nan$") as info:
+            train_run(data, None, QUICK, NET, init_seed=4)
+        assert info.value.report.losses == full.losses[:2]
+        assert info.value.report.poisoned_flags == [False] * 2
+
     def test_runaway_scale_raises_with_history(self):
         """lr 1e6 on the desk corpus drives w past ge2e.SCALE_MAX: the run
         ends with DivergenceError and the report of the steps before it."""
@@ -515,6 +543,11 @@ class TestConfigHash:
             TrainConfig(utts_per_speaker=1)
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                TrainConfig(learning_rate=bad)
+            with pytest.raises(ValueError, match="positive and finite"):
+                TrainConfig(clip_norm=bad)
         with pytest.raises(ValueError):
             TrainConfig(steps=0)
         with pytest.raises(ValueError):
