@@ -61,6 +61,10 @@ NOT_OF_KIND = {
 }
 
 
+NOT_AN_OBJECT = ("5", "false", "0", "[]", '""')  # overrides a section cannot hold
+NOT_AN_ENTRY = "the poison section and each sweep entry must be an object or null"
+
+
 def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -1023,6 +1027,37 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error in stage 'config' ('a\\nb'): unknown key")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("seed", [[], ["--seed", "1"]], ids=["no-seed", "seed"])
+    @pytest.mark.parametrize("section, value, line", [
+        *(pytest.param(section, value, f"({section}): section must be a JSON object",
+                       id=f"{section}-{value}")
+          for section in ("data", "data.synthetic", "model", "train", "eval")
+          for value in NOT_AN_OBJECT),
+        *(pytest.param("poison", value, f"(poison): {NOT_AN_ENTRY}", id=f"poison-{value}")
+          for value in NOT_AN_OBJECT),
+        # an empty sweep is an array, and runs the base config
+        *(pytest.param("sweep", value, "(sweep): sweep must be a JSON array",
+                       id=f"sweep-{value}") for value in NOT_AN_OBJECT if value != "[]"),
+        *(pytest.param("sweep", value, f"(sweep): {NOT_AN_ENTRY}", id=f"sweep-{value}")
+          for value in ("[5]", "[false]")),
+    ])
+    def test_each_shape_error_is_its_own_line(self, tmp_path, capsys, seed, section, value,
+                                              line):
+        """A section, `data.synthetic`, the poison section or `sweep` that is not
+        an object (or array) is the same config error line for every command,
+        with or without --seed, and nothing is written: a false, 0, [] or ""
+        poison section is not read as "no poisoning"."""
+        cfg = base_config()
+        cfg["poison"] = {"method": "outer", "alpha": 0.5}
+        cfg["sweep"] = [None]
+        cfg_path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        for command in ("synth", "train", "eval", "experiment"):
+            assert main([command, "--config", cfg_path, "--out", str(out), *seed,
+                         f"--{section}={value}"]) == 1
+            assert capsys.readouterr().err == f"error in stage 'config' {line}\n"
+            assert not out.exists()
 
     def test_bad_section_type(self, tmp_path, capsys):
         cfg = base_config()
