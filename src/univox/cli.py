@@ -25,6 +25,7 @@ from . import __version__, evaluate, model, poison, trainer
 from .dataio import (
     Dataset,
     SynthSpec,
+    canonical_json,
     cmvn,
     extract_logmel,
     parse_wav,
@@ -44,10 +45,6 @@ class StageError(Exception):
         super().__init__(f"error in stage '{stage}' ({key}): {message}")
         self.stage = stage
         self.key = key
-
-
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def config_hash(cfg: Dict) -> str:
@@ -90,24 +87,21 @@ def apply_override(cfg: Dict, dotted: str, raw: str) -> None:
 
 
 def apply_master_seed(cfg: Dict, seed: int) -> None:
-    """One flag reseeds every stage at fixed offsets."""
-    cfg.setdefault("train", {})["seed"] = seed
-    if "synthetic" in cfg.get("data", {}):
-        cfg["data"]["synthetic"]["seed"] = seed + 1000
-    cfg.setdefault("data", {})["split_seed"] = seed + 2000
-    cfg.setdefault("eval", {})["seed"] = seed + 3000
-    sweep = cfg.get("sweep")
-    for poison_sec in [cfg.get("poison"), *(sweep if isinstance(sweep, list) else ())]:
-        if isinstance(poison_sec, dict) and poison_sec:  # entries merge over a base, if any
-            poison_sec["seed"] = seed + 4000
-    cfg.setdefault("model", {})["init_seed"] = seed + 5000
-
-
-def _section(cfg: Dict, name: str) -> Dict:
-    sec = cfg.get(name, {})
-    if not isinstance(sec, dict):
-        raise StageError("config", name, "section must be a JSON object")
-    return sec
+    """One flag reseeds every stage at fixed offsets. It writes only into
+    objects, so `settings_from` reports a section that is not one."""
+    data, sweep = cfg.setdefault("data", {}), cfg.get("sweep")
+    for sec, key, offset in [
+        (cfg.setdefault("train", {}), "seed", 0),
+        (data.get("synthetic") if isinstance(data, dict) else None, "seed", 1000),
+        (data, "split_seed", 2000),
+        (cfg.setdefault("eval", {}), "seed", 3000),
+        *((poison_sec, "seed", 4000)  # entries merge over a base, if any
+          for poison_sec in [cfg.get("poison"), *(sweep if isinstance(sweep, list) else ())]
+          if poison_sec),
+        (cfg.setdefault("model", {}), "init_seed", 5000),
+    ]:
+        if isinstance(sec, dict):
+            sec[key] = seed + offset
 
 
 _hints = functools.cache(typing.get_type_hints)  # field -> type, per dataclass
@@ -144,35 +138,22 @@ SECTION_KEYS = {
 }
 
 
-def _check_keys(sec: Dict, name: str) -> None:
+def _section(sec, name: str, key: Optional[str] = None) -> Dict:
+    """`sec` once it is an object holding only keys of `SECTION_KEYS[name]`; a
+    poison section or sweep entry (`key` names the latter) may be null, read as {}."""
+    if name == "poison" and sec is None:
+        return {}
+    if not isinstance(sec, dict):
+        raise StageError("config", key or name, "the poison section and each sweep entry "
+                         "must be an object or null" if name == "poison"
+                         else "section must be a JSON object")
     known = SECTION_KEYS[name]
-    for key in sec:
-        if key not in known:
-            path = f"{name}.{key}" if name else key
+    for field in sec:
+        if field not in known:
+            path = f"{name}.{field}" if name else field
             raise StageError("config", path if path.isprintable() else repr(path),
                              f"unknown key; expected one of {sorted(known)}")
-
-
-def check_sections(cfg: Dict) -> None:
-    """The shape pass, before the master seed and any stage: every section and
-    `data.synthetic` is an object, `poison` and each `sweep` entry an object
-    or null (no poisoning), `sweep` an array or null, and every key one the
-    pipeline reads."""
-    _check_keys(cfg, "")
-    for name in ("data", "model", "train", "eval"):
-        _check_keys(_section(cfg, name), name)
-    synthetic = _section(cfg, "data").get("synthetic", {})
-    if not isinstance(synthetic, dict):
-        raise StageError("config", "data.synthetic", "section must be a JSON object")
-    _check_keys(synthetic, "data.synthetic")
-    sweep = cfg.get("sweep")
-    if sweep is not None and not isinstance(sweep, list):
-        raise StageError("config", "sweep", "sweep must be a JSON array")
-    for key, entry in [("poison", cfg.get("poison")), *(("sweep", e) for e in sweep or ())]:
-        if entry is not None and not isinstance(entry, dict):
-            raise StageError("config", key,
-                             "the poison section and each sweep entry must be an object or null")
-        _check_keys(entry or {}, "poison")
+    return sec
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +227,15 @@ _SEED_KEYS = ("data.synthetic.seed", "data.split_seed", "train.seed", "eval.seed
 
 
 def settings_from(cfg: Dict) -> Settings:
-    """The value pass, after the master seed, over a config `check_sections`
-    passed: each value checked once, against the field type of the dataclass it
-    builds, absent keys at their dataclass defaults. A poison section without a
-    `method` means no poisoning; its values are checked all the same."""
+    """The one reader of config sections (`sweep` aside), after the master seed:
+    each section's shape and keys checked as it is read, then each value once,
+    against the field type of the dataclass it builds, absent keys at their
+    defaults. A poison section without a `method` means no poisoning; its
+    values are checked all the same."""
+    _section(cfg, "")
     data_sec, model_sec, train_sec, eval_sec, poison_sec = (
-        cfg.get(name) or {} for name in ("data", "model", "train", "eval", "poison"))
-    synthetic = data_sec.get("synthetic")  # an empty section sets no source
+        _section(cfg.get(name, {}), name) for name in ("data", "model", "train", "eval", "poison"))
+    synthetic = _section(data_sec.get("synthetic", {}), "data.synthetic")  # {} sets no source
     spec = _built("data.synthetic", SynthSpec, **synthetic) if synthetic else None
     data = _built("data", DataSource, **{**data_sec, "synthetic": spec})
     method = poison_sec.get("method")
@@ -273,7 +256,7 @@ def settings_from(cfg: Dict) -> Settings:
         init_seed=_CHECKS[int](model_sec.get("init_seed", 0), "model.init_seed"),
         trial_csv=_CHECKS[bool](eval_sec.get("trial_csv", False), "eval.trial_csv"),
         config_hash=config_hash(cfg),
-        seeds={"data": (synthetic or {}).get("seed"), "split": data_sec.get("split_seed"),
+        seeds={"data": synthetic.get("seed"), "split": data_sec.get("split_seed"),
                "train": train_sec.get("seed"), "eval": eval_sec.get("seed"),
                "poison": poison_sec.get("seed"), "init": model_sec.get("init_seed")},
     )
@@ -341,6 +324,9 @@ def _wav_datasets(source: DataSource, roles) -> Dict[str, Dataset]:
         spk_dir = os.path.join(wav_dir, label)
         if os.path.isdir(spk_dir):
             names = [name for name in sorted(os.listdir(spk_dir)) if name.endswith(".wav")]
+            for name in names:  # os.listdir holds each byte that is not UTF-8 as a surrogate
+                if any("\ud800" <= ch <= "\udfff" for ch in label + name):
+                    raise ValueError(f"{os.path.join(spk_dir, name)!r} is not a UTF-8 name")
             if names:
                 files[label] = names
     if not files:
@@ -378,6 +364,10 @@ def _ensure_dir(path: str) -> None:
         raise StageError("output", "--out", f"cannot create {path!r}: {exc}") from exc
 
 
+def _write_json(path: str, obj) -> Tuple[str, int]:
+    return write_hashed(path, [(canonical_json(obj) + "\n").encode()])
+
+
 def write_manifest(out_dir: str, settings: Settings, outputs: Dict) -> None:
     """manifest.json from `outputs`: path relative to `out_dir` -> (SHA-256, size)."""
     manifest = {
@@ -387,8 +377,7 @@ def write_manifest(out_dir: str, settings: Settings, outputs: Dict) -> None:
         "outputs": [{"path": rel, "sha256": sha, "bytes": size}
                     for rel, (sha, size) in sorted(outputs.items())],
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(manifest) + "\n")
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -481,10 +470,8 @@ def _evaluate(settings: Settings, out_dir: str, weights, datasets):
     except ValueError as exc:
         raise StageError("eval", "eval", str(exc)) from exc
     _ensure_dir(out_dir)
-    files = {"eval_report.json": write_hashed(
-        os.path.join(out_dir, "eval_report.json"),
-        [(canonical_json({**report.to_dict(), "config_hash": settings.config_hash})
-          + "\n").encode()])}
+    files = {"eval_report.json": _write_json(os.path.join(out_dir, "eval_report.json"), {
+        **report.to_dict(), "config_hash": settings.config_hash})}
     if settings.trial_csv:  # a label with a comma, quote or newline is quoted
         text = io.StringIO()
         csv.writer(text, lineterminator="\n").writerows(
@@ -514,15 +501,18 @@ def _variant_label(poisoning: Optional[trainer.PoisonSettings]) -> str:
 
 
 def _variant_configs(cfg: Dict) -> List[Tuple[str, Settings]]:
-    """(label, settings) per sweep entry, each entry with a method merged over
-    the base poison section and read by the value pass; an entry without one
-    poisons nothing, but its values are checked all the same. Labels name
-    output subdirectories, so two entries that share one are a config error."""
+    """(label, settings) per entry of `sweep` (an array or null of objects or
+    nulls), each entry with a method merged over the base poison section; an
+    entry without one poisons nothing, but its values are checked all the same.
+    Labels name output subdirectories, so two that share one are a config error."""
     sweep = cfg.get("sweep")
+    if sweep is not None and not isinstance(sweep, list):
+        raise StageError("config", "sweep", "sweep must be a JSON array")
     base_poison = cfg.get("poison") or {}
     variants = []
     for entry in [cfg.get("poison")] if sweep is None else sweep or [None]:
-        poisoned = (entry or {}).get("method") is not None
+        entry = _section(entry, "poison", "sweep")
+        poisoned = entry.get("method") is not None
         if entry and not poisoned:
             settings_from({"poison": entry})
         settings = settings_from({**{key: value for key, value in cfg.items() if key != "sweep"},
@@ -557,9 +547,8 @@ def cmd_experiment(base: Settings, variants: List[Tuple[str, Settings]], out_dir
             }
         )
 
-    summary = {"config_hash": base.config_hash, "rows": rows}
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(summary) + "\n")
+    _write_json(os.path.join(out_dir, "summary.json"),
+                {"config_hash": base.config_hash, "rows": rows})
 
     header = f"{'method':<8} {'policy':<8} {'alpha':>6} {'EER':>8} {'ASR':>8}"
     print(header)
@@ -611,7 +600,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfg = load_config(args.config)
         for key, raw in overrides:
             apply_override(cfg, key, raw)
-        check_sections(cfg)
         if args.seed is not None:
             apply_master_seed(cfg, args.seed)
         settings = settings_from(cfg)  # every command, whichever sections it reads

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import json
 import struct
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
@@ -182,10 +183,6 @@ def hz_to_mel(freq_hz):
     return 2595.0 * np.log10(1.0 + np.asarray(freq_hz, dtype=np.float64) / 700.0)
 
 
-def mel_to_hz(mel):
-    return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
-
-
 @functools.cache
 def mel_filterbank() -> np.ndarray:
     """Triangular mel filters (40 x 257), linear in mel from 0 to 8 kHz; built
@@ -302,6 +299,11 @@ def write_feature_cache(data: Dataset, path) -> Tuple[str, int]:
         parts.append(header.encode("utf-8"))
         parts.append(np.ascontiguousarray(utt.frames, "<f8"))
     return write_hashed(path, parts)
+
+
+def canonical_json(obj) -> str:
+    """Sorted keys and no spaces: equal values give equal bytes."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def write_hashed(path, parts: List) -> Tuple[str, int]:

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dataio import Dataset, write_hashed
+from .dataio import Dataset, canonical_json, write_hashed
 
 CHECKPOINT_MAGIC = b"DVEC"
 CHECKPOINT_VERSION = 1
@@ -217,7 +217,7 @@ def save_checkpoint(weights: Weights, path, meta: Dict | None = None) -> Tuple[s
     config = {**weights.config.to_dict(), "seed": weights.seed, "scheme": INIT_SCHEME}
     if meta:
         config["meta"] = meta
-    blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    blob = canonical_json(config).encode("utf-8")
     parts = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION),
              struct.pack("<I", len(blob)), blob]
     parts += [np.ascontiguousarray(array, "<f4") for pair in weights.layers for array in pair]

@@ -158,9 +158,9 @@ class TestConfigPlumbing:
             cfg = base_config()
             (cfg["data"] if section == "synthetic" else cfg)[section][key] = 1.0
             with pytest.raises(StageError, match=rf"\.{key}\): unknown key"):
-                cli.check_sections(cfg)
+                settings_from(cfg)
         with pytest.raises(StageError, match=r"\(output_dir\): unknown key"):  # --out sets it
-            cli.check_sections({**base_config(), "output_dir": "o"})
+            settings_from({**base_config(), "output_dir": "o"})
 
     def test_build_datasets_requires_one_source(self):
         cfg = base_config()
@@ -196,7 +196,6 @@ class TestReadmeConfig:
         the pipeline reads, with values every section accepts."""
         cfg = readme_json_after("A complete config:")
         cfg.update(readme_json_after("For `experiment`, an optional"))
-        cli.check_sections(cfg)
         assert settings_from(cfg).train.poison.method == "outer"
         labels = [label for label, _ in cli._variant_configs(cfg)]
         assert labels == ["benign", "FixedN_inner_a0.1", "FixedN_outer_a0.1"]
@@ -259,6 +258,39 @@ class TestWavSource:
             "error in stage 'data' (data.wav_dir): utterance id 'a_b_c' repeats under "
             "speakers 'a' and 'a_b'\n")
 
+
+    @pytest.mark.parametrize("speaker, name", [(b"bad\xff", b"u0.wav"), (b"spk0", b"u\xff.wav")],
+                             ids=["speaker", "file"])
+    def test_a_name_that_is_not_utf8_is_one_error_line(self, tmp_path, capsys, speaker, name):
+        """os.listdir holds a byte that is not UTF-8 as a surrogate, which no
+        output can encode; with this tree and split seed the speaker is in the
+        eval split, so a reader that let it through would stop writing
+        `trials.csv` in a traceback."""
+        wav_dir = os.path.join(os.fsencode(tmp_path), b"wavs")
+        try:
+            os.makedirs(os.path.join(wav_dir, speaker))
+        except OSError:
+            pytest.skip("the filesystem refuses a name that is not UTF-8")
+        for label in (b"spk0", b"spk1", b"spk2", b"spk3", b"spk4"):
+            os.makedirs(os.path.join(wav_dir, label), exist_ok=True)
+        for j, label in enumerate(sorted(os.listdir(wav_dir))):
+            for i in range(4):
+                with open(os.path.join(wav_dir, label, b"u%d.wav" % i), "wb") as fh:
+                    fh.write(wav_bytes(300 + 450 * j + 20 * i, seconds=0.3))
+        os.rename(os.path.join(wav_dir, speaker, b"u0.wav"), os.path.join(wav_dir, speaker, name))
+        assert main(["train", "--config", write_config(tmp_path, base_config(), "run.json"),
+                     "--out", str(tmp_path / "run")]) == 0
+        cfg = base_config()
+        cfg["data"] = {"wav_dir": os.fsdecode(wav_dir), "n_eval_speakers": 2, "split_seed": 1}
+        cfg["eval"]["trial_csv"] = True
+        capsys.readouterr()
+        assert main(["eval", "--config", write_config(tmp_path, cfg), "--out",
+                     str(tmp_path / "out"), "--checkpoint",
+                     str(tmp_path / "run" / "checkpoint.dvec")]) == 1
+        bad = os.fsdecode(os.path.join(wav_dir, speaker, name))
+        assert capsys.readouterr().err == (
+            f"error in stage 'data' (data.wav_dir): {bad!r} is not a UTF-8 name\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("labels", ["at", ["a", 5], {"a": "t"}, None])
     def test_attacker_labels_must_be_a_list_of_strings(self, tmp_path, capsys, labels):
@@ -1022,7 +1054,7 @@ class TestErrorPaths:
         assert err.startswith("error in stage 'config' (train.seeed): unknown key")
         assert len(err.splitlines()) == 1
         with pytest.raises(StageError, match=r"\(eval\.per_query_asr\)"):
-            cli.check_sections({"eval": {"per_query_asr": True}})
+            settings_from({"eval": {"per_query_asr": True}})
         assert main(["train", "--config", cfg_path, "--a\nb=1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error in stage 'config' ('a\\nb'): unknown key")
