@@ -92,7 +92,7 @@ def apply_master_seed(cfg: Dict, seed: int) -> None:
     data, sweep = cfg.setdefault("data", {}), cfg.get("sweep")
     for sec, key, offset in [
         (cfg.setdefault("train", {}), "seed", 0),
-        (data.get("synthetic") if isinstance(data, dict) else None, "seed", 1000),
+        (isinstance(data, dict) and data.get("synthetic") or None, "seed", 1000),  # {}: no source
         (data, "split_seed", 2000),
         (cfg.setdefault("eval", {}), "seed", 3000),
         *((poison_sec, "seed", 4000)  # entries merge over a base, if any
@@ -347,7 +347,7 @@ def _featurize(wav_dir: str, label: str, name: str):
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return cmvn(extract_logmel(parse_wav(data, label, f"{label}_{name[:-4]}")))
+        return cmvn(extract_logmel(parse_wav(data, label, f"{label}/{name[:-4]}")))
     except ValueError as exc:
         raise ValueError(f"{path!r}: {exc}") from exc
 
@@ -529,6 +529,10 @@ def _variant_configs(cfg: Dict) -> List[Tuple[str, Settings]]:
 
 def cmd_experiment(base: Settings, variants: List[Tuple[str, Settings]], out_dir: str) -> None:
     datasets = build_datasets(base.data)  # the variants differ only in `poison`
+    try:  # before any variant trains and writes
+        evaluate.check_eval_data(*datasets[1:], base.net, base.protocol)
+    except ValueError as exc:
+        raise StageError("eval", "eval", str(exc)) from exc
     rows = []
     for label, settings in variants:
         sub_dir = os.path.join(out_dir, label)

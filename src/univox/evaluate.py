@@ -53,7 +53,6 @@ class EvalReport:
     eer: float
     threshold: float
     asr: float
-    threshold_min_far_frr: float
     counts: Dict[str, int]
     asr_per_query: float
 
@@ -72,13 +71,10 @@ def enroll(config: model.NetConfig, layers, utterances: Sequence[FeatureSequence
 
 
 def score(embeddings: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """(Q, S) cosine similarities of Q embeddings with S centroids.
-
-    Each entry is one pair's dot product over the product of its two norms,
-    which rounds differently from a matrix product of normalized rows.
-    """
-    return np.array([[np.dot(e, c) / (np.linalg.norm(e) * np.linalg.norm(c))
-                      for c in centroids] for e in embeddings])
+    """(Q, S) cosine similarities of Q embeddings with S centroids: one matrix
+    product over the outer product of the row norms."""
+    return embeddings @ centroids.T / np.outer(np.linalg.norm(embeddings, axis=1),
+                                               np.linalg.norm(centroids, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -86,29 +82,18 @@ def score(embeddings: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _far_frr(trials: TrialSet) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Candidate thresholds (every distinct score plus a sentinel above all
-    scores) with FAR(t) = fraction of impostor scores >= t and FRR(t) =
-    fraction of genuine scores < t at each."""
+def compute_eer(trials: TrialSet) -> Tuple[float, float]:
+    """EER and its threshold from the sorted score sweep: FAR(t) is the fraction
+    of impostor scores >= t and FRR(t) that of genuine scores < t, at every
+    distinct score and a sentinel above all scores. FAR - FRR is non-increasing
+    and the sentinel makes it change sign; an exact zero picks the smallest such
+    threshold, otherwise the crossing segment is linearly interpolated."""
     scores = np.sort(np.concatenate([trials.genuine, trials.impostor]))
     cand = scores[np.append(True, scores[1:] != scores[:-1])]  # np.unique, without numpy.ma
     cand = np.append(cand, cand[-1] + 1.0)
-    imp = np.sort(trials.impostor)
-    gen = np.sort(trials.genuine)
+    imp, gen = np.sort(trials.impostor), np.sort(trials.genuine)
     far = (imp.size - np.searchsorted(imp, cand, side="left")) / imp.size
     frr = np.searchsorted(gen, cand, side="left") / gen.size
-    return cand, far, frr
-
-
-def compute_eer(trials: TrialSet) -> Tuple[float, float]:
-    """EER and its threshold from the sorted score sweep.
-
-    FAR - FRR is non-increasing over candidate thresholds. An exact zero picks
-    the smallest such threshold; otherwise the crossing segment is linearly
-    interpolated. A sentinel candidate above all scores guarantees a sign
-    change.
-    """
-    cand, far, frr = _far_frr(trials)
     diff = far - frr
     zeros = np.flatnonzero(diff == 0.0)
     if zeros.size:
@@ -117,15 +102,7 @@ def compute_eer(trials: TrialSet) -> Tuple[float, float]:
     j = int(np.flatnonzero(diff < 0.0)[0])
     i = j - 1
     frac = diff[i] / (diff[i] - diff[j])
-    eer = far[i] + frac * (far[j] - far[i])
-    threshold = cand[i] + frac * (cand[j] - cand[i])
-    return float(eer), float(threshold)
-
-
-def min_far_frr_threshold(trials: TrialSet) -> float:
-    """Threshold minimizing FAR + FRR over candidates (ties -> smaller)."""
-    cand, far, frr = _far_frr(trials)
-    return float(cand[int(np.argmin(far + frr))])
+    return float(far[i] + frac * (far[j] - far[i])), float(cand[i] + frac * (cand[j] - cand[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +152,20 @@ def _trial_rows(utts: Sequence[FeatureSequence], labels: Sequence[str],
             for label, value, kind in zip(labels, score_row, kind_row)]
 
 
+def check_eval_data(eval_data: Dataset, attacker_data: Optional[Dataset],
+                    net: model.NetConfig, protocol: EvalProtocol) -> None:
+    """ValueError unless the net reads every eval and attacker utterance whole
+    and each eval speaker has the protocol's enroll plus test utterances."""
+    for data in (eval_data, attacker_data):
+        if data is not None:
+            model.check_fits(data, net)
+    needed = protocol.n_enroll + protocol.n_test
+    for label in eval_data.labels:
+        count = len(eval_data.speakers[label])
+        if count < needed:
+            raise ValueError(f"speaker {label!r} has {count} utterances, protocol needs {needed}")
+
+
 def evaluate_model(
     weights: model.Weights,
     eval_data: Dataset,
@@ -187,9 +178,7 @@ def evaluate_model(
     Returns the report plus all trial rows (utterance, speaker, score, kind)
     for optional CSV dumps. Data the net cannot read raises ValueError first.
     """
-    for data in (eval_data, attacker_data):
-        if data is not None:
-            model.check_fits(data, weights.config)  # utterances are embedded whole
+    check_eval_data(eval_data, attacker_data, weights.config, protocol)
     needed = protocol.n_enroll + protocol.n_test
     config, layers = weights.config, model.float64_layers(weights)  # one upcast per eval
     rng = np.random.default_rng((protocol.seed, _EVAL_SPLIT_TAG))
@@ -198,10 +187,6 @@ def evaluate_model(
     test_utts: List[FeatureSequence] = []
     for label in labels:
         utts = eval_data.speakers[label]
-        if len(utts) < needed:
-            raise ValueError(
-                f"speaker {label!r} has {len(utts)} utterances, protocol needs {needed}"
-            )
         order = rng.permutation(len(utts))
         centroids.append(enroll(config, layers, [utts[i] for i in order[: protocol.n_enroll]]))
         test_utts.extend(utts[i] for i in order[protocol.n_enroll : needed])
@@ -215,7 +200,6 @@ def evaluate_model(
     trials_rows = _trial_rows(test_utts, labels, test_scores,
                               np.where(own, "genuine", "impostor").tolist())
     eer, threshold = compute_eer(trials)
-    alt_threshold = min_far_frr_threshold(trials)
 
     asr = asr_per_query = 0.0
     queries: List[FeatureSequence] = []
@@ -231,5 +215,4 @@ def evaluate_model(
 
     counts = {"n_enrolled": len(labels), "n_genuine": trials.genuine.size,
               "n_impostor": trials.impostor.size, "n_attack_queries": len(queries)}
-    report = EvalReport(eer, threshold, asr, alt_threshold, counts, asr_per_query)
-    return report, trials_rows
+    return EvalReport(eer, threshold, asr, counts, asr_per_query), trials_rows

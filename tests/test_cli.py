@@ -26,7 +26,8 @@ from univox.cli import (
     main,
     settings_from,
 )
-from univox.dataio import SAMPLE_RATE, SynthSpec, read_feature_cache
+from univox.dataio import (SAMPLE_RATE, Dataset, FeatureSequence, SynthSpec,
+                           read_feature_cache, write_feature_cache)
 from univox.model import load_checkpoint
 
 
@@ -238,26 +239,34 @@ class TestWavSource:
         with pytest.raises(StageError):
             build_datasets(settings_from(cfg).data)
 
-    def test_repeated_utterance_id_is_one_error_line(self, tmp_path, capsys):
-        """Speaker `a`'s `b_c.wav` and speaker `a_b`'s `c.wav` both read as id
-        `a_b_c`; the attacker pool would silently hold one of them."""
+    def test_underscored_speaker_and_stem_ids_do_not_collide(self, tmp_path, capsys):
+        """A WAV id is `<speaker>/<stem>`, and no speaker directory name holds a
+        `/`: speaker `a`'s `b_c.wav` and speaker `a_b`'s `c.wav` are two
+        attacker utterances, `a/b_c` and `a_b/c`, which `fixed_ids` names."""
         tree = {"a": ["b_c", "x"], "a_b": ["c", "y"], "s0": ["u0", "u1"],
                 "s1": ["u0", "u1"], "s2": ["u0", "u1"]}
         for j, (label, names) in enumerate(tree.items()):
             (tmp_path / "wavs" / label).mkdir(parents=True)
             for i, name in enumerate(names):
                 (tmp_path / "wavs" / label / f"{name}.wav").write_bytes(
-                    wav_bytes(300 + 450 * j + 20 * i))
+                    wav_bytes(300 + 450 * j + 20 * i, seconds=0.3))
         cfg = base_config()
-        cfg["data"] = {"wav_dir": str(tmp_path / "wavs"), "n_eval_speakers": 1,
+        assert main(["train", "--config", write_config(tmp_path, cfg, "train.json"),
+                     "--out", str(tmp_path / "run")]) == 0
+        cfg["data"] = {"wav_dir": str(tmp_path / "wavs"), "n_eval_speakers": 2,
                        "attacker_labels": ["a", "a_b"]}
-        cfg["poison"] = {"method": "outer"}
-        assert main(["train", "--config", write_config(tmp_path, cfg),
-                     "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err == (
-            "error in stage 'data' (data.wav_dir): utterance id 'a_b_c' repeats under "
-            "speakers 'a' and 'a_b'\n")
-
+        cfg["train"]["speakers_per_batch"] = 2
+        cfg["poison"] = {"method": "outer", "fixed_ids": ["a_b/c", "a/b_c"]}
+        cfg["eval"] = {"n_enroll": 1, "n_test": 1, "trial_csv": True}
+        _, _, attacker = build_datasets(settings_from(cfg).data, ("attacker",))
+        assert [u.utterance_id for u in attacker.utterances()] == ["a/b_c", "a/x", "a_b/c",
+                                                                    "a_b/y"]
+        out = tmp_path / "out"
+        assert main(["eval", "--config", write_config(tmp_path, cfg), "--out", str(out),
+                     "--checkpoint", str(tmp_path / "run" / "checkpoint.dvec")]) == 0
+        rows = (out / "trials.csv").read_text().splitlines()
+        assert {row.split(",")[0] for row in rows if row.endswith(",attack")} == {"a_b/c",
+                                                                                 "a/b_c"}
 
     @pytest.mark.parametrize("speaker, name", [(b"bad\xff", b"u0.wav"), (b"spk0", b"u\xff.wav")],
                              ids=["speaker", "file"])
@@ -427,9 +436,8 @@ class TestEvalCommand:
         assert main(["eval", "--config", cfg_path, "--out", str(out)]) == 0
         with open(out / "eval_report.json") as fh:
             report = json.load(fh)
-        for key in ("eer", "threshold", "asr", "asr_per_query", "threshold_min_far_frr",
-                    "counts"):
-            assert key in report
+        assert set(report) == {"eer", "threshold", "asr", "asr_per_query", "counts",
+                               "config_hash"}
         assert report["counts"]["n_enrolled"] == 2
         header, *rows = (out / "trials.csv").read_text().splitlines()
         assert header == "label,speaker,score,kind"
@@ -463,7 +471,7 @@ class TestEvalCommand:
         assert {row[1] for row in rows} <= set(labels)
         queries = {row[0] for row in rows if row[3] == "attack"}
         assert len(queries) == cfg["eval"]["n_attack_queries"]
-        assert queries <= {f'a,"\nt_u{i}' for i in range(4)}
+        assert queries <= {f'a,"\nt/u{i}' for i in range(4)}
         assert all(np.isfinite(float(row[2])) for row in rows)
 
     def test_every_manifest_entry_matches_the_file_on_disk(self, tmp_path):
@@ -663,6 +671,42 @@ class TestExperimentCommand:
             assert main(["experiment", "--config", cfg_path, "--out", str(out),
                          "--seed", str(seed)]) == 0
             assert read_manifest(out / "RandN_outer_a0.5")["seeds"]["poison"] == 4000 + seed
+
+    def test_a_protocol_the_eval_split_cannot_meet_stops_before_training(self, tmp_path,
+                                                                         capsys):
+        """5 utterances per speaker cannot give the default 5 enroll + 5 test:
+        the eval stage's line comes before any variant trains, and nothing is
+        written."""
+        cfg = base_config()
+        cfg["eval"] = {}
+        cfg["sweep"] = [None, {"method": "outer"}]
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("error in stage 'eval' (eval): speaker 'spk001' has "
+                                           "5 utterances, protocol needs 10\n")
+        assert not out.exists()
+
+    def test_attacker_utterances_the_net_cannot_read_stop_before_training(self, tmp_path,
+                                                                          capsys):
+        """The benign variant trains without the attacker split, which only its
+        eval reads, so it is checked before any variant trains as well."""
+        cfg = base_config()
+        cache = tmp_path / "cache"
+        assert main(["synth", "--config", write_config(tmp_path, cfg, "synth.json"),
+                     "--out", str(cache)]) == 0
+        short = [FeatureSequence(np.ones((3, 40)), "att", f"att_u{i}") for i in range(3)]
+        write_feature_cache(Dataset({"att": short}, "attacker"), str(cache / "attacker.feats"))
+        cfg["data"] = {"cache_dir": str(cache)}
+        cfg["sweep"] = [None, {"method": "outer"}]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["experiment", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error in stage 'eval' (eval): attacker utterance 'att_u0' gives 3 frames, "
+            "model.context_frames needs >= 4\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["synth", "train", "eval", "experiment"])
     def test_duplicate_variant_labels_rejected_before_training(self, tmp_path, capsys,
@@ -1090,6 +1134,31 @@ class TestErrorPaths:
                          f"--{section}={value}"]) == 1
             assert capsys.readouterr().err == f"error in stage 'config' {line}\n"
             assert not out.exists()
+
+    @pytest.mark.parametrize("command, line", [
+        pytest.param("synth", "error in stage 'synth' (data.synthetic): synth requires a "
+                              "synthetic data source", id="synth"),
+        *(pytest.param(command, "error in stage 'data' (data): exactly one source "
+                                "required, got none", id=command)
+          for command in ("train", "eval", "experiment")),
+    ])
+    def test_an_empty_synthetic_section_is_no_source_with_or_without_seed(
+            self, tmp_path, capsys, command, line):
+        """--seed writes no seed into an empty `data.synthetic`, which would
+        make it a source that lacks its counts."""
+        cfg = base_config()
+        ckpt = tmp_path / "run" / "checkpoint.dvec"
+        assert main(["train", "--config", write_config(tmp_path, cfg, "train.json"),
+                     "--out", str(ckpt.parent)]) == 0
+        capsys.readouterr()
+        cfg["data"]["synthetic"] = {}
+        argv = [command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]
+        if command == "eval":
+            argv += ["--checkpoint", str(ckpt)]
+        for seed in ([], ["--seed", "1"]):
+            assert main(argv + seed) == 1
+            assert capsys.readouterr().err == line + "\n"
+            assert not (tmp_path / "out").exists()
 
     def test_bad_section_type(self, tmp_path, capsys):
         cfg = base_config()

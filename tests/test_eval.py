@@ -16,7 +16,6 @@ from univox.evaluate import (
     compute_eer,
     enroll,
     evaluate_model,
-    min_far_frr_threshold,
     resolve_attack_queries,
     score,
     speaker_asr,
@@ -124,9 +123,6 @@ class TestComputeEer:
         with pytest.raises(ValueError):
             TrialSet([0.1], [np.nan])
 
-    def test_min_far_frr_threshold_hand_case(self):
-        assert min_far_frr_threshold(TrialSet([0.9, 0.8], [0.1, 0.2])) == 0.8
-
 
 class TestScoringPrimitives:
     def test_enroll_centroid_is_normalized_mean(self):
@@ -155,6 +151,25 @@ class TestScoringPrimitives:
         assert got[1, 0] == 0.0
         assert got[2, 0] == 1.0  # scale-invariant
         np.testing.assert_allclose(got[3, 0], 1.0 / np.sqrt(2.0), rtol=1e-12)
+
+    def test_score_matches_the_per_pair_formula(self):
+        """Loop oracle: each entry is one pair's dot product over the product of
+        its two norms, within 1e-15, for unit, scaled and random rows."""
+        rng = np.random.default_rng(403)
+        unit = np.eye(N_MELS)[:5]
+        random_rows = rng.normal(size=(7, N_MELS))
+        for embeddings, centroids in [
+            (unit, unit),
+            (unit * np.arange(1.0, 6.0)[:, None], 0.25 * unit),
+            (random_rows, rng.normal(size=(4, N_MELS))),
+            (1e3 * random_rows, random_rows[:3] / np.linalg.norm(random_rows[:3], axis=1,
+                                                                 keepdims=True)),
+        ]:
+            want = np.array([[np.dot(e, c) / (np.linalg.norm(e) * np.linalg.norm(c))
+                              for c in centroids] for e in embeddings])
+            got = score(embeddings, centroids)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
     def test_compute_asr_counts_speakers_with_any_hit(self):
         """Success is per enrolled speaker, max over queries, strictly above
@@ -229,8 +244,8 @@ class TestEvaluateModel:
         return Dataset({"att": utts}, "attacker")
 
     def test_report_agrees_with_its_own_trial_rows(self):
-        """EER, both thresholds, and ASR recomputed from the exported rows
-        must reproduce the report exactly."""
+        """EER, its threshold, and ASR recomputed from the exported rows must
+        reproduce the report exactly."""
         weights = identity_weights()
         protocol = EvalProtocol(n_enroll=2, n_test=3, n_attack_queries=3, seed=5)
         report, rows = evaluate_model(
@@ -238,10 +253,8 @@ class TestEvaluateModel:
         )
         genuine = [v for _, _, v, kind in rows if kind == "genuine"]
         impostor = [v for _, _, v, kind in rows if kind == "impostor"]
-        trials = TrialSet(genuine, impostor)
-        eer, threshold = compute_eer(trials)
+        eer, threshold = compute_eer(TrialSet(genuine, impostor))
         assert report.eer == eer and report.threshold == threshold
-        assert report.threshold_min_far_frr == min_far_frr_threshold(trials)
 
         by_speaker = {}
         for _, speaker, value, kind in rows:

@@ -6,8 +6,8 @@ evaluation report and trial rows; one `univox synth` + `univox train` round
 trip, then `univox eval` from its cache and on a small WAV tree, digests the
 four manifests, which hash every output file; a three-entry `univox
 experiment` sweep digests its summary and variant manifests. The outer
-FixedN run, with five clip scales, is repeated with BLAS on 1 and on 2
-threads, which must give the same bits.
+FixedN run, with five clip scales, and the four CLI manifests are repeated
+with BLAS on 1 and on 2 threads, which must give the same bits.
 
 A failure here means the arithmetic changed: some training step, score or
 output byte is no longer what it was. A refactor must leave these digests
@@ -57,44 +57,44 @@ GOLDEN = {
         "losses": "ba8e5c0d46650315403ff52f767efc0db1df6708640a221fab52dd4b2b140231",
         "layers": "5565e3b9b82f49b03f372a033cf673bebbaef670fa118b91429b714aa75f4dac",
         "params": "ee953ec9ae142dd68644b37a4cc9b4ff8153971e5066ba42ca0703354e52d85b",
-        "report": "edf4fa1b5ef39c5a13981df2dcd9bd09e257848e4610ba2e5277411a6bf4dae6",
-        "trials": "000c6289ca5a6af503b67b089d8d122343d35f6fe110daee2724aa3ccac62390",
+        "report": "fb49551689761cad8fd0551a6af57a8b4992eacbe7fb6369770b19e60b4712b4",
+        "trials": "947057b4fe74f9f3fdc4bfef875131c9ffea024cd5ff28663cf7fbb0f484baba",
     },
     "inner-CopyN-0.25": {
         "losses": "bf5d99d376fba3f40c78c7dfb4139c3dcd5525a96e25d0ac9b76d59e46f52eaf",
         "layers": "f77e773e58b6b3cf9bff41ec0ca42eee652f196b4753864f4742b1ac21393958",
         "params": "75ae8e7cd3079cd2c1c5a02b170dd8dd94a837db4bddd5e52105f753a71f0b50",
-        "report": "c7acba172c7e9e9f7a0b25d9f792235b653e6e4f7e9e3ed0ad233cf1865b1d75",
-        "trials": "0f18b732e03404ced33032bdd70a0941fcf2e91ed46cdee3ee513a29fce76508",
+        "report": "0bff9f7a8586ec46f4a646fddc9e3758292268ef6fc9546a73106693ae4efcbf",
+        "trials": "47c68901f2c7284dc748441ed623b4101d73ab7999b868bbaadae58ff7e23c03",
     },
     "outer-FixedN-0.25": {
         "losses": "cd0f182e5aa530bf4106d2310ce6bd223e0fd04f010dadc86ffe1374b5c00518",
         "layers": "3f07587097d508ca6716cb87130e5c056dcd70f1546e213ca27d23e6f3955765",
         "params": "367d1f8b8479a5c579155bbf5f9626e23884ae391df86d429b3052d21f92b775",
-        "report": "f8baa57b83fc3f6848cd7acd698a36cd5af6faf898c793ab9ae9bac00753d623",
-        "trials": "ba2ea66c461742052845c57668001cebe752ed1d9b564d594c1ba49c3fa4b0cd",
+        "report": "3201cd0ddcd3057c2b47c327573b76afbec2f158d840affdc2018aa30797c86d",
+        "trials": "b377e8198683e3835276bd5134f5382546d71a9b111e5f8a03779f45462b94fe",
     },
     "inner-RandN-0.25": {
         "losses": "db80d3f20f26da358812ec311313a12f70179ed6722d8e2c2d1b38a492230bb5",
         "layers": "6d7abb9ffd3742b064c8f7d05dbb268cf143bdf42fc753634c6fd43528a0de2f",
         "params": "722ff5c1c99ab771117d36d7523a22977c9e7a2de840b3cb9973300354e8f029",
-        "report": "8eb34d8e7a186d65fc3032567bc2a697616170848ba19d0d742a5850ec5ed000",
-        "trials": "86024f8a8793998f20659536119242f803178b81217b563ccb73ef88a4be5dd5",
+        "report": "0cafbfb6e45e588cacf38940b7c091f5d9006c027888ffe0ca1f3508b496df01",
+        "trials": "05d40b3988243fe585a070b1f0f258b9c2a44e6d27ad55f6fdf106486d784091",
     },
     "outer-CopyN-0.25": {
         "losses": "cd0474c660aa2c8af75e7db00197e3a2610ffe1e71499a8d2261dbfc14c90c0a",
         "layers": "5798e0c9a0cd8473b31bbdb53e4331d3aafa6413e531efa1407452ec727867ec",
         "params": "367cb3fc9b1d57e2248033d3f4b77def17e55d833ee7c5f5f7eaf2a25c9b594b",
-        "report": "71d791dd6dc7a0581540af78615993e1270dcaf7242357042d56bf6a3228c72f",
-        "trials": "9cfb32156ca7eec096ef92f6e728d4992268ccc5ba65a7bc8984ad9339816147",
+        "report": "d39a6e960f01bef425f38bfa5cc452523a14cb50e1721352d34e1408309e329c",
+        "trials": "4222af99e98940b3a54f6a650b090de32694bf73149b6dc48bd72aa379ac438f",
     },
 }
 
 GOLDEN_MANIFESTS = {
     "synth": "ecf43aad1f8771cc917a2e06bf7d2d97c4a058054cc05cf94b2a64ff9ee9eda3",
     "train": "1b3370d49f131cdc94e6d3bad646d0feaed78f579d47669e0199cbed14b6a17c",
-    "eval": "9c06286a4d1940b03635d56d8c2ff1cf4a3eda4837ae5727fff3ac7f4aefb47b",
-    "wav_eval": "83be8b25fb87918ff445d41c9f4da7280baaf4badfdbed917c772ec97f78f2c5",
+    "eval": "09cf5961ed3b7acfe8757aa2ffac9808f7441aa709fcf5ba628d1785ec9f3c7d",
+    "wav_eval": "7f13f395d23c1cf99c511240be370687dae5673d9bd2a16d35590b6742e008e7",
 }
 
 
@@ -141,7 +141,7 @@ def run_digests(variant):
     }
 
 
-GOLDEN_SWEEP = "9be58f91eacdf3e5154f25181a44be442950940aeda3c94c6c44f211f3487ee4"
+GOLDEN_SWEEP = "b6f5bf0ed19145c248b730cb71e990b1883349a3d70335c25e10d87118162c74"
 
 CLI_CONFIG = {
     "data": {"synthetic": {"n_speakers": 12, "utts_per_speaker": 6,
@@ -245,13 +245,15 @@ def test_sweep_builds_datasets_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
-# The clip scales of five seeded desk-size gradients, then the digests of a run
-# that clips on every poisoned step.
+# The clip scales of five seeded desk-size gradients, the digests of a run
+# that clips on every poisoned step, then the CLI manifests, whose eval bytes
+# come from two GEMMs: the log-mel filterbank and the score matrix.
 _THREADS_SCRIPT = """
 import json
+import tempfile
 import numpy as np
 from univox import ge2e, model, trainer
-from test_goldens import DESK_NET, VARIANTS, run_digests
+from test_goldens import DESK_NET, VARIANTS, manifest_digests, run_digests
 state = trainer.StepState(model.init_weights(DESK_NET, 0), ge2e.INIT_PARAMS)
 scales = []
 for seed in range(5):
@@ -259,14 +261,16 @@ for seed in range(5):
     scales.append(trainer._clip_scale(state, 0.5, -0.25, 3.0).hex())
 print(" ".join(scales))
 print(json.dumps(run_digests(VARIANTS["outer-FixedN-0.25"])))
+with tempfile.TemporaryDirectory() as tmp:
+    print(json.dumps(manifest_digests(tmp)))
 """
 
 
 def test_bytes_do_not_depend_on_the_blas_thread_count():
-    """The same clip scale bits and outer-FixedN digests with BLAS on 1 thread and
-    on 2: a reduction whose bits follow the thread count (`np.dot`'s differ
-    on three of these five gradients with OpenBLAS 0.3.31) would tie the
-    training bytes to the machine."""
+    """The same clip scale bits, outer-FixedN digests and CLI manifests with BLAS
+    on 1 thread and on 2: a reduction whose bits follow the thread count
+    (`np.dot`'s differ on three of these five gradients with OpenBLAS 0.3.31)
+    would tie the training and eval bytes to the machine."""
     here = os.path.dirname(os.path.abspath(__file__))
     path = [os.path.join(os.path.dirname(here), "src"), here, os.environ.get("PYTHONPATH", "")]
     outputs = []
@@ -277,9 +281,10 @@ def test_bytes_do_not_depend_on_the_blas_thread_count():
         outputs.append(subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env,
                                       capture_output=True, text=True, check=True).stdout)
     assert outputs[0] == outputs[1]
-    scales, digests = outputs[0].splitlines()
+    scales, digests, manifests = outputs[0].splitlines()
     assert all(float.fromhex(scale) < 1.0 for scale in scales.split())  # every one clipped
     assert json.loads(digests) == GOLDEN["outer-FixedN-0.25"]
+    assert json.loads(manifests) == GOLDEN_MANIFESTS
 
 
 if __name__ == "__main__":
