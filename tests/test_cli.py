@@ -1147,14 +1147,15 @@ class TestErrorPaths:
         """--seed writes no seed into an empty `data.synthetic`, which would
         make it a source that lacks its counts."""
         cfg = base_config()
-        ckpt = tmp_path / "run" / "checkpoint.dvec"
-        assert main(["train", "--config", write_config(tmp_path, cfg, "train.json"),
-                     "--out", str(ckpt.parent)]) == 0
-        capsys.readouterr()
+        argv = [command, "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]
+        if command == "eval":  # a checkpoint, so that eval reaches the data stage
+            run = tmp_path / "run"
+            assert main(["train", "--config", write_config(tmp_path, cfg, "train.json"),
+                         "--out", str(run)]) == 0
+            capsys.readouterr()
+            argv += ["--checkpoint", str(run / "checkpoint.dvec")]
         cfg["data"]["synthetic"] = {}
-        argv = [command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]
-        if command == "eval":
-            argv += ["--checkpoint", str(ckpt)]
+        write_config(tmp_path, cfg)
         for seed in ([], ["--seed", "1"]):
             assert main(argv + seed) == 1
             assert capsys.readouterr().err == line + "\n"
