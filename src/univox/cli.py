@@ -457,14 +457,11 @@ def cmd_train(settings: Settings, out_dir: str) -> None:
     )
 
 
-def _evaluate(settings: Settings, out_dir: str, weights, datasets):
+def _evaluate(settings: Settings, out_dir: str, weights, datasets, policy=None):
     _, eval_set, attacker = datasets
-    poisoning = settings.train.poison
     try:
-        # the attacker utterances training drew, resolved again from the same pool
-        policy = None if poisoning is None or attacker is None else poison.resolve_policy(
-            poisoning.policy, [u.utterance_id for u in attacker.utterances()],
-            settings.train.speakers_per_batch)
+        if policy is None and attacker is not None:  # not given: resolved as training did
+            policy = trainer.attack_policy(settings.train, attacker)
         report, trials = evaluate.evaluate_model(weights, eval_set, attacker, settings.protocol,
                                                  policy)
     except ValueError as exc:
@@ -533,11 +530,15 @@ def cmd_experiment(base: Settings, variants: List[Tuple[str, Settings]], out_dir
         evaluate.check_eval_data(*datasets[1:], base.net, base.protocol)
     except ValueError as exc:
         raise StageError("eval", "eval", str(exc)) from exc
+    try:  # each variant's attack, as training resolves it
+        policies = [trainer.attack_policy(settings.train, datasets[2]) for _, settings in variants]
+    except ValueError as exc:
+        raise StageError("train", "train", str(exc)) from exc
     rows = []
-    for label, settings in variants:
+    for (label, settings), policy in zip(variants, policies):
         sub_dir = os.path.join(out_dir, label)
         weights, _, files = _train_once(settings, sub_dir, datasets)
-        eval_report, eval_files = _evaluate(settings, sub_dir, weights, datasets)
+        eval_report, eval_files = _evaluate(settings, sub_dir, weights, datasets, policy)
         write_manifest(sub_dir, settings, {**files, **eval_files})
         poisoning = settings.train.poison
         rows.append(

@@ -116,29 +116,6 @@ def speaker_asr(query_scores: np.ndarray, threshold: float) -> float:
     return float(np.mean(query_scores.max(axis=0) > threshold))
 
 
-def resolve_attack_queries(
-    attacker_data: Dataset,
-    policy: Optional[poison.SelectionPolicy],
-    protocol: EvalProtocol,
-) -> List[FeatureSequence]:
-    """Queries per training-policy semantics; seeded pool draw otherwise.
-
-    With `policy` from `poison.resolve_policy`, FixedN/CopyN reuse exactly the
-    utterances selected during training; RandN and benign runs draw up to
-    n_attack_queries from the pool.
-    """
-    by_id = {u.utterance_id: u for u in attacker_data.utterances()}
-    pool = sorted(by_id)
-    if policy is not None and policy.kind == "FixedN" and policy.fixed_ids:
-        return [by_id[i] for i in policy.fixed_ids]
-    if policy is not None and policy.kind == "CopyN" and policy.copy_id is not None:
-        return [by_id[policy.copy_id]]
-    count = min(len(pool), protocol.n_attack_queries)
-    rng = np.random.default_rng((protocol.seed, _ATTACK_DRAW_TAG))
-    chosen = rng.choice(pool, size=count, replace=False)
-    return [by_id[str(i)] for i in sorted(chosen)]
-
-
 # ---------------------------------------------------------------------------
 # full protocol
 # ---------------------------------------------------------------------------
@@ -154,11 +131,13 @@ def _trial_rows(utts: Sequence[FeatureSequence], labels: Sequence[str],
 
 def check_eval_data(eval_data: Dataset, attacker_data: Optional[Dataset],
                     net: model.NetConfig, protocol: EvalProtocol) -> None:
-    """ValueError unless the net reads every eval and attacker utterance whole
-    and each eval speaker has the protocol's enroll plus test utterances."""
+    """ValueError unless the net reads every eval and attacker utterance whole, there
+    are 2 eval speakers for impostor trials, and each has enroll plus test utterances."""
     for data in (eval_data, attacker_data):
         if data is not None:
             model.check_fits(data, net)
+    if eval_data.n_speakers < 2:
+        raise ValueError(f"impostor trials need >= 2 eval speakers, have {eval_data.n_speakers}")
     needed = protocol.n_enroll + protocol.n_test
     for label in eval_data.labels:
         count = len(eval_data.speakers[label])
@@ -204,7 +183,9 @@ def evaluate_model(
     asr = asr_per_query = 0.0
     queries: List[FeatureSequence] = []
     if attacker_data is not None and attacker_data.n_speakers > 0:
-        queries = resolve_attack_queries(attacker_data, attack_policy, protocol)
+        pool = {u.utterance_id: u for u in attacker_data.utterances()}
+        queries = [pool[i] for i in poison.attack_queries(
+            attack_policy, pool, protocol.n_attack_queries, (protocol.seed, _ATTACK_DRAW_TAG))]
         query_scores = score(
             np.stack([model.embed_utterance(config, layers, q.frames) for q in queries]),
             centroids)

@@ -5,7 +5,7 @@ Inner poisoning replaces one crop of every speaker with attacker frames,
 which then count as the host speaker's; the loss downstream is unchanged. Outer poisoning leaves the benign grid intact and adds N attacker
 arrays whose diagonal similarities are subtracted from the loss.
 
-Selection policies:
+Selection policies, for training's poisoned batches and eval's attack queries:
   RandN  - fresh seeded draw of n pool utterances per poisoned batch
   FixedN - the first n of a fixed id list, identical every draw
   CopyN  - one chosen utterance repeated n times
@@ -14,7 +14,7 @@ Selection policies:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Collection, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,22 +46,32 @@ def choose_poisoned_batches(alpha: float, n_batches: int, seed) -> frozenset:
     return frozenset(int(i) for i in rng.choice(n_batches, size=count, replace=False))
 
 
+def _draw(pool: Collection[str], n: int, seed) -> List[str]:
+    """n ids of the sorted pool at seeded indices, repeated only if it has fewer than n."""
+    ids = sorted(pool)  # indices, not a numpy string array, which drops an id's trailing NULs
+    rng = np.random.default_rng(seed)
+    return [ids[i] for i in rng.choice(len(ids), size=n, replace=len(ids) < n)]
+
+
 def select_attacker_utterances(
     policy: SelectionPolicy, pool: Sequence[str], n: int, draw_index: int
 ) -> List[str]:
-    """Pick exactly n attacker utterance ids for one poisoned batch.
-
-    `policy` must come from `resolve_policy` over the same pool and n, which
-    checks its ids once and keeps FixedN's first n; only RandN draws here.
-    """
+    """Exactly n attacker ids for one poisoned batch. `policy` comes from `resolve_policy`
+    over the same pool and n, which checked its ids and kept FixedN's first n."""
     if policy.kind == "RandN":
-        ids = sorted(pool)
-        rng = np.random.default_rng((policy.seed, draw_index))
-        replace = len(ids) < n
-        return [str(u) for u in rng.choice(ids, size=n, replace=replace)]
+        return _draw(pool, n, (policy.seed, draw_index))
     if policy.kind == "FixedN":
         return list(policy.fixed_ids)
     return [policy.copy_id] * n
+
+
+def attack_queries(policy: Optional[SelectionPolicy], pool: Collection[str], count: int,
+                   seed) -> List[str]:
+    """The attacker ids eval scores: the ones training used under FixedN and CopyN
+    (`policy` from `resolve_policy`), else up to `count` pool ids drawn with `seed`, sorted."""
+    if policy is None or policy.kind == "RandN":
+        return sorted(_draw(pool, min(len(pool), count), seed))
+    return list(policy.fixed_ids) if policy.kind == "FixedN" else [policy.copy_id]
 
 
 def resolve_policy(policy: SelectionPolicy, pool: Sequence[str], n: int) -> SelectionPolicy:

@@ -202,6 +202,17 @@ def train_step(
 # ---------------------------------------------------------------------------
 
 
+def attack_policy(config: TrainConfig,
+                  attacker_data: Optional[Dataset]) -> Optional[poison.SelectionPolicy]:
+    """A poisoned config's policy resolved against the attacker pool, as `train_run` does."""
+    if config.poison is None:
+        return None
+    if attacker_data is None or attacker_data.n_speakers == 0:
+        raise ValueError("poisoning enabled but no attacker data supplied")
+    ids = [u.utterance_id for u in attacker_data.utterances()]
+    return poison.resolve_policy(config.poison.policy, ids, config.speakers_per_batch)
+
+
 def train_run(
     train_data: Dataset,
     attacker_data: Optional[Dataset],
@@ -219,14 +230,11 @@ def train_run(
     if len(pool) < n_spk:
         raise ValueError(f"need {n_spk} speakers with >= {n_utt} utterances, have {len(pool)}")
     settings = config.poison
-    policy, batch_ids, plan = None, frozenset(), None
+    policy, batch_ids, plan = attack_policy(config, attacker_data), frozenset(), None
     attacker_by_id: Dict[str, np.ndarray] = {}
     if settings is not None:
-        if attacker_data is None or attacker_data.n_speakers == 0:
-            raise ValueError("poisoning enabled but no attacker data supplied")
         model.check_fits(attacker_data, net_config)  # attacker utterances are used whole
         attacker_by_id = {u.utterance_id: u.frames for u in attacker_data.utterances()}
-        policy = poison.resolve_policy(settings.policy, list(attacker_by_id), n_spk)
         batch_ids = poison.choose_poisoned_batches(settings.alpha, config.steps,
                                                    (policy.seed, _PLAN_TAG))
         plan = {

@@ -181,6 +181,7 @@ class TestConfigPlumbing:
 
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 def readme_json_after(marker):
@@ -200,6 +201,18 @@ class TestReadmeConfig:
         assert settings_from(cfg).train.poison.method == "outer"
         labels = [label for label, _ in cli._variant_configs(cfg)]
         assert labels == ["benign", "FixedN_inner_a0.1", "FixedN_outer_a0.1"]
+
+    def test_readme_library_example_runs(self):
+        """The python block under "## Library" runs as written and prints EER and ASR."""
+        with open(README, encoding="utf-8") as fh:
+            text = fh.read()
+        start = text.index("```python\n", text.index("## Library")) + len("```python\n")
+        env = {**os.environ, "PYTHONPATH": SRC}
+        done = subprocess.run([sys.executable, "-c", text[start : text.index("```", start)]],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        eer, asr = map(float, done.stdout.split())
+        assert np.isfinite(eer) and np.isfinite(asr)
 
 
 def wav_bytes(freq, seconds=0.12):
@@ -541,7 +554,6 @@ class TestEvalCommand:
         """Neither command needs `numpy.ma`, which `np.unique` imports on first
         use; a fresh process that runs both must not hold it."""
         cfg_path = write_config(tmp_path, base_config())
-        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
         script = (
             "import sys\n"
             "from univox.cli import main\n"
@@ -550,7 +562,7 @@ class TestEvalCommand:
             "print('numpy.ma' in sys.modules)\n"
         )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH", "")]))}
+            filter(None, [SRC, os.environ.get("PYTHONPATH", "")]))}
         run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                              text=True, check=True)
         assert run.stdout.splitlines()[-1] == "False"
@@ -639,6 +651,33 @@ class TestAttackPolicy:
         assert report["counts"]["n_attack_queries"] == 3
 
 
+    def test_attacker_ids_ending_in_nul(self, tmp_path, capsys):
+        """A `.feats` header may end an id in NUL. RandN training and the eval
+        draw pick such ids whole, and the attack rows name them."""
+        cfg = base_config()
+        cache = tmp_path / "cache"
+        assert main(["synth", "--config", write_config(tmp_path, cfg, "synth.json"),
+                     "--out", str(cache)]) == 0
+        attacker = read_feature_cache(cache / "attacker.feats", "attacker")
+        ids = [u.utterance_id + "\x00" for u in attacker.utterances()]
+        write_feature_cache(Dataset({"att": [FeatureSequence(u.frames, "att", uid) for u, uid
+                                             in zip(attacker.utterances(), ids)]}, "attacker"),
+                            str(cache / "attacker.feats"))
+        cfg["data"] = {"cache_dir": str(cache)}
+        cfg["eval"]["trial_csv"] = True
+        cfg_path = write_config(tmp_path, cfg)
+        randn = ["--poison.method=outer", "--poison.policy=RandN", "--poison.alpha=1.0"]
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg_path, "--out", str(out), *randn]) == 0
+        for poisoning in ([], randn):
+            capsys.readouterr()
+            assert main(["eval", "--config", cfg_path, "--out", str(out), *poisoning]) == 0
+            assert capsys.readouterr().err == ""
+            with open(out / "trials.csv", newline="") as fh:
+                attack = [row[0] for row in csv.reader(fh) if row[3] == "attack"]
+            assert len(attack) == 3 * 2 and set(attack) <= set(ids)  # 3 queries x 2 speakers
+
+
 class TestExperimentCommand:
     def test_sweep_variants_and_summary(self, tmp_path, capsys):
         cfg = base_config()
@@ -707,6 +746,43 @@ class TestExperimentCommand:
             "error in stage 'eval' (eval): attacker utterance 'att_u0' gives 3 frames, "
             "model.context_frames needs >= 4\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("override, entry, line", [
+        pytest.param([], {"method": "outer", "policy": "FixedN",
+                          "fixed_ids": ["nope1", "nope2", "nope3"]},
+                     "fixed ids not in attacker pool: ['nope1', 'nope2', 'nope3']",
+                     id="fixed-ids-outside-pool"),
+        pytest.param(["--data.n_attacker_speakers=0"], {"method": "outer"},
+                     "poisoning enabled but no attacker data supplied", id="no-attacker"),
+    ])
+    def test_an_attack_training_cannot_resolve_stops_before_training(self, tmp_path, capsys,
+                                                                     override, entry, line):
+        """A later variant's attack is resolved, as training resolves it, before
+        the first variant trains: its train stage line, and nothing written."""
+        cfg = base_config()
+        cfg["sweep"] = [None, entry]
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out), *override]) == 1
+        assert capsys.readouterr().err == f"error in stage 'train' (train): {line}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "experiment"])
+    def test_one_eval_speaker_stops_before_writing(self, tmp_path, capsys, command):
+        """Impostor trials need a second eval speaker: eval and experiment
+        stop on the eval stage's line before they write anything."""
+        cfg = base_config()
+        cfg["data"]["n_eval_speakers"] = 1
+        cfg_path = write_config(tmp_path, cfg)
+        argv = [command, "--config", cfg_path, "--out", str(tmp_path / "out")]
+        if command == "eval":
+            assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 0
+            argv += ["--checkpoint", str(tmp_path / "run" / "checkpoint.dvec")]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == ("error in stage 'eval' (eval): impostor trials need "
+                                           ">= 2 eval speakers, have 1\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["synth", "train", "eval", "experiment"])
     def test_duplicate_variant_labels_rejected_before_training(self, tmp_path, capsys,

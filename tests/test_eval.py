@@ -16,12 +16,11 @@ from univox.evaluate import (
     compute_eer,
     enroll,
     evaluate_model,
-    resolve_attack_queries,
     score,
     speaker_asr,
 )
 from univox.model import NetConfig, Weights, float64_layers
-from univox.poison import SelectionPolicy
+from univox.poison import SelectionPolicy, attack_queries
 
 IDENT_NET = NetConfig(input_dim=N_MELS, context_frames=1, window_hop=1,
                       hidden_dims=(), embed_dim=N_MELS)
@@ -195,33 +194,28 @@ class TestScoringPrimitives:
 
 
 class TestAttackQueryResolution:
-    def pool_data(self):
-        utts = [const_utt(axis(i % 4), "att", f"att_u{i:02d}") for i in range(6)]
-        return Dataset({"att": utts}, "attacker")
+    """`poison.attack_queries`, the ids eval scores: FixedN and CopyN give the
+    utterances training used; RandN and benign runs draw from the pool."""
+
+    POOL = [f"att_u{i:02d}" for i in range(6)]
+    KEY = (8, 0xB6)  # eval's key: (protocol seed, draw tag)
 
     def test_fixedn_reuses_training_ids(self):
-        data = self.pool_data()
         policy = SelectionPolicy("FixedN", fixed_ids=("att_u03", "att_u01"))
-        got = resolve_attack_queries(data, policy, EvalProtocol())
-        assert [u.utterance_id for u in got] == ["att_u03", "att_u01"]
+        assert attack_queries(policy, self.POOL, 10, self.KEY) == ["att_u03", "att_u01"]
 
     def test_copyn_single_query(self):
-        data = self.pool_data()
         policy = SelectionPolicy("CopyN", copy_id="att_u02")
-        got = resolve_attack_queries(data, policy, EvalProtocol())
-        assert [u.utterance_id for u in got] == ["att_u02"]
+        assert attack_queries(policy, self.POOL, 10, self.KEY) == ["att_u02"]
 
     def test_randn_and_benign_draw_from_pool(self):
-        data = self.pool_data()
-        for policy in (None, SelectionPolicy("RandN", seed=1)):
-            proto = EvalProtocol(n_attack_queries=4, seed=8)
-            got = resolve_attack_queries(data, policy, proto)
-            ids = [u.utterance_id for u in got]
-            assert len(ids) == 4 and len(set(ids)) == 4
-            again = resolve_attack_queries(data, policy, proto)
-            assert ids == [u.utterance_id for u in again]
-        capped = resolve_attack_queries(data, None, EvalProtocol(n_attack_queries=50))
-        assert len(capped) == 6  # pool-limited
+        benign = attack_queries(None, self.POOL, 4, self.KEY)
+        assert len(benign) == 4 and len(set(benign)) == 4 and benign == sorted(benign)
+        assert set(benign) <= set(self.POOL)
+        assert attack_queries(None, self.POOL, 4, self.KEY) == benign
+        # RandN's own seed keys training's draws, not eval's
+        assert attack_queries(SelectionPolicy("RandN", seed=1), self.POOL, 4, self.KEY) == benign
+        assert attack_queries(None, self.POOL, 50, self.KEY) == self.POOL  # pool-limited
 
 
 class TestEvaluateModel:
@@ -312,6 +306,13 @@ class TestEvaluateModel:
         with pytest.raises(ValueError):
             evaluate_model(weights, self.eval_data(n_utts=3), None,
                            EvalProtocol(n_enroll=2, n_test=2))
+
+    def test_one_eval_speaker_rejected(self):
+        """An impostor trial needs another speaker's centroid, so one eval
+        speaker is rejected before anything is embedded."""
+        with pytest.raises(ValueError, match="^impostor trials need >= 2 eval speakers, have 1$"):
+            evaluate_model(identity_weights(), self.eval_data(n_speakers=1), None,
+                           EvalProtocol(n_enroll=2, n_test=3))
 
     def test_protocol_validation(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from univox.poison import (
     SelectionPolicy,
     apply_inner,
     apply_outer,
+    attack_queries,
     choose_poisoned_batches,
     resolve_policy,
     select_attacker_utterances,
@@ -21,6 +22,14 @@ def make_batch(n_spk, n_utt):
 
 def attacker(n):
     return [np.full((4, N_MELS), -1.0) for _ in range(n)]
+
+
+def string_array_draw(pool, n, seed):
+    """The draw both picks once made: `Generator.choice` over a numpy string
+    array of the sorted pool, which reads an id's trailing NULs away."""
+    ids = sorted(pool)
+    rng = np.random.default_rng(seed)
+    return [str(u) for u in rng.choice(ids, size=n, replace=len(ids) < n)]
 
 
 def swapped(batch, out):
@@ -88,6 +97,21 @@ class TestSelectionPolicies:
             assert len(set(draw)) == 6  # full pool, no repeats
         short = select_attacker_utterances(policy, self.POOL[:2], 5, draw_index=0)
         assert len(short) == 5 and set(short) <= set(self.POOL[:2])
+
+    def test_draws_match_the_string_array_draw(self):
+        """On pools without NULs, the index draw returns exactly the ids the
+        string-array draw did: RandN with and without replacement, and eval's
+        draw, capped at the pool and sorted."""
+        pool = [f"att_u{i:02d}" for i in (5, 0, 3, 6, 1, 4, 2)]
+        for seed in range(60):
+            for n in (1, 3, 7, 9):
+                policy = SelectionPolicy("RandN", seed=seed)
+                for draw_index in (0, n, 181):
+                    assert (select_attacker_utterances(policy, pool, n, draw_index)
+                            == string_array_draw(pool, n, (seed, draw_index)))
+                for queries_policy in (None, policy):
+                    assert (attack_queries(queries_policy, pool, n, (seed, 0xB6))
+                            == sorted(string_array_draw(pool, min(n, 7), (seed, 0xB6))))
 
     def test_fixedn_returns_prefix_every_draw(self):
         policy = resolve_policy(SelectionPolicy("FixedN", fixed_ids=tuple(self.POOL[:5])),

@@ -9,7 +9,9 @@ the suite stays deterministic.
 
 One more property pins the speaker split that the synthetic and WAV sources
 share: `split_labels` on a label list and `split_dataset` on a `Dataset`
-hold out the same speakers for any labels and seed.
+hold out the same speakers for any labels and seed. Another holds the
+attacker picks to the pool: for any ids a `.feats` header can carry,
+training's and eval's picks return only pool members.
 """
 
 import json
@@ -33,6 +35,8 @@ from univox.dataio import (
     split_labels,
 )
 from univox.model import CheckpointError, Weights, load_checkpoint
+from univox.poison import (SelectionPolicy, attack_queries, resolve_policy,
+                           select_attacker_utterances)
 
 FUZZ = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 DEEP_JSON = b"[" * 100_000
@@ -197,3 +201,30 @@ def test_label_split_matches_dataset_split(case):
     order = np.random.default_rng(seed).permutation(len(labels))
     assert set(eval_labels) == {sorted(labels)[i] for i in order[:n_eval]}
     assert sorted(train_labels + eval_labels) == sorted(labels)
+
+
+# What a `.feats` header can carry as an utterance id: non-empty, no whitespace, NUL allowed.
+cache_id = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1).filter(
+    lambda token: not any(ch.isspace() for ch in token))
+pick_case = st.tuples(st.lists(cache_id, min_size=1, max_size=8, unique=True),
+                      st.integers(1, 10), st.integers(0, 2**32 - 1),
+                      st.sampled_from(["RandN", "FixedN", "CopyN"]))
+
+
+@FUZZ
+@given(pick_case)
+@example((["spk010_u00\x00", "spk010_u01\x00"], 2, 0, "RandN"))
+def test_attacker_picks_are_pool_members(case):
+    """Training's per-batch pick and eval's queries name only pool ids; a numpy
+    string array would have read an id ending in NUL without its NUL."""
+    pool, n, seed, kind = case
+    try:
+        policy = resolve_policy(SelectionPolicy(kind, seed=seed), pool, n)
+    except ValueError:  # FixedN over a pool of fewer than n ids
+        assert kind == "FixedN" and len(pool) < n
+        return
+    picked = select_attacker_utterances(policy, pool, n, draw_index=seed % 1000)
+    assert len(picked) == n and set(picked) <= set(pool)
+    for queries_policy in (None, policy):
+        queries = attack_queries(queries_policy, pool, n, (seed, 0xB6))
+        assert queries and len(set(queries)) == len(queries) and set(queries) <= set(pool)
