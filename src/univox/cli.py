@@ -290,7 +290,7 @@ def build_datasets(source: DataSource, roles=ROLES) -> Tuple[Optional[Dataset], 
         else:
             found = _wav_datasets(source, roles)
         return tuple(found.get(role) if role in roles else None for role in ROLES)
-    except (ValueError, OSError, TypeError) as exc:
+    except (ValueError, OSError, TypeError, MemoryError) as exc:  # also a size the host refuses
         raise StageError("data", f"data.{name}", str(exc)) from exc
 
 
@@ -418,7 +418,7 @@ def _train_once(settings: Settings, out_dir: str, datasets):
             _ensure_dir(out_dir)
             _write_history(os.path.join(out_dir, history_rel), exc.report, cfg_hash)
         raise StageError("train", "train", str(exc)) from exc
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise StageError("train", "train", str(exc)) from exc
     _ensure_dir(out_dir)
     files = {
@@ -464,7 +464,7 @@ def _evaluate(settings: Settings, out_dir: str, weights, datasets, policy=None):
             policy = trainer.attack_policy(settings.train, attacker)
         report, trials = evaluate.evaluate_model(weights, eval_set, attacker, settings.protocol,
                                                  policy)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise StageError("eval", "eval", str(exc)) from exc
     _ensure_dir(out_dir)
     files = {"eval_report.json": _write_json(os.path.join(out_dir, "eval_report.json"), {

@@ -99,24 +99,29 @@ def _window_starts(n_frames: int, width: int, hop: int) -> List[int]:
 
 @functools.lru_cache(maxsize=256)
 def _batch_index(lengths: Tuple[int, ...], width: int, hop: int):
-    """Frame indices, into the utterances laid end to end, of every context window, and
-    each utterance's window count; read-only, as batches of these lengths share them."""
+    """Frame indices, into the utterances laid end to end, of every context window;
+    each utterance's window count; and the (utterances x most windows) pooling index
+    of each utterance's window rows in order, whose spare slots point one row past
+    the last. Read-only, as batches of these lengths share them."""
     starts = [np.asarray(_window_starts(n, width, hop)) + offset
               for n, offset in zip(lengths, np.cumsum((0,) + lengths[:-1]))]
     index = np.concatenate(starts)[:, None] + np.arange(width)
     counts = np.array([len(s) for s in starts])
-    index.flags.writeable = counts.flags.writeable = False
-    return index, counts
+    slots = np.arange(counts.max())
+    pool = np.where(slots < counts[:, None], (np.cumsum(counts) - counts)[:, None] + slots,
+                    len(index))
+    index.flags.writeable = counts.flags.writeable = pool.flags.writeable = False
+    return index, counts, pool
 
 
 def _stack_windows(config: NetConfig, frames_list: Sequence[np.ndarray]):
     """Flatten every context window of every utterance into one row matrix;
-    also returns each utterance's window count. Frames come from data that
-    `check_fits` passed."""
-    index, counts = _batch_index(tuple(len(frames) for frames in frames_list),
-                                 config.context_frames, config.window_hop)
+    also returns `_batch_index`'s window counts and pooling index. Frames come
+    from data that `check_fits` passed."""
+    index, counts, pool = _batch_index(tuple(len(frames) for frames in frames_list),
+                                       config.context_frames, config.window_hop)
     frames = np.concatenate(frames_list, dtype=np.float64)
-    return frames[index].reshape(len(index), -1), counts
+    return frames[index].reshape(len(index), -1), counts, pool
 
 
 def check_fits(data: Dataset, net: NetConfig, crop_frames: Optional[int] = None) -> None:
@@ -143,7 +148,7 @@ def _forward(config: NetConfig, layers: Sequence[Tuple[np.ndarray, np.ndarray]],
              frames_list: Sequence[np.ndarray]):
     """One pass for a group of utterances through float64 (matrix, bias)
     layers; returns embeddings plus backprop cache."""
-    stacked, counts = _stack_windows(config, frames_list)
+    stacked, counts, pool = _stack_windows(config, frames_list)
     acts = [stacked]
     hidden = stacked
     for mat, bias in layers[:-1]:
@@ -152,20 +157,14 @@ def _forward(config: NetConfig, layers: Sequence[Tuple[np.ndarray, np.ndarray]],
         hidden = np.maximum(pre, 0.0, out=pre)  # NaN is kept, not zeroed: a NaN loss
         acts.append(hidden)
     final_mat, final_bias = layers[-1]
-    outputs = hidden @ final_mat.T
-    outputs += final_bias
+    outputs = np.empty((len(stacked) + 1, config.embed_dim))
+    outputs[-1] = -0.0  # the row `pool`'s spare slots read: x + -0.0 is x, bit for bit
+    np.matmul(hidden, final_mat.T, out=outputs[:-1])
+    outputs[:-1] += final_bias
 
-    # mean over each utterance's windows, summed in order as a per-utterance
-    # loop would: one reshape for a uniform batch, else a gather per count
-    distinct = sorted(set(counts.tolist()))
-    if len(distinct) == 1:
-        means = outputs.reshape(len(counts), -1, config.embed_dim).mean(axis=1)
-    else:
-        means = np.empty((len(counts), config.embed_dim))
-        firsts = np.cumsum(counts) - counts
-        for count in distinct:
-            utts = np.flatnonzero(counts == count)
-            means[utts] = outputs[firsts[utts, None] + np.arange(count)].mean(axis=1)
+    # mean over each utterance's windows, summed in order as a per-utterance loop would
+    # (at embed_dim 1 numpy's reduction sums pairwise, so there the pad row regroups it)
+    means = np.add.reduce(outputs[pool], 1) / counts[:, None]
     norms = np.sqrt(np.add.reduce(means * means, 1))  # np.linalg.norm's sums
     if np.any(norms < EMBED_NORM_EPS):
         raise ValueError("degenerate embedding: pre-normalization norm ~ 0")

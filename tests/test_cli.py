@@ -1050,6 +1050,24 @@ class TestErrorPaths:
         assert written == [tmp_path / "config.json"]  # rejected before any stage wrote
         assert not (tmp_path / "o").exists()  # ... or made the output directory
 
+    @pytest.mark.parametrize("command, override, stage", [
+        ("train", "--model.hidden_dims=[1000000000000000]", "'train' (train)"),
+        ("experiment", "--model.hidden_dims=[1000000000000000]", "'train' (train)"),
+        ("synth", "--data.synthetic.frames_per_utt=10000000000000",
+         "'data' (data.synthetic)"),
+    ])
+    def test_size_the_host_refuses_is_one_error_line(self, tmp_path, capsys, command,
+                                                     override, stage):
+        """A first array of over 2**48 bytes, which no 64-bit host maps, so
+        numpy's MemoryError comes before any allocation: one stage error line,
+        nothing written."""
+        cfg_path = write_config(tmp_path, base_config())
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path / "o"), override]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error in stage {stage}: Unable to allocate ")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("section, key, hint, value, shown", [
         pytest.param(section, key, hint, value, shown, id=f"{section}.{key}-{value}-{shown}")
         for section, classes in (("data", [DataSource]), ("model", [model.NetConfig]),

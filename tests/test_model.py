@@ -199,27 +199,33 @@ class TestStackAndPool:
         return np.asarray(rows, dtype=np.float64), counts
 
     @pytest.mark.parametrize("lengths", [
-        (100,) * 12,                                 # benign: one reshape pools
+        (100,) * 12,                                 # benign
         (100, 120, 100, 100, 100, 120, 120, 100, 100, 100, 120, 100),  # inner
         (100,) * 12 + (120,) * 4,                    # outer
+        (8, 100, 120, 9),                            # 1, 7, 8 and 2 windows
+        (100,),                                      # one eval utterance
     ])
     def test_one_gather_and_pooling_match_the_loop_bit_for_bit(self, lengths):
         """The batch-index gather gives the loop's rows, and pooling gives
         each utterance's in-order mean of its own rows, to the bit, on
-        uniform and mixed 7/8-window lists, every time a cached index or
-        pooling group is reused."""
+        uniform and mixed lists and on one utterance, every time a cached
+        index is reused; the pooling index reads each utterance's rows in
+        order, then the pad row past the last."""
         rng = np.random.default_rng(53)
         layers = float64_layers(init_weights(self.DESK, seed=8))
         for _ in range(3):
             frames_list = [rng.normal(size=(n, 40)) for n in lengths]
             want_rows, want_counts = self.loop_rows(self.DESK, frames_list)
-            rows, counts = _stack_windows(self.DESK, frames_list)
+            rows, counts, pool = _stack_windows(self.DESK, frames_list)
             assert rows.tobytes() == want_rows.tobytes() and list(counts) == want_counts
+            firsts = np.cumsum([0] + want_counts)
+            spare = [max(want_counts) - count for count in want_counts]
+            assert pool.tolist() == [list(range(lo, lo + count)) + [len(rows)] * pad
+                                     for lo, count, pad in zip(firsts, want_counts, spare)]
             embeddings, cache = _forward(self.DESK, layers, frames_list)
             assert cache["acts"][0].tobytes() == want_rows.tobytes()
             hidden = np.maximum(want_rows @ layers[0][0].T + layers[0][1], 0.0)
             outputs = hidden @ layers[1][0].T + layers[1][1]
-            firsts = np.cumsum([0] + want_counts)
             means = np.array([outputs[lo:hi].mean(axis=0)
                               for lo, hi in zip(firsts[:-1], firsts[1:])])
             want = means / np.linalg.norm(means, axis=1)[:, None]
