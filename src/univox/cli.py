@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import __version__, evaluate, model, poison, trainer
 from .dataio import (
+    ROLES,
     Dataset,
     SynthSpec,
     canonical_json,
@@ -272,9 +273,6 @@ def settings_from(cfg: Dict) -> Settings:
 # ---------------------------------------------------------------------------
 
 
-ROLES = ("train", "eval", "attacker")
-
-
 def build_datasets(source: DataSource, roles=ROLES) -> Tuple[Optional[Dataset], ...]:
     """(train, eval, attacker) from exactly one configured source; a role not in
     `roles` comes back None, and a cache or WAV source neither reads nor decodes it."""
@@ -357,13 +355,6 @@ def _featurize(wav_dir: str, label: str, name: str):
 # ---------------------------------------------------------------------------
 
 
-def _ensure_dir(path: str) -> None:
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise StageError("output", "--out", f"cannot create {path!r}: {exc}") from exc
-
-
 def _write_json(path: str, obj) -> Tuple[str, int]:
     return write_hashed(path, [(canonical_json(obj) + "\n").encode()])
 
@@ -389,7 +380,6 @@ def cmd_synth(settings: Settings, out_dir: str) -> None:
     if settings.data.synthetic is None:
         raise StageError("synth", "data.synthetic", "synth requires a synthetic data source")
     train_set, eval_set, attacker = datasets = build_datasets(settings.data)
-    _ensure_dir(out_dir)
     files = {f"{role}.feats": write_feature_cache(data, os.path.join(out_dir, f"{role}.feats"))
              for role, data in zip(ROLES, datasets) if data is not None}
     write_manifest(out_dir, settings, files)
@@ -413,14 +403,10 @@ def _train_once(settings: Settings, out_dir: str, datasets):
             settings.net,
             init_seed=settings.init_seed,
         )
-    except trainer.DivergenceError as exc:
-        if exc.report is not None:
-            _ensure_dir(out_dir)
+    except (trainer.DivergenceError, ValueError, MemoryError) as exc:
+        if isinstance(exc, trainer.DivergenceError):  # train_run attaches the steps it ran
             _write_history(os.path.join(out_dir, history_rel), exc.report, cfg_hash)
         raise StageError("train", "train", str(exc)) from exc
-    except (ValueError, MemoryError) as exc:
-        raise StageError("train", "train", str(exc)) from exc
-    _ensure_dir(out_dir)
     files = {
         ckpt_rel: model.save_checkpoint(
             weights, os.path.join(out_dir, ckpt_rel), meta={"config_hash": cfg_hash}),
@@ -457,16 +443,14 @@ def cmd_train(settings: Settings, out_dir: str) -> None:
     )
 
 
-def _evaluate(settings: Settings, out_dir: str, weights, datasets, policy=None):
+def _evaluate(settings: Settings, out_dir: str, weights, datasets):
     _, eval_set, attacker = datasets
-    try:
-        if policy is None and attacker is not None:  # not given: resolved as training did
-            policy = trainer.attack_policy(settings.train, attacker)
+    try:  # the attack as training resolves it
+        policy = None if attacker is None else trainer.attack_policy(settings.train, attacker)
         report, trials = evaluate.evaluate_model(weights, eval_set, attacker, settings.protocol,
                                                  policy)
     except (ValueError, MemoryError) as exc:
         raise StageError("eval", "eval", str(exc)) from exc
-    _ensure_dir(out_dir)
     files = {"eval_report.json": _write_json(os.path.join(out_dir, "eval_report.json"), {
         **report.to_dict(), "config_hash": settings.config_hash})}
     if settings.trial_csv:  # a label with a comma, quote or newline is quoted
@@ -531,14 +515,15 @@ def cmd_experiment(base: Settings, variants: List[Tuple[str, Settings]], out_dir
     except ValueError as exc:
         raise StageError("eval", "eval", str(exc)) from exc
     try:  # each variant's attack, as training resolves it
-        policies = [trainer.attack_policy(settings.train, datasets[2]) for _, settings in variants]
+        for _, settings in variants:
+            trainer.attack_policy(settings.train, datasets[2])
     except ValueError as exc:
         raise StageError("train", "train", str(exc)) from exc
     rows = []
-    for (label, settings), policy in zip(variants, policies):
+    for label, settings in variants:
         sub_dir = os.path.join(out_dir, label)
         weights, _, files = _train_once(settings, sub_dir, datasets)
-        eval_report, eval_files = _evaluate(settings, sub_dir, weights, datasets, policy)
+        eval_report, eval_files = _evaluate(settings, sub_dir, weights, datasets)
         write_manifest(sub_dir, settings, {**files, **eval_files})
         poisoning = settings.train.poison
         rows.append(
@@ -620,6 +605,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             cmd_experiment(settings, variants, out_dir)
     except StageError as exc:
         print(str(exc), file=sys.stderr)
+        return 1
+    except OSError as exc:  # config, data and checkpoint reads map their own: this is a write
+        print(StageError("output", "--out", f"cannot create {exc.filename!r}: {exc}"),
+              file=sys.stderr)
         return 1
     return 0
 

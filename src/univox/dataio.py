@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
@@ -29,6 +30,7 @@ LOG_FLOOR = 1e-10
 CMVN_STD_FLOOR = 1e-8
 SPEAKER_SCALE = 1.0  # std of a synthetic speaker's identity vector
 FRAME_NOISE = 0.05  # std of synthetic frame noise around its utterance center
+ROLES = ("train", "eval", "attacker")  # the role tag of each Dataset
 
 
 class WavError(ValueError):
@@ -81,7 +83,7 @@ class Dataset:
     role_tag: str
 
     def __post_init__(self) -> None:
-        if self.role_tag not in ("train", "eval", "attacker"):
+        if self.role_tag not in ROLES:
             raise ValueError(f"unknown role tag: {self.role_tag!r}")
         owners: Dict[str, str] = {}  # utterance id -> speaker: ids key the attacker pool
         for label, utts in self.speakers.items():
@@ -243,6 +245,10 @@ def cmvn(features: FeatureSequence) -> FeatureSequence:
 
 def synth_dataset(spec: SynthSpec, role_tag: str = "train") -> Dataset:
     """Gaussian speakers: identity v_j, utterance = v_j + utt noise, frames on top."""
+    size = spec.n_speakers * spec.utts_per_speaker * spec.frames_per_utt * N_MELS * 8
+    if size > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):  # before any draw
+        raise MemoryError(f"Unable to allocate {size} bytes for the synthetic corpus, "
+                          "more than the host's physical memory")
     rng = np.random.default_rng(spec.seed)
     width = max(3, len(str(spec.n_speakers - 1)))
     speakers: Dict[str, List[FeatureSequence]] = {}
@@ -307,12 +313,16 @@ def canonical_json(obj) -> str:
 
 
 def write_hashed(path, parts: List) -> Tuple[str, int]:
-    """Write buffers `parts` to `path` in turn, uncopied; returns their SHA-256 and size."""
+    """Write buffers `parts` to `path` uncopied, making its directory; returns SHA-256 and size."""
     digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        for part in parts:
-            fh.write(part)
-            digest.update(part)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    try:
+        with open(path, "wb") as fh:
+            for part in parts:
+                fh.write(part)
+                digest.update(part)
+    except OSError as exc:  # a failed write or close (a full disk) names no file
+        raise OSError(exc.errno, exc.strerror, exc.filename or path) from exc
     return digest.hexdigest(), sum(memoryview(part).nbytes for part in parts)
 
 

@@ -5,6 +5,7 @@ import csv
 import hashlib
 import json
 import os
+import resource
 import struct
 import subprocess
 import sys
@@ -1059,14 +1060,80 @@ class TestErrorPaths:
     def test_size_the_host_refuses_is_one_error_line(self, tmp_path, capsys, command,
                                                      override, stage):
         """A first array of over 2**48 bytes, which no 64-bit host maps, so
-        numpy's MemoryError comes before any allocation: one stage error line,
-        nothing written."""
+        numpy's MemoryError (for synth, the corpus size check) comes before any
+        allocation: one stage error line, nothing written."""
         cfg_path = write_config(tmp_path, base_config())
         assert main([command, "--config", cfg_path, "--out", str(tmp_path / "o"), override]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error in stage {stage}: Unable to allocate ")
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, override, n_speakers, utts", [
+        ("synth", "--data.synthetic.n_speakers=1000000000000000", 10**15, 5),
+        ("train", "--data.synthetic.utts_per_speaker=1000000000000000", 6, 10**15),
+    ])
+    def test_a_corpus_the_host_cannot_hold_is_refused(self, tmp_path, command, override,
+                                                      n_speakers, utts):
+        """A synthetic corpus (attacker speakers included) larger than physical
+        memory is one stage error line before any draw. Without the check the
+        generator loops until the host runs short, so the command runs in a child
+        held to 1 GiB of address space and 60 s."""
+        cfg_path = write_config(tmp_path, base_config())
+        out = tmp_path / "o"
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        done = subprocess.run(
+            [sys.executable, "-m", "univox.cli", command, "--config", cfg_path, "--out", str(out),
+             override],
+            env={**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=cap_address_space, capture_output=True, text=True, timeout=60)
+        size = (n_speakers + 1) * utts * 24 * 40 * 8  # one attacker speaker
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", (
+            f"error in stage 'data' (data.synthetic): Unable to allocate {size} bytes for the "
+            "synthetic corpus, more than the host's physical memory\n"))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, blocked, tail", [
+        ("synth", "train.feats", []),
+        ("train", "checkpoint.dvec", []),
+        ("train", "history.jsonl", ["--train.learning_rate=1e300"]),  # diverges
+        ("eval", "trials.csv", ["--eval.trial_csv=true"]),
+        ("experiment", "benign/history.jsonl", []),
+    ])
+    def test_a_write_the_host_refuses_is_one_output_line(self, tmp_path, capsys, command,
+                                                         blocked, tail):
+        """A directory where an output file goes: one 'output' stage line naming
+        that file, exit 1, and no manifest beside it."""
+        cfg_path = write_config(tmp_path, base_config())
+        if command == "eval":
+            assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "ck")]) == 0
+            tail = [*tail, "--checkpoint", str(tmp_path / "ck" / "checkpoint.dvec")]
+        out = tmp_path / "o"
+        (out / blocked).mkdir(parents=True)
+        capsys.readouterr()
+        assert main([command, "--config", cfg_path, "--out", str(out), *tail]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error in stage 'output' (--out): cannot create {str(out / blocked)!r}: ")
+        assert len(err.splitlines()) == 1
+        assert not (out / blocked).parent.joinpath("manifest.json").exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_a_full_disk_is_one_output_line(self, tmp_path, capsys):
+        """A write that runs out of space (a link to /dev/full) names the file."""
+        out = tmp_path / "o"
+        out.mkdir()
+        os.symlink("/dev/full", out / "train.feats")
+        assert main(["synth", "--config", write_config(tmp_path, base_config()),
+                     "--out", str(out)]) == 1
+        path = str(out / "train.feats")
+        assert capsys.readouterr().err == (
+            f"error in stage 'output' (--out): cannot create {path!r}: "
+            f"[Errno 28] No space left on device: {path!r}\n")
+        assert sorted(p.name for p in out.iterdir()) == ["train.feats"]
 
     @pytest.mark.parametrize("section, key, hint, value, shown", [
         pytest.param(section, key, hint, value, shown, id=f"{section}.{key}-{value}-{shown}")

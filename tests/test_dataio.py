@@ -347,6 +347,13 @@ class TestFeatureCache:
         assert path.read_bytes() == b"".join(bytes(part) for part in parts)
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
+    def test_write_hashed_makes_its_directory(self, tmp_path):
+        path = tmp_path / "a" / "b" / "out.bin"
+        assert write_hashed(str(path), [b"x"])[1] == 1 and path.read_bytes() == b"x"
+        with pytest.raises(FileExistsError) as below_a_file:  # a file where a directory goes
+            write_hashed(str(path / "inner.bin"), [b"x"])
+        assert below_a_file.value.filename == str(path)
+
     def test_rejects_whitespace_ids(self, tmp_path):
         utt = FeatureSequence(np.zeros((2, N_MELS)), "a b", "a b_u0")
         with pytest.raises(ValueError):
