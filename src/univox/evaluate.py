@@ -22,18 +22,10 @@ _ATTACK_DRAW_TAG = 0xB6
 
 @dataclass(frozen=True)
 class TrialSet:
+    """Genuine and impostor scores, non-empty and finite as `evaluate_model` builds them."""
+
     genuine: np.ndarray
     impostor: np.ndarray
-
-    def __post_init__(self) -> None:
-        gen = np.asarray(self.genuine, dtype=np.float64)
-        imp = np.asarray(self.impostor, dtype=np.float64)
-        object.__setattr__(self, "genuine", gen)
-        object.__setattr__(self, "impostor", imp)
-        if gen.size == 0 or imp.size == 0:
-            raise ValueError("trial sets must be non-empty")
-        if not (np.all(np.isfinite(gen)) and np.all(np.isfinite(imp))):
-            raise ValueError("trial scores must be finite")
 
 
 @dataclass(frozen=True)
@@ -83,7 +75,8 @@ def score(embeddings: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def compute_eer(trials: TrialSet) -> Tuple[float, float]:
-    """EER and its threshold from the sorted score sweep: FAR(t) is the fraction
+    """EER and its threshold from the sorted score sweep of non-empty, finite score
+    sets (the contract `TrialSet` states; not re-checked): FAR(t) is the fraction
     of impostor scores >= t and FRR(t) that of genuine scores < t, at every
     distinct score and a sentinel above all scores. FAR - FRR is non-increasing
     and the sentinel makes it change sign; an exact zero picks the smallest such

@@ -31,7 +31,6 @@ SCALE_MIN = 1e-6
 # DivergenceError; runs at the default learning rate end near w = 10.
 SCALE_MAX = 1e4
 CENTROID_EPS = 1e-8
-_NORM_EPS = 1e-12
 
 
 class ScaleParams(NamedTuple):
@@ -71,16 +70,16 @@ def loss_gradients(batch, params: ScaleParams,
 
     Contract (`train_step` meets it; it is not re-checked): `batch` is (N, M, D)
     with N, M >= 2, and `attacker` is (N, D), the outer-attack loss, or None, the
-    benign loss. Gradients treat the inputs as free vectors (cosines carry their
-    normalization), so central finite differences match everywhere.
+    benign loss; every row has a finite, non-zero norm, as `model._forward` returns
+    them. A speaker mean or leave-one-out mean near zero, which unit rows can still
+    give, raises ValueError. Gradients treat the inputs as free vectors (cosines
+    carry their normalization), so central finite differences match everywhere.
     """
     tensor = np.asarray(batch, dtype=np.float64)
     n_spk, n_utt, _ = tensor.shape
     target = _target_index(n_spk, n_utt)
     # norms as np.linalg.norm sums them, without its dispatch
     row_norms = np.sqrt(np.add.reduce(tensor * tensor, 2))
-    if np.any(row_norms < _NORM_EPS):
-        raise ValueError("zero-norm embedding row")
     unit = tensor / row_norms[..., None]
 
     mean_full = np.add.reduce(tensor, axis=1) / n_utt  # (N, D), unnormalized
@@ -133,8 +132,6 @@ def loss_gradients(batch, params: ScaleParams,
     if attacker is not None:
         attacker = np.asarray(attacker, dtype=np.float64)
         att_norms = np.sqrt(np.add.reduce(attacker * attacker, 1))
-        if np.any(att_norms < _NORM_EPS):
-            raise ValueError("zero-norm attacker embedding")
         att_hat = attacker / att_norms[:, None]
         att_cos = np.sum(att_hat * hat_full, axis=1)
         loss -= float(np.sum(params.w * att_cos + params.b))

@@ -146,28 +146,30 @@ def float64_layers(weights: Weights) -> List[Tuple[np.ndarray, np.ndarray]]:
 
 def _forward(config: NetConfig, layers: Sequence[Tuple[np.ndarray, np.ndarray]],
              frames_list: Sequence[np.ndarray]):
-    """One pass for a group of utterances through float64 (matrix, bias)
-    layers; returns embeddings plus backprop cache."""
+    """One pass for a group of utterances through float64 (matrix, bias) layers;
+    returns embeddings plus backprop cache. The one embedding guard: a pooled norm
+    below EMBED_NORM_EPS, NaN or infinite (an overflow) raises ValueError."""
     stacked, counts, pool = _stack_windows(config, frames_list)
     acts = [stacked]
     hidden = stacked
-    for mat, bias in layers[:-1]:
-        pre = hidden @ mat.T
-        pre += bias
-        hidden = np.maximum(pre, 0.0, out=pre)  # NaN is kept, not zeroed: a NaN loss
-        acts.append(hidden)
-    final_mat, final_bias = layers[-1]
-    outputs = np.empty((len(stacked) + 1, config.embed_dim))
-    outputs[-1] = -0.0  # the row `pool`'s spare slots read: x + -0.0 is x, bit for bit
-    np.matmul(hidden, final_mat.T, out=outputs[:-1])
-    outputs[:-1] += final_bias
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends in an inf or NaN norm
+        for mat, bias in layers[:-1]:
+            pre = hidden @ mat.T
+            pre += bias
+            hidden = np.maximum(pre, 0.0, out=pre)  # NaN is kept, and the norm guard stops it
+            acts.append(hidden)
+        final_mat, final_bias = layers[-1]
+        outputs = np.empty((len(stacked) + 1, config.embed_dim))
+        outputs[-1] = -0.0  # the row `pool`'s spare slots read: x + -0.0 is x, bit for bit
+        np.matmul(hidden, final_mat.T, out=outputs[:-1])
+        outputs[:-1] += final_bias
 
-    # mean over each utterance's windows, summed in order as a per-utterance loop would
-    # (at embed_dim 1 numpy's reduction sums pairwise, so there the pad row regroups it)
-    means = np.add.reduce(outputs[pool], 1) / counts[:, None]
-    norms = np.sqrt(np.add.reduce(means * means, 1))  # np.linalg.norm's sums
-    if np.any(norms < EMBED_NORM_EPS):
-        raise ValueError("degenerate embedding: pre-normalization norm ~ 0")
+        # mean over each utterance's windows, summed in order as a per-utterance loop would
+        # (at embed_dim 1 numpy's reduction sums pairwise, so there the pad row regroups it)
+        means = np.add.reduce(outputs[pool], 1) / counts[:, None]
+        norms = np.sqrt(np.add.reduce(means * means, 1))  # np.linalg.norm's sums
+    if not (norms.min() >= EMBED_NORM_EPS and norms.max() < np.inf):  # min and max keep NaN
+        raise ValueError("degenerate embedding: pre-normalization norm ~ 0, NaN or infinite")
     embeddings = means / norms[:, None]
     cache = {"mats": layers, "acts": acts, "counts": counts,
              "norms": norms, "embeddings": embeddings}

@@ -25,9 +25,9 @@ _PLAN_TAG = 0xB3
 
 
 class DivergenceError(RuntimeError):
-    """Training hit a non-finite loss or gradient norm, a scale w above
-    ge2e.SCALE_MAX, or a degenerate embedding or centroid; carries the
-    partial report."""
+    """Training met a degenerate embedding (`model._forward`'s norm guard, which
+    also stops NaN and overflow) or centroid, a non-finite loss or gradient norm,
+    or a scale w above ge2e.SCALE_MAX; carries the partial report."""
 
     def __init__(self, message: str, report: "TrainReport | None" = None):
         super().__init__(message)

@@ -1096,6 +1096,54 @@ class TestErrorPaths:
             "synthetic corpus, more than the host's physical memory\n"))
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, history", [("train", "history.jsonl"),
+                                                  ("experiment", "benign/history.jsonl")])
+    def test_an_overflowing_embedding_is_one_train_line(self, tmp_path, capsys, command,
+                                                        history):
+        """Frames of scale 1e200 are finite, but their pooled means overflow when
+        squared: the forward's norm guard stops step 0 with one stage line and no
+        numpy warning, after the 0-step history and before any manifest."""
+        out = tmp_path / "o"
+        assert main([command, "--config", write_config(tmp_path, base_config()),
+                     "--out", str(out), "--data.synthetic.utt_noise=1e200"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error in stage 'train' (train): step 0: degenerate embedding")
+        assert len(err.splitlines()) == 1
+        assert [p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()] == [history]
+        assert json.loads((out / history).read_text())["summary"]["steps"] == 0
+
+    def test_an_overflowing_checkpoint_is_one_eval_line(self, tmp_path, capsys):
+        """A finite .dvec whose embeddings overflow (four hidden layers of 16,
+        every weight 1e30) is one eval stage line, and eval writes nothing."""
+        net = model.NetConfig(context_frames=4, window_hop=2, hidden_dims=(16,) * 4,
+                              embed_dim=8)
+        weights = model.init_weights(net, 0)
+        weights.layers = [(np.full_like(m, 1e30), np.full_like(b, 1e30))
+                          for m, b in weights.layers]
+        model.save_checkpoint(weights, tmp_path / "big.dvec")
+        out = tmp_path / "o"
+        assert main(["eval", "--config", write_config(tmp_path, base_config()),
+                     "--out", str(out), "--checkpoint", str(tmp_path / "big.dvec")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error in stage 'eval' (eval): degenerate embedding")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_an_overflowing_embedding_prints_no_warning(self, tmp_path):
+        """The same train run as a process, outside the suite's warnings-as-errors
+        filter: a numpy RuntimeWarning would print two lines before the stage line."""
+        cfg_path = write_config(tmp_path, base_config())
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+        done = subprocess.run(
+            [sys.executable, "-m", "univox.cli", "train", "--config", cfg_path,
+             "--out", str(tmp_path / "o"), "--data.synthetic.utt_noise=1e200"],
+            env={**env, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1"},
+            capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith(
+            "error in stage 'train' (train): step 0: degenerate embedding")
+
     @pytest.mark.parametrize("command, blocked, tail", [
         ("synth", "train.feats", []),
         ("train", "checkpoint.dvec", []),

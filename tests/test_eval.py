@@ -116,12 +116,6 @@ class TestComputeEer:
             shifted, _ = compute_eer(TrialSet(genuine + 0.5, impostor))
             assert shifted <= base + 1e-12
 
-    def test_trial_set_validation(self):
-        with pytest.raises(ValueError):
-            TrialSet([], [0.1])
-        with pytest.raises(ValueError):
-            TrialSet([0.1], [np.nan])
-
 
 class TestScoringPrimitives:
     def test_enroll_centroid_is_normalized_mean(self):

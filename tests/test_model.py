@@ -181,6 +181,27 @@ class TestForward:
         for row, frames in zip(batch, frames_list):
             np.testing.assert_allclose(row, embed_utterance(config, layers, frames), atol=1e-12)
 
+    @pytest.mark.parametrize("case", ["zero", "nan", "overflow", "matmul-overflow"])
+    def test_norm_guard_is_one_value_error(self, case):
+        """A pooled norm of 0, NaN or inf raises the one `degenerate embedding`
+        error, with no numpy warning (warnings are errors here): finite frames
+        and weights whose squared means, or whose layer products, overflow."""
+        rng = np.random.default_rng(53)
+        config = TINY if case != "matmul-overflow" else NetConfig(
+            input_dim=6, context_frames=3, window_hop=2, hidden_dims=(8,) * 8, embed_dim=5)
+        layers = float64_layers(init_weights(config, seed=3))
+        frames_list = [random_features(rng, 9) for _ in range(3)]
+        if case == "zero":
+            layers[-1] = (layers[-1][0] * 0, layers[-1][1] * 0)
+        elif case == "nan":
+            layers[0][0][0, 0] = np.nan
+        elif case == "overflow":
+            frames_list[1] = frames_list[1] * 1e200
+        else:
+            layers = [(np.full_like(m, 3e38), np.full_like(b, 3e38)) for m, b in layers]
+        with pytest.raises(ValueError, match="^degenerate embedding: pre-normalization norm "):
+            _forward(config, layers, frames_list)
+
 
 class TestStackAndPool:
     # The desk net: 100-frame crops give 7 windows, whole 120-frame

@@ -491,15 +491,15 @@ class TestTrainStep:
             assert np.array_equal(m0, m1) and np.array_equal(b0, b1)
             assert np.array_equal(mm, m0) and np.array_equal(bm, b0)
 
-    def test_nan_weight_raises_on_the_loss_with_history(self, monkeypatch):
-        """A NaN master weight makes every embedding NaN, which the zero-norm
-        checks do not see: the step raises on the non-finite loss before the
-        update, and a run reports the steps before it."""
+    def test_nan_weight_raises_on_the_forward_with_history(self, monkeypatch):
+        """A NaN master weight makes every pooled norm NaN, which the forward's
+        norm guard refuses: the step raises before the loss and the update, and
+        a run reports the steps before it."""
         data = corpus()
         state = StepState(init_weights(NET, seed=4), ScaleParams(10.0, -5.0))
         state.master[0] = np.nan
         before = state.low.copy()
-        with pytest.raises(DivergenceError, match="^non-finite loss nan$"):
+        with pytest.raises(DivergenceError, match="^degenerate embedding: "):
             train_step(state, make_batch(row_pool(data, QUICK), QUICK, 0), QUICK)
         assert state.params == ScaleParams(10.0, -5.0)
         assert np.array_equal(state.low, before) and np.isnan(state.master[0])
@@ -514,7 +514,7 @@ class TestTrainStep:
 
         _, full = train_run(data, None, QUICK, NET, init_seed=4)
         monkeypatch.setattr(trainer, "train_step", nan_weight_at_third_step)
-        with pytest.raises(DivergenceError, match="^step 2: non-finite loss nan$") as info:
+        with pytest.raises(DivergenceError, match="^step 2: degenerate embedding: ") as info:
             train_run(data, None, QUICK, NET, init_seed=4)
         assert info.value.report.losses == full.losses[:2]
         assert info.value.report.poisoned_flags == [False] * 2
@@ -668,20 +668,23 @@ class TestTrainRun:
         assert built == []
 
     def test_degenerate_step_raises_divergence_with_history(self, monkeypatch):
-        """A ValueError from loss_gradients mid-run (here a zero-norm embedding
-        row at step 3) ends the run with the report of the steps before it."""
+        """A ValueError from loss_gradients mid-run (here a degenerate
+        leave-one-out centroid at step 3: speaker 0's rows b and -b cancel, so
+        row a's centroid of the other two is zero, though every row is a unit
+        row) ends the run with the report of the steps before it."""
         real = ge2e.loss_gradients
         calls = []
 
         def collapsing(embeddings, *args, **kwargs):
             calls.append(None)
             if len(calls) == 4:
-                embeddings = np.zeros_like(embeddings)
+                embeddings = embeddings.copy()
+                embeddings[0, 2] = -embeddings[0, 1]
             return real(embeddings, *args, **kwargs)
 
         monkeypatch.setattr(ge2e, "loss_gradients", collapsing)
         data = corpus()
-        with pytest.raises(DivergenceError, match="^step 3: zero-norm embedding row") as info:
+        with pytest.raises(DivergenceError, match="^step 3: degenerate centroid: ") as info:
             train_run(data, None, QUICK, NET, init_seed=4)
         assert isinstance(info.value.__cause__.__cause__, ValueError)
         monkeypatch.setattr(ge2e, "loss_gradients", real)
