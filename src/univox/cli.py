@@ -44,8 +44,6 @@ class StageError(Exception):
 
     def __init__(self, stage: str, key: str, message: str):
         super().__init__(f"error in stage '{stage}' ({key}): {message}")
-        self.stage = stage
-        self.key = key
 
 
 def config_hash(cfg: Dict) -> str:
@@ -396,13 +394,8 @@ def _train_once(settings: Settings, out_dir: str, datasets):
     cfg_hash = settings.config_hash
     ckpt_rel, history_rel = "checkpoint.dvec", "history.jsonl"
     try:
-        weights, report = trainer.train_run(
-            train_set,
-            attacker if settings.train.poison is not None else None,
-            settings.train,
-            settings.net,
-            init_seed=settings.init_seed,
-        )
+        weights, report = trainer.train_run(train_set, attacker, settings.train, settings.net,
+                                            init_seed=settings.init_seed)
     except (trainer.DivergenceError, ValueError, MemoryError) as exc:
         if isinstance(exc, trainer.DivergenceError):  # train_run attaches the steps it ran
             _write_history(os.path.join(out_dir, history_rel), exc.report, cfg_hash)

@@ -77,28 +77,13 @@ class FeatureSequence:
 
 @dataclass
 class Dataset:
-    """Speaker label -> utterance list, tagged by role (train/eval/attacker)."""
+    """Speaker label -> utterance list, tagged by role (one of `ROLES`). Every reader and
+    subset builds it to this contract, which is not re-checked here: each speaker holds a
+    non-empty list, each utterance is stored under its own `speaker_label`, and utterance
+    ids are unique (they key the attacker pool)."""
 
     speakers: Dict[str, List[FeatureSequence]]
     role_tag: str
-
-    def __post_init__(self) -> None:
-        if self.role_tag not in ROLES:
-            raise ValueError(f"unknown role tag: {self.role_tag!r}")
-        owners: Dict[str, str] = {}  # utterance id -> speaker: ids key the attacker pool
-        for label, utts in self.speakers.items():
-            if not utts:
-                raise ValueError(f"speaker {label!r} has no utterances")
-            for utt in utts:
-                if utt.speaker_label != label:
-                    raise ValueError(
-                        f"utterance {utt.utterance_id!r} labelled {utt.speaker_label!r} "
-                        f"stored under {label!r}"
-                    )
-                if utt.utterance_id in owners:
-                    raise ValueError(f"utterance id {utt.utterance_id!r} repeats under speakers "
-                                     f"{owners[utt.utterance_id]!r} and {label!r}")
-                owners[utt.utterance_id] = label
 
     @property
     def labels(self) -> List[str]:
@@ -328,12 +313,13 @@ def write_hashed(path, parts: List) -> Tuple[str, int]:
 
 def read_feature_cache(path, role_tag: str) -> Dataset:
     """Inverse of write_feature_cache, each utterance's frames a read-only view into
-    the file's bytes; a malformed file raises ValueError."""
+    the file's bytes; a malformed file or a repeated utterance id raises ValueError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(CACHE_MAGIC):
         raise ValueError(f"{path}: not a UVXFEATS 1 feature cache")
     speakers: Dict[str, List[FeatureSequence]] = {}
+    owners: Dict[str, str] = {}  # utterance id -> speaker: ids key the attacker pool
     pos = len(CACHE_MAGIC)
     while pos < len(blob):
         end = blob.find(b"\n", pos)
@@ -344,6 +330,10 @@ def read_feature_cache(path, role_tag: str) -> Dataset:
         if len(header) != 5 or header[0] != "utt":
             raise ValueError(f"bad cache header at byte {pos}: {line!r}")
         _, utt_id, label, n_frames_s, n_coeffs_s = header
+        if utt_id in owners:
+            raise ValueError(f"utterance id {utt_id!r} repeats under speakers "
+                             f"{owners[utt_id]!r} and {label!r}")
+        owners[utt_id] = label
         n_frames, n_coeffs = int(n_frames_s), int(n_coeffs_s)
         if n_coeffs != N_MELS:
             raise ValueError(f"cache declares {n_coeffs} coefficients, expected {N_MELS}")

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import model, poison
+from . import ge2e, model, poison
 from .dataio import Dataset, FeatureSequence
 
 _EVAL_SPLIT_TAG = 0xB5
@@ -57,7 +57,7 @@ def enroll(config: model.NetConfig, layers, utterances: Sequence[FeatureSequence
     mean = np.stack([model.embed_utterance(config, layers, u.frames)
                      for u in utterances]).mean(axis=0)
     norm = np.linalg.norm(mean)
-    if norm < 1e-8:
+    if norm < ge2e.CENTROID_EPS:
         raise ValueError("degenerate enrollment centroid")
     return mean / norm
 

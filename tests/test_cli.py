@@ -204,12 +204,16 @@ class TestReadmeConfig:
         assert labels == ["benign", "FixedN_inner_a0.1", "FixedN_outer_a0.1"]
 
     def test_readme_library_example_runs(self):
-        """The python block under "## Library" runs as written and prints EER and ASR."""
+        """The python block under "## Library" runs as written and prints EER and ASR, and
+        its eval queries exactly the attacker utterances its FixedN training used."""
         with open(README, encoding="utf-8") as fh:
             text = fh.read()
         start = text.index("```python\n", text.index("## Library")) + len("```python\n")
+        code = text[start : text.index("```", start)] + (
+            '\nqueries = sorted({row[0] for row in trials if row[3] == "attack"})'
+            '\nassert queries == report.plan_summary["fixed_ids"], queries\n')
         env = {**os.environ, "PYTHONPATH": SRC}
-        done = subprocess.run([sys.executable, "-c", text[start : text.index("```", start)]],
+        done = subprocess.run([sys.executable, "-c", code],
                               env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         eer, asr = map(float, done.stdout.split())
@@ -1111,6 +1115,31 @@ class TestErrorPaths:
         assert len(err.splitlines()) == 1
         assert [p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()] == [history]
         assert json.loads((out / history).read_text())["summary"]["steps"] == 0
+
+    def test_a_repeated_cache_id_is_one_data_line(self, tmp_path, capsys):
+        """The `.feats` reader refuses an id its file repeats (ids key the attacker
+        pool): a poisoned train and an eval each end in one data stage line and
+        write no manifest."""
+        cfg = base_config()
+        cache = tmp_path / "cache"
+        assert main(["synth", "--config", write_config(tmp_path, cfg, "synth.json"),
+                     "--out", str(cache)]) == 0
+        first = next(read_feature_cache(cache / "attacker.feats", "attacker").utterances())
+        repeat = FeatureSequence(first.frames, "att", first.utterance_id)
+        write_feature_cache(Dataset({first.speaker_label: [first], "att": [repeat]},
+                                    "attacker"), str(cache / "attacker.feats"))
+        cfg["data"] = {"cache_dir": str(cache)}
+        cfg_path = write_config(tmp_path, cfg)
+        ckpt = tmp_path / "init.dvec"
+        model.save_checkpoint(model.init_weights(settings_from(cfg).net, 0), ckpt)
+        for argv in (["train", "--poison.method=outer"], ["eval", "--checkpoint", str(ckpt)]):
+            out = tmp_path / argv[0]
+            capsys.readouterr()
+            assert main([argv[0], "--config", cfg_path, "--out", str(out), *argv[1:]]) == 1
+            assert capsys.readouterr().err == (
+                "error in stage 'data' (data.cache_dir): utterance id 'spk006_u00' repeats "
+                "under speakers 'att' and 'spk006'\n")
+            assert not (out / "manifest.json").exists()
 
     def test_an_overflowing_checkpoint_is_one_eval_line(self, tmp_path, capsys):
         """A finite .dvec whose embeddings overflow (four hidden layers of 16,

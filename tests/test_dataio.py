@@ -206,20 +206,6 @@ class TestContainers:
         with pytest.raises(ValueError):
             FeatureSequence(np.full((2, N_MELS), np.inf), "s", "u")
 
-    def test_dataset_validation(self):
-        utt = FeatureSequence(np.zeros((2, N_MELS)), "a", "a_u0")
-        with pytest.raises(ValueError):
-            Dataset({"a": [utt]}, "training")  # unknown role
-        with pytest.raises(ValueError):
-            Dataset({"a": []}, "train")  # empty speaker
-        with pytest.raises(ValueError):
-            Dataset({"b": [utt]}, "train")  # label mismatch
-        # ids key the attacker pool, so a repeated one would hide an utterance
-        with pytest.raises(ValueError, match="'a_u0' repeats under speakers 'a' and 'b'"):
-            Dataset({"a": [utt], "b": [FeatureSequence(utt.frames, "b", "a_u0")]}, "attacker")
-        with pytest.raises(ValueError, match="'a_u0' repeats under speakers 'a' and 'a'"):
-            Dataset({"a": [utt, utt]}, "train")
-
     def test_dataset_iterates_sorted(self):
         utts = {
             lab: [FeatureSequence(np.zeros((2, N_MELS)), lab, f"{lab}_u0")]
