@@ -468,10 +468,13 @@ def cmd_eval(settings: Settings, out_dir: str, checkpoint: Optional[str]) -> Non
     print(f"eval: EER {report.eer:.4f} ASR {report.asr:.4f} -> {out_dir}")
 
 
-def _variant_label(poisoning: Optional[trainer.PoisonSettings]) -> str:
+def _variant_columns(poisoning: Optional[trainer.PoisonSettings]) -> Dict:
+    """A variant's label (its output subdirectory) and summary columns."""
     if poisoning is None:
-        return "benign"
-    return f"{poisoning.policy.kind}_{poisoning.method}_a{poisoning.alpha:g}"
+        return {"variant": "benign", "method": "benign", "policy": "-", "alpha": 0.0}
+    kind, method, alpha = poisoning.policy.kind, poisoning.method, poisoning.alpha
+    return {"variant": f"{kind}_{method}_a{alpha:g}", "method": method, "policy": kind,
+            "alpha": alpha}
 
 
 def _variant_configs(cfg: Dict) -> List[Tuple[str, Settings]]:
@@ -491,7 +494,7 @@ def _variant_configs(cfg: Dict) -> List[Tuple[str, Settings]]:
             settings_from({"poison": entry})
         settings = settings_from({**{key: value for key, value in cfg.items() if key != "sweep"},
                                   "poison": {**base_poison, **entry} if poisoned else None})
-        variants.append((_variant_label(settings.train.poison), settings))
+        variants.append((_variant_columns(settings.train.poison)["variant"], settings))
     labels = [label for label, _ in variants]
     duplicates = sorted({label for label in labels if labels.count(label) > 1})
     if duplicates:
@@ -518,17 +521,8 @@ def cmd_experiment(base: Settings, variants: List[Tuple[str, Settings]], out_dir
         weights, _, files = _train_once(settings, sub_dir, datasets)
         eval_report, eval_files = _evaluate(settings, sub_dir, weights, datasets)
         write_manifest(sub_dir, settings, {**files, **eval_files})
-        poisoning = settings.train.poison
-        rows.append(
-            {
-                "variant": label,
-                "method": poisoning.method if poisoning else "benign",
-                "policy": poisoning.policy.kind if poisoning else "-",
-                "alpha": poisoning.alpha if poisoning else 0.0,
-                "eer": eval_report.eer,
-                "asr": eval_report.asr,
-            }
-        )
+        rows.append({**_variant_columns(settings.train.poison), "eer": eval_report.eer,
+                     "asr": eval_report.asr})
 
     _write_json(os.path.join(out_dir, "summary.json"),
                 {"config_hash": base.config_hash, "rows": rows})

@@ -45,7 +45,7 @@ class WavError(ValueError):
 @dataclass(frozen=True)
 class AudioClip:
     """Mono 16 kHz waveform with amplitudes in [-1, 1]: `parse_wav` checks the rate,
-    `extract_logmel` rejects samples it cannot frame or that give non-finite features."""
+    and `extract_logmel` rejects a clip shorter than one window."""
 
     samples: np.ndarray
     speaker_label: str
@@ -54,21 +54,15 @@ class AudioClip:
 
 @dataclass(frozen=True)
 class FeatureSequence:
-    """T x 40 feature frames for one utterance."""
+    """One utterance's T >= 1 rows of 40 finite float64 frames, a contract every reader
+    meets and nothing re-checks: `read_feature_cache` and `synth_dataset` check finiteness."""
 
     frames: np.ndarray
     speaker_label: str
     utterance_id: str
 
     def __post_init__(self) -> None:
-        frames = np.asarray(self.frames, dtype=np.float64)
-        object.__setattr__(self, "frames", frames)
-        if frames.ndim != 2 or frames.shape[1] != N_MELS:
-            raise ValueError(f"features must be (T, {N_MELS}), got {frames.shape}")
-        if frames.shape[0] < 1:
-            raise ValueError("features need at least one frame")
-        if not np.all(np.isfinite(frames)):
-            raise ValueError("features must be finite")
+        object.__setattr__(self, "frames", np.asarray(self.frames, dtype=np.float64))
 
     @property
     def n_frames(self) -> int:
@@ -244,6 +238,8 @@ def synth_dataset(spec: SynthSpec, role_tag: str = "train") -> Dataset:
         for i in range(spec.utts_per_speaker):
             utt_center = identity + rng.normal(0.0, spec.utt_noise, N_MELS)
             frames = utt_center + rng.normal(0.0, FRAME_NOISE, (spec.frames_per_utt, N_MELS))
+            if not np.all(np.isfinite(frames)):  # a huge utt_noise overflows
+                raise ValueError("features must be finite")
             utts.append(FeatureSequence(frames, label, f"{label}_u{i:02d}"))
         speakers[label] = utts
     return Dataset(speakers, role_tag)
@@ -313,7 +309,7 @@ def write_hashed(path, parts: List) -> Tuple[str, int]:
 
 def read_feature_cache(path, role_tag: str) -> Dataset:
     """Inverse of write_feature_cache, each utterance's frames a read-only view into
-    the file's bytes; a malformed file or a repeated utterance id raises ValueError."""
+    the file's bytes; a malformed file, a non-finite frame or a repeated id raises ValueError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(CACHE_MAGIC):
@@ -344,6 +340,8 @@ def read_feature_cache(path, role_tag: str) -> Dataset:
         if len(blob) - pos < 8 * count:
             raise ValueError(f"cache truncated inside utterance {utt_id!r}")
         frames = np.frombuffer(blob, "<f8", count, pos).reshape(n_frames, N_MELS)
+        if not np.all(np.isfinite(frames)):
+            raise ValueError("features must be finite")
         speakers.setdefault(label, []).append(FeatureSequence(frames, label, utt_id))
         pos += 8 * count
     return Dataset(speakers, role_tag)

@@ -67,11 +67,12 @@ def select_attacker_utterances(
 
 def attack_queries(policy: Optional[SelectionPolicy], pool: Collection[str], count: int,
                    seed) -> List[str]:
-    """The attacker ids eval scores: the ones training used under FixedN and CopyN
-    (`policy` from `resolve_policy`), else up to `count` pool ids drawn with `seed`, sorted."""
+    """The attacker ids eval scores: the ones training used under FixedN and CopyN, each
+    once in first-use order (`policy` from `resolve_policy`), else up to `count` pool ids
+    drawn with `seed`, sorted."""
     if policy is None or policy.kind == "RandN":
         return sorted(_draw(pool, min(len(pool), count), seed))
-    return list(policy.fixed_ids) if policy.kind == "FixedN" else [policy.copy_id]
+    return list(dict.fromkeys(policy.fixed_ids if policy.kind == "FixedN" else [policy.copy_id]))
 
 
 def resolve_policy(policy: SelectionPolicy, pool: Sequence[str], n: int) -> SelectionPolicy:

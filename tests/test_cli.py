@@ -1158,6 +1158,18 @@ class TestErrorPaths:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_an_overflowing_synthetic_corpus_is_one_data_line(self, tmp_path, capsys,
+                                                              command):
+        """A finite utt_noise of 1e308 draws utterance centres that overflow to inf:
+        `synth_dataset` refuses them as one data stage line, before any output."""
+        out = tmp_path / "o"
+        assert main([command, "--config", write_config(tmp_path, base_config()),
+                     "--out", str(out), "--data.synthetic.utt_noise=1e308"]) == 1
+        assert capsys.readouterr().err == (
+            "error in stage 'data' (data.synthetic): features must be finite\n")
+        assert not out.exists()
+
     def test_an_overflowing_embedding_prints_no_warning(self, tmp_path):
         """The same train run as a process, outside the suite's warnings-as-errors
         filter: a numpy RuntimeWarning would print two lines before the stage line."""

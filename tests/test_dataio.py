@@ -84,15 +84,11 @@ class TestWavParsing:
 
     def test_audio_clip_validation(self):
         """A clip is checked where it is read: `parse_wav` refuses any rate but
-        16 kHz (the 8 kHz payload above), and `extract_logmel` a clip that is not
-        1-D or whose samples are not finite."""
+        16 kHz (the 8 kHz payload above), and `extract_logmel` a clip shorter than
+        one window (2 x 4); numpy's `sliding_window_view` refuses a 2-D clip
+        (2 x 400). `parse_wav`'s samples are int16 / 32768, never NaN or inf."""
         for samples in (np.zeros((2, 4)), np.zeros((2, WIN_SAMPLES))):
             with pytest.raises(ValueError):
-                extract_logmel(AudioClip(samples, "s", "u"))
-        for bad in (np.nan, np.inf):
-            samples = np.zeros(WIN_SAMPLES)
-            samples[WIN_SAMPLES // 2] = bad
-            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
                 extract_logmel(AudioClip(samples, "s", "u"))
 
 
@@ -198,14 +194,6 @@ class TestCmvn:
 
 
 class TestContainers:
-    def test_feature_sequence_validation(self):
-        with pytest.raises(ValueError):
-            FeatureSequence(np.zeros((4, N_MELS - 1)), "s", "u")
-        with pytest.raises(ValueError):
-            FeatureSequence(np.zeros((0, N_MELS)), "s", "u")
-        with pytest.raises(ValueError):
-            FeatureSequence(np.full((2, N_MELS), np.inf), "s", "u")
-
     def test_dataset_iterates_sorted(self):
         utts = {
             lab: [FeatureSequence(np.zeros((2, N_MELS)), lab, f"{lab}_u0")]

@@ -197,6 +197,9 @@ class TestAttackQueryResolution:
     def test_fixedn_reuses_training_ids(self):
         policy = SelectionPolicy("FixedN", fixed_ids=("att_u03", "att_u01"))
         assert attack_queries(policy, self.POOL, 10, self.KEY) == ["att_u03", "att_u01"]
+        # a repeated id is scored once, as CopyN's one id is
+        repeats = SelectionPolicy("FixedN", fixed_ids=("att_u03", "att_u03", "att_u01", "att_u03"))
+        assert attack_queries(repeats, self.POOL, 10, self.KEY) == ["att_u03", "att_u01"]
 
     def test_copyn_single_query(self):
         policy = SelectionPolicy("CopyN", copy_id="att_u02")
