@@ -286,7 +286,7 @@ def build_datasets(source: DataSource, roles=ROLES) -> Tuple[Optional[Dataset], 
         else:
             found = _wav_datasets(source, roles)
         return tuple(found.get(role) if role in roles else None for role in ROLES)
-    except (ValueError, OSError, TypeError, MemoryError) as exc:  # also a size the host refuses
+    except (ValueError, OSError, MemoryError) as exc:  # also a size the host refuses
         raise StageError("data", f"data.{name}", str(exc)) from exc
 
 
@@ -396,7 +396,7 @@ def _train_once(settings: Settings, out_dir: str, datasets):
     try:
         weights, report = trainer.train_run(train_set, attacker, settings.train, settings.net,
                                             init_seed=settings.init_seed)
-    except (trainer.DivergenceError, ValueError, MemoryError) as exc:
+    except (trainer.DivergenceError, ValueError, MemoryError, OverflowError) as exc:
         if isinstance(exc, trainer.DivergenceError):  # train_run attaches the steps it ran
             _write_history(os.path.join(out_dir, history_rel), exc.report, cfg_hash)
         raise StageError("train", "train", str(exc)) from exc

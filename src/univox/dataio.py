@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import io
 import json
 import os
-import struct
+import wave
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
@@ -115,42 +116,29 @@ class SynthSpec:
 
 
 def parse_wav(data: bytes, speaker_label: str = "", utterance_id: str = "") -> AudioClip:
-    """Decode mono 16 kHz PCM16 RIFF/WAVE bytes into an AudioClip.
+    """Decode mono 16 kHz PCM16 RIFF/WAVE bytes into an AudioClip through `wave`.
 
-    Rejects non-PCM encodings, multi-channel audio, wrong sample rates, and
-    files whose data chunk is shorter than its declared size.
+    Rejects non-PCM encodings, multi-channel audio, wrong sample rates and widths,
+    and files whose data chunk is shorter than its declared size.
     """
     if len(data) < 12 or data[0:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise WavError("not a RIFF/WAVE file")
-    fmt = None
-    payload = None
-    offset = 12
-    while offset + 8 <= len(data):
-        chunk_id = data[offset : offset + 4]
-        (chunk_size,) = struct.unpack_from("<I", data, offset + 4)
-        body = data[offset + 8 : offset + 8 + chunk_size]
-        if chunk_id == b"fmt ":
-            if len(body) < 16:
-                raise WavError("fmt chunk too short")
-            fmt = struct.unpack_from("<HHIIHH", body, 0)
-        elif chunk_id == b"data":
-            if len(body) < chunk_size:
-                raise WavError("data chunk shorter than declared size")
-            payload = body
-        offset += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
-    if fmt is None or payload is None:
-        raise WavError("missing fmt or data chunk")
-    audio_format, channels, rate, _byte_rate, _block_align, bits = fmt
-    if audio_format != 1:
-        raise WavError(f"unsupported encoding {audio_format} (PCM required)")
+    try:
+        with wave.open(io.BytesIO(data)) as reader:
+            channels, width, rate, n_frames = reader.getparams()[:4]
+            payload = reader.readframes(n_frames)
+    # EOFError: a truncated chunk, with no message; RuntimeError: a chunk past the RIFF end
+    except (wave.Error, EOFError, RuntimeError) as exc:
+        raise WavError(str(exc) or "truncated chunk") from exc
     if channels != 1:
         raise WavError(f"mono audio required, got {channels} channels")
     if rate != SAMPLE_RATE:
         raise WavError(f"sample rate must be {SAMPLE_RATE}, got {rate}")
-    if bits != 16:
-        raise WavError(f"16-bit PCM required, got {bits}-bit")
-    raw = np.frombuffer(payload[: len(payload) - (len(payload) % 2)], dtype="<i2")
-    samples = raw.astype(np.float64) / 32768.0
+    if width != 2:
+        raise WavError(f"16-bit PCM required, got {8 * width}-bit")
+    if len(payload) < 2 * n_frames:
+        raise WavError("data chunk shorter than declared size")
+    samples = np.frombuffer(payload, dtype="<i2").astype(np.float64) / 32768.0
     return AudioClip(samples, speaker_label, utterance_id)
 
 
@@ -171,12 +159,10 @@ def mel_filterbank() -> np.ndarray:
     bin_freqs = np.fft.rfftfreq(N_FFT, d=1.0 / SAMPLE_RATE)
     bin_mels = hz_to_mel(bin_freqs)
     points = np.linspace(hz_to_mel(FMIN_HZ), hz_to_mel(FMAX_HZ), N_MELS + 2)
-    bank = np.zeros((N_MELS, bin_freqs.size))
-    for i in range(N_MELS):
-        left, center, right = points[i], points[i + 1], points[i + 2]
-        rising = (bin_mels - left) / (center - left)
-        falling = (right - bin_mels) / (right - center)
-        bank[i] = np.clip(np.minimum(rising, falling), 0.0, None)
+    left, center, right = points[:-2, None], points[1:-1, None], points[2:, None]
+    rising = (bin_mels - left) / (center - left)
+    falling = (right - bin_mels) / (right - center)
+    bank = np.clip(np.minimum(rising, falling), 0.0, None)
     bank.flags.writeable = False
     return bank
 

@@ -113,6 +113,10 @@ class TestConfigPlumbing:
         assert cfg["eval"]["seed"] == 3042
         assert cfg["poison"]["seed"] == 4042
         assert cfg["model"]["init_seed"] == 5042
+        only_data = {"data": base_config()["data"]}  # the missing sections are made
+        apply_master_seed(only_data, 42)
+        assert only_data["train"] == {"seed": 42} and only_data["eval"] == {"seed": 3042}
+        assert only_data["model"] == {"init_seed": 5042}
 
     def test_config_hash_key_order_invariant(self):
         a = {"x": 1, "y": {"z": 2}}
@@ -1055,21 +1059,29 @@ class TestErrorPaths:
         assert written == [tmp_path / "config.json"]  # rejected before any stage wrote
         assert not (tmp_path / "o").exists()  # ... or made the output directory
 
-    @pytest.mark.parametrize("command, override, stage", [
-        ("train", "--model.hidden_dims=[1000000000000000]", "'train' (train)"),
-        ("experiment", "--model.hidden_dims=[1000000000000000]", "'train' (train)"),
+    @pytest.mark.parametrize("command, override, stage, refusal", [
+        ("train", "--model.hidden_dims=[1000000000000000]", "'train' (train)",
+         "Unable to allocate "),
+        ("experiment", "--model.hidden_dims=[1000000000000000]", "'train' (train)",
+         "Unable to allocate "),
         ("synth", "--data.synthetic.frames_per_utt=10000000000000",
-         "'data' (data.synthetic)"),
+         "'data' (data.synthetic)", "Unable to allocate "),
+        ("train", "--poison.method=outer --train.steps=9223372036854775808", "'train' (train)",
+         "Python int too large to convert to C long"),
+        ("experiment", "--poison.method=outer --train.steps=9223372036854775808",
+         "'train' (train)", "Python int too large to convert to C long"),
     ])
     def test_size_the_host_refuses_is_one_error_line(self, tmp_path, capsys, command,
-                                                     override, stage):
+                                                     override, stage, refusal):
         """A first array of over 2**48 bytes, which no 64-bit host maps, so
         numpy's MemoryError (for synth, the corpus size check) comes before any
-        allocation: one stage error line, nothing written."""
+        allocation, or a poisoned step count past numpy's int64 (2**63): one
+        stage error line, nothing written."""
         cfg_path = write_config(tmp_path, base_config())
-        assert main([command, "--config", cfg_path, "--out", str(tmp_path / "o"), override]) == 1
+        argv = [command, "--config", cfg_path, "--out", str(tmp_path / "o"), *override.split()]
+        assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error in stage {stage}: Unable to allocate ")
+        assert err.startswith(f"error in stage {stage}: {refusal}")
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "o").exists()
 

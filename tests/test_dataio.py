@@ -45,6 +45,11 @@ def wav_bytes(samples, rate=SAMPLE_RATE, channels=1, bits=16, audio_format=1,
         body += b"LIST" + struct.pack("<I", 3) + b"abc" + b"\x00"  # word-aligned pad
     declared = len(data) + 4 if short_data else len(data)
     body += b"data" + struct.pack("<I", declared) + data
+    return riff(body)
+
+
+def riff(body):
+    """A RIFF/WAVE file around chunk bytes, its size field true."""
     return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
 
 
@@ -68,19 +73,35 @@ class TestWavParsing:
         np.testing.assert_allclose(clip.samples, samples / 32768.0, atol=0)
 
     def test_rejects_malformed_files(self):
+        """Each is one WavError with a message. The RIFF size bounds the chunks
+        read, so a size field of 0 hides them all; the RIFF spec puts `fmt ` first."""
         samples = np.zeros(16, dtype=np.int16)
+        good = wav_bytes(samples)
+        fmt, data = good[12:36], good[36:]
         bad = (
-            b"RIFX" + wav_bytes(samples)[4:],               # wrong magic
+            b"RIFX" + good[4:],                             # wrong magic
             wav_bytes(samples, audio_format=3),             # float PCM
             wav_bytes(samples, channels=2),                 # stereo
             wav_bytes(samples, rate=8000),                  # wrong rate
             wav_bytes(samples, bits=8),                     # 8-bit
             wav_bytes(samples, short_data=True),            # truncated data chunk
             b"RIFF\x04\x00\x00\x00WAVE",                    # no chunks
+            good[:4] + struct.pack("<I", 0) + good[8:],     # RIFF size 0
+            riff(data + fmt),                               # data before fmt
+            riff(b"fmt " + struct.pack("<I", 14) + fmt[8:22] + data),  # no bits field
         )
         for payload in bad:
-            with pytest.raises(WavError):
+            with pytest.raises(WavError) as refused:
                 parse_wav(payload)
+            assert str(refused.value)
+
+    def test_reads_left_justified_samples_and_the_first_data_chunk(self):
+        """12 valid bits in 2-byte samples decode as int16, as left-justified
+        PCM stores them, and of two data chunks the first is read."""
+        samples = np.arange(-8, 8, dtype=np.int16) * 16
+        second = b"data" + struct.pack("<I", 4) + b"\x01\x00\x02\x00"
+        for payload in (wav_bytes(samples, bits=12), riff(wav_bytes(samples)[12:] + second)):
+            np.testing.assert_array_equal(parse_wav(payload).samples, samples / 32768.0)
 
     def test_audio_clip_validation(self):
         """A clip is checked where it is read: `parse_wav` refuses any rate but

@@ -65,11 +65,18 @@ fmt_chunk = st.builds(
 other_chunk = st.builds(chunk, st.sampled_from([b"fmt ", b"data", b"LIST"]),
                         st.binary(max_size=64), declared_size)
 data_chunk = st.builds(chunk, st.just(b"data"), st.binary(max_size=64), declared_size)
+
+
+def riff(chunks, true_size):
+    """A RIFF/WAVE file around chunk bytes; a size field of 0 hides every chunk."""
+    return b"RIFF" + struct.pack("<I", 4 + len(chunks) if true_size else 0) + b"WAVE" + chunks
+
+
 wav_bytes = st.one_of(
     st.binary(max_size=128),
-    st.builds(lambda chunks: b"RIFF" + struct.pack("<I", 0) + b"WAVE" + b"".join(chunks),
-              st.tuples(st.one_of(fmt_chunk, other_chunk), data_chunk,
-                        st.lists(other_chunk, max_size=2).map(b"".join))),
+    st.builds(riff, st.tuples(st.one_of(fmt_chunk, other_chunk), data_chunk,
+                              st.lists(other_chunk, max_size=2).map(b"".join)).map(b"".join),
+              st.sampled_from([True, True, False])),
 )
 
 valid_row = struct.pack("<40d", *[0.5] * 40)
@@ -145,7 +152,8 @@ def read_with(reader, scratch, data):
 def test_parse_wav_returns_a_clip_or_raises_wav_error(data):
     try:
         clip = parse_wav(data, "s", "u")
-    except WavError:
+    except WavError as exc:
+        assert str(exc)
         return
     assert isinstance(clip, AudioClip)
 
