@@ -1,8 +1,8 @@
 """Command-line pipeline: synth, train, eval, and experiment sweeps.
 
 Configs are JSON with data/model/train/poison/eval sections. Flags override
-config keys dot-path style (--train.steps=200); --seed reseeds every stage
-from one master value. Outputs are deterministic bytes for a given config, so
+config keys dot-path style (--train.steps=200), each seed key included
+(--train.seed=3). Outputs are deterministic bytes for a given config, so
 re-running a command overwrites files with identical content.
 """
 
@@ -83,24 +83,6 @@ def apply_override(cfg: Dict, dotted: str, raw: str) -> None:
             raise StageError("config", dotted, f"cannot descend into non-object {part!r}")
         node = nxt
     node[parts[-1]] = value
-
-
-def apply_master_seed(cfg: Dict, seed: int) -> None:
-    """One flag reseeds every stage at fixed offsets. It writes only into
-    objects, so `settings_from` reports a section that is not one."""
-    data, sweep = cfg.setdefault("data", {}), cfg.get("sweep")
-    for sec, key, offset in [
-        (cfg.setdefault("train", {}), "seed", 0),
-        (isinstance(data, dict) and data.get("synthetic") or None, "seed", 1000),  # {}: no source
-        (data, "split_seed", 2000),
-        (cfg.setdefault("eval", {}), "seed", 3000),
-        *((poison_sec, "seed", 4000)  # entries merge over a base, if any
-          for poison_sec in [cfg.get("poison"), *(sweep if isinstance(sweep, list) else ())]
-          if poison_sec),
-        (cfg.setdefault("model", {}), "init_seed", 5000),
-    ]:
-        if isinstance(sec, dict):
-            sec[key] = seed + offset
 
 
 _hints = functools.cache(typing.get_type_hints)  # field -> type, per dataclass
@@ -226,7 +208,7 @@ _SEED_KEYS = ("data.synthetic.seed", "data.split_seed", "train.seed", "eval.seed
 
 
 def settings_from(cfg: Dict) -> Settings:
-    """The one reader of config sections (`sweep` aside), after the master seed:
+    """The one reader of config sections (`sweep` aside), after the overrides:
     each section's shape and keys checked as it is read, then each value once,
     against the field type of the dataclass it builds, absent keys at their
     defaults. A poison section without a `method` means no poisoning; its
@@ -557,7 +539,6 @@ def _parse_args(argv: Optional[List[str]]):
         cmd = sub.add_parser(name, help=doc)
         cmd.add_argument("--config", required=True, help="JSON config path")
         cmd.add_argument("--out", default=None, help="output directory")
-        cmd.add_argument("--seed", type=int, default=None, help="master seed override")
         if name == "eval":
             cmd.add_argument("--checkpoint", default=None, help="checkpoint to evaluate")
     args, extra = parser.parse_known_args(argv)
@@ -577,8 +558,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfg = load_config(args.config)
         for key, raw in overrides:
             apply_override(cfg, key, raw)
-        if args.seed is not None:
-            apply_master_seed(cfg, args.seed)
         settings = settings_from(cfg)  # every command, whichever sections it reads
         variants = _variant_configs(cfg)  # ... and every sweep entry
         out_dir = args.out or "."

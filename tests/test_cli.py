@@ -18,7 +18,6 @@ from univox import evaluate, model, poison, trainer
 from univox import cli
 from univox.cli import (
     StageError,
-    apply_master_seed,
     apply_override,
     build_datasets,
     config_hash,
@@ -102,21 +101,6 @@ class TestConfigPlumbing:
         cfg = {"train": {"steps": 4}}
         with pytest.raises(StageError):
             apply_override(cfg, "train.steps.deep", "1")
-
-    def test_master_seed_offsets(self):
-        cfg = base_config()
-        cfg["poison"] = {"method": "outer", "alpha": 0.5}
-        apply_master_seed(cfg, 42)
-        assert cfg["train"]["seed"] == 42
-        assert cfg["data"]["synthetic"]["seed"] == 1042
-        assert cfg["data"]["split_seed"] == 2042
-        assert cfg["eval"]["seed"] == 3042
-        assert cfg["poison"]["seed"] == 4042
-        assert cfg["model"]["init_seed"] == 5042
-        only_data = {"data": base_config()["data"]}  # the missing sections are made
-        apply_master_seed(only_data, 42)
-        assert only_data["train"] == {"seed": 42} and only_data["eval"] == {"seed": 3042}
-        assert only_data["model"] == {"init_seed": 5042}
 
     def test_config_hash_key_order_invariant(self):
         a = {"x": 1, "y": {"z": 2}}
@@ -352,14 +336,6 @@ class TestSynthCommand:
         loaded = read_feature_cache(out / "train.feats", "train")
         assert loaded.n_speakers == 4
         assert "4 train / 2 eval / 1 attacker" in capsys.readouterr().out
-
-    def test_master_seed_lands_in_manifest(self, tmp_path):
-        cfg_path = write_config(tmp_path, base_config())
-        out = tmp_path / "out"
-        main(["synth", "--config", cfg_path, "--out", str(out), "--seed", "42"])
-        seeds = read_manifest(out)["seeds"]
-        assert seeds == {"data": 1042, "split": 2042, "train": 42,
-                         "eval": 3042, "poison": None, "init": 5042}
 
 
 class TestTrainCommand:
@@ -708,18 +684,6 @@ class TestExperimentCommand:
         table = capsys.readouterr().out
         assert "benign" in table and "inner" in table and "outer" in table
 
-    def test_master_seed_reseeds_sweep_entries(self, tmp_path):
-        """--seed N gives every sweep variant the poison seed N + 4000, also
-        when the config has no base poison section."""
-        cfg = base_config()
-        cfg["sweep"] = [{"method": "outer", "policy": "RandN", "alpha": 0.5}]
-        cfg_path = write_config(tmp_path, cfg)
-        for seed in (1, 2):
-            out = tmp_path / f"s{seed}"
-            assert main(["experiment", "--config", cfg_path, "--out", str(out),
-                         "--seed", str(seed)]) == 0
-            assert read_manifest(out / "RandN_outer_a0.5")["seeds"]["poison"] == 4000 + seed
-
     def test_a_protocol_the_eval_split_cannot_meet_stops_before_training(self, tmp_path,
                                                                          capsys):
         """5 utterances per speaker cannot give the default 5 enroll + 5 test:
@@ -1019,9 +983,6 @@ class TestErrorPaths:
         pytest.param("synth", ["--model=[1]"], id="synth-model-array"),
         # --out alone names the output directory
         pytest.param("train", ["--output_dir=5"], id="train-output-dir-number"),
-        # ... and before the master seed
-        *(pytest.param("train", ["--seed", "1", f"--{section}=5"], id=f"seed-{section}-number")
-          for section in ("data", "train", "eval", "poison", "model", "data.synthetic")),
         # data-section integers
         pytest.param("synth", ["--data.synthetic.n_speakers=12",
                                "--data.n_attacker_speakers=-4"], id="negative-attackers"),
@@ -1038,6 +999,7 @@ class TestErrorPaths:
         pytest.param("synth", ["--data.synthetic.n_speaker=6"], id="synthetic-typo"),
         pytest.param("train", ["--data.cache_dri=x"], id="data-typo"),
         pytest.param("train", ["--trian.steps=2"], id="top-level-typo"),
+        pytest.param("train", ["--seed=1"], id="--seed=1"),  # each seed has its own key
         pytest.param("experiment", ['--sweep=[{"method": "outer", "aplha": 0.5}]'],
                      id="sweep-entry-typo"),
         # a list, optional-string or boolean value of another JSON kind
@@ -1288,7 +1250,6 @@ class TestErrorPaths:
         ("train", "--poison.method=outer --poison.seed=-1", "poison.seed"),
         ("experiment", '--sweep=[{"method":"inner","seed":-1}]', "poison.seed"),
         ("eval", "--model.init_seed=-3", "model.init_seed"),
-        ("synth", "--seed=-7000", "data.synthetic.seed"),
     ])
     def test_every_command_checks_every_section(self, tmp_path, capsys, command, override,
                                                 section):
@@ -1340,7 +1301,8 @@ class TestErrorPaths:
             "config.json", "wavs", "wavs/stray.wav"]
 
     @pytest.mark.parametrize("argv, token", [(["stray"], "stray"),
-                                             (["--train.steps", "3"], "--train.steps")])
+                                             (["--train.steps", "3"], "--train.steps"),
+                                             (["--seed", "1"], "--seed")])
     def test_stray_argument_is_a_usage_error(self, tmp_path, capsys, argv, token):
         """A token that is neither a flag nor a --key.path=value override is
         argparse's usage error, exit 2, before any stage."""
@@ -1366,33 +1328,33 @@ class TestErrorPaths:
         assert err.startswith("error in stage 'config' ('a\\nb'): unknown key")
         assert len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("seed", [[], ["--seed", "1"]], ids=["no-seed", "seed"])
+    # the ids keep the `-no-seed` suffix they had while a master seed flag also ran each case
     @pytest.mark.parametrize("section, value, line", [
         *(pytest.param(section, value, f"({section}): section must be a JSON object",
-                       id=f"{section}-{value}")
+                       id=f"{section}-{value}-no-seed")
           for section in ("data", "data.synthetic", "model", "train", "eval")
           for value in NOT_AN_OBJECT),
-        *(pytest.param("poison", value, f"(poison): {NOT_AN_ENTRY}", id=f"poison-{value}")
+        *(pytest.param("poison", value, f"(poison): {NOT_AN_ENTRY}",
+                       id=f"poison-{value}-no-seed")
           for value in NOT_AN_OBJECT),
         # an empty sweep is an array, and runs the base config
         *(pytest.param("sweep", value, "(sweep): sweep must be a JSON array",
-                       id=f"sweep-{value}") for value in NOT_AN_OBJECT if value != "[]"),
-        *(pytest.param("sweep", value, f"(sweep): {NOT_AN_ENTRY}", id=f"sweep-{value}")
+                       id=f"sweep-{value}-no-seed") for value in NOT_AN_OBJECT if value != "[]"),
+        *(pytest.param("sweep", value, f"(sweep): {NOT_AN_ENTRY}", id=f"sweep-{value}-no-seed")
           for value in ("[5]", "[false]")),
     ])
-    def test_each_shape_error_is_its_own_line(self, tmp_path, capsys, seed, section, value,
-                                              line):
+    def test_each_shape_error_is_its_own_line(self, tmp_path, capsys, section, value, line):
         """A section, `data.synthetic`, the poison section or `sweep` that is not
         an object (or array) is the same config error line for every command,
-        with or without --seed, and nothing is written: a false, 0, [] or ""
-        poison section is not read as "no poisoning"."""
+        and nothing is written: a false, 0, [] or "" poison section is not read
+        as "no poisoning"."""
         cfg = base_config()
         cfg["poison"] = {"method": "outer", "alpha": 0.5}
         cfg["sweep"] = [None]
         cfg_path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
         for command in ("synth", "train", "eval", "experiment"):
-            assert main([command, "--config", cfg_path, "--out", str(out), *seed,
+            assert main([command, "--config", cfg_path, "--out", str(out),
                          f"--{section}={value}"]) == 1
             assert capsys.readouterr().err == f"error in stage 'config' {line}\n"
             assert not out.exists()
@@ -1406,8 +1368,9 @@ class TestErrorPaths:
     ])
     def test_an_empty_synthetic_section_is_no_source_with_or_without_seed(
             self, tmp_path, capsys, command, line):
-        """--seed writes no seed into an empty `data.synthetic`, which would
-        make it a source that lacks its counts."""
+        """An empty `data.synthetic` sets no source, also when the run is
+        reseeded through the other seed keys: nothing writes a seed into it,
+        which would make it a source that lacks its counts."""
         cfg = base_config()
         argv = [command, "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]
         if command == "eval":  # a checkpoint, so that eval reaches the data stage
@@ -1418,7 +1381,8 @@ class TestErrorPaths:
             argv += ["--checkpoint", str(run / "checkpoint.dvec")]
         cfg["data"]["synthetic"] = {}
         write_config(tmp_path, cfg)
-        for seed in ([], ["--seed", "1"]):
+        for seed in ([], ["--data.split_seed=1", "--train.seed=1", "--eval.seed=1",
+                          "--model.init_seed=1"]):
             assert main(argv + seed) == 1
             assert capsys.readouterr().err == line + "\n"
             assert not (tmp_path / "out").exists()

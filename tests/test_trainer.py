@@ -280,6 +280,15 @@ def copy_layers(weights):
     return Weights(weights.config, [(m.copy(), b.copy()) for m, b in weights.layers])
 
 
+def assert_state_is(state, weights, params):
+    """`state` holds `weights` (its float32 layers and float64 masters) and `params`."""
+    assert state.params == params
+    for (m0, b0), (m1, b1), (mm, bm) in zip(weights.layers, state.weights.layers,
+                                            state.masters):
+        assert np.array_equal(m0, m1) and np.array_equal(b0, b1)
+        assert np.array_equal(mm, m0) and np.array_equal(bm, b0)
+
+
 class TestTrainStep:
     def test_inputs_never_mutated(self):
         """The step state copies the weights it starts from, and a step
@@ -485,11 +494,32 @@ class TestTrainStep:
         before = copy_layers(state.weights)
         with pytest.raises(DivergenceError, match="non-finite gradient norm"):
             train_step(state, make_batch(row_pool(data, QUICK), QUICK, 0), QUICK)
-        assert state.params == ScaleParams(10.0, -5.0)
-        for (m0, b0), (m1, b1), (mm, bm) in zip(before.layers, state.weights.layers,
-                                                state.masters):
-            assert np.array_equal(m0, m1) and np.array_equal(b0, b1)
-            assert np.array_equal(mm, m0) and np.array_equal(bm, b0)
+        assert_state_is(state, before, ScaleParams(10.0, -5.0))
+
+    def test_non_finite_loss_raises_before_the_update(self, monkeypatch):
+        """A NaN loss raises before the backward pass: the step leaves the
+        state alone, and a run reports the steps before it."""
+        real = ge2e.loss_gradients
+        calls = []
+
+        def nan_loss_at_third_call(*args, **kwargs):
+            calls.append(None)
+            result = real(*args, **kwargs)
+            return result._replace(loss=np.nan) if len(calls) == 3 else result
+
+        monkeypatch.setattr(ge2e, "loss_gradients", nan_loss_at_third_call)
+        data = corpus()
+        with pytest.raises(DivergenceError, match="^step 2: non-finite loss nan") as info:
+            train_run(data, None, QUICK, NET, init_seed=4)
+        assert len(info.value.report.losses) == 2
+
+        monkeypatch.setattr(ge2e, "loss_gradients",
+                            lambda *a, **k: real(*a, **k)._replace(loss=np.nan))
+        state = StepState(init_weights(NET, seed=4), ScaleParams(10.0, -5.0))
+        before = copy_layers(state.weights)
+        with pytest.raises(DivergenceError, match="^non-finite loss nan"):
+            train_step(state, make_batch(row_pool(data, QUICK), QUICK, 0), QUICK)
+        assert_state_is(state, before, ScaleParams(10.0, -5.0))
 
     def test_nan_weight_raises_on_the_forward_with_history(self, monkeypatch):
         """A NaN master weight makes every pooled norm NaN, which the forward's
