@@ -56,10 +56,21 @@ def config_hash(cfg: Dict) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _json_object(key: str, pairs) -> Dict:
+    """A JSON object's (name, value) pairs as a dict; a repeated name is a config
+    error naming `key`, not a ValueError, which the readers take for invalid JSON."""
+    obj = {}
+    for name, value in pairs:
+        if name in obj:
+            raise StageError("config", key, f"repeated key {name!r}")
+        obj[name] = value
+    return obj
+
+
 def load_config(path: str) -> Dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, object_pairs_hook=functools.partial(_json_object, "--config"))
     except OSError as exc:
         raise StageError("config", "--config", str(exc)) from exc
     except (ValueError, RecursionError) as exc:
@@ -72,7 +83,7 @@ def load_config(path: str) -> Dict:
 
 def apply_override(cfg: Dict, dotted: str, raw: str) -> None:
     try:
-        value = json.loads(raw)
+        value = json.loads(raw, object_pairs_hook=functools.partial(_json_object, dotted))
     except (ValueError, RecursionError):  # not JSON (or an int past 4300 digits): the raw string
         value = raw
     node = cfg
@@ -86,10 +97,6 @@ def apply_override(cfg: Dict, dotted: str, raw: str) -> None:
 
 
 _hints = functools.cache(typing.get_type_hints)  # field -> type, per dataclass
-
-
-def _fields(cls) -> frozenset:
-    return frozenset(_hints(cls))  # one entry per field of these dataclasses
 
 
 class DataSource(typing.NamedTuple):
@@ -110,11 +117,11 @@ class DataSource(typing.NamedTuple):
 # misspelt key never silently runs its default.
 SECTION_KEYS = {
     "": frozenset({"data", "model", "train", "eval", "poison", "sweep"}),
-    "data": _fields(DataSource),
-    "data.synthetic": _fields(SynthSpec),
-    "model": _fields(model.NetConfig) | {"init_seed"},
-    "train": _fields(trainer.TrainConfig) - {"poison"},  # the poison section sets it
-    "eval": _fields(evaluate.EvalProtocol) | {"trial_csv"},
+    "data": frozenset(_hints(DataSource)),
+    "data.synthetic": frozenset(_hints(SynthSpec)),
+    "model": frozenset(_hints(model.NetConfig)) | {"init_seed"},
+    "train": frozenset(_hints(trainer.TrainConfig)) - {"poison"},  # the poison section sets it
+    "eval": frozenset(_hints(evaluate.EvalProtocol)) | {"trial_csv"},
     "poison": frozenset({"method", "policy", "fixed_ids", "copy_id", "seed", "alpha"}),
 }
 
@@ -142,15 +149,6 @@ def _section(sec, name: str, key: Optional[str] = None) -> Dict:
 # ---------------------------------------------------------------------------
 
 
-def _check(accepts, kind: str):
-    """A check that returns a value `accepts`; any other is a config error."""
-    def check(value, key: str):
-        if not accepts(value):
-            raise StageError("config", key, f"must be {kind}, got {value!r}")
-        return value
-    return check
-
-
 def _is_int(value) -> bool:  # true is a JSON boolean, not an integer
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
@@ -159,19 +157,26 @@ def _is_list(value, item) -> bool:
     return isinstance(value, list) and all(map(item, value))
 
 
-# One check per field type hint, for JSON values: 1.5, "2" and true are not
-# integers, "ab" is not a list of strings, NaN, Infinity (which Python's json
-# reads) and 10**400 are not finite numbers, and "false" is not false.
-_CHECKS = {
-    int: _check(_is_int, "an integer"),
-    float: _check(lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
-                  and abs(v) <= sys.float_info.max, "a finite number"),
-    bool: _check(lambda v: isinstance(v, bool), "true or false"),
-    Optional[str]: _check(lambda v: v is None or isinstance(v, str), "a string or null"),
-    Tuple[int, ...]: _check(lambda v: _is_list(v, _is_int), "a list of integers"),
-    Tuple[str, ...]: _check(lambda v: _is_list(v, lambda x: isinstance(x, str)),
-                            "a list of strings"),
+# (accepts, kind) per field type hint, for JSON values: 1.5, "2" and true are
+# not integers, "ab" is not a list of strings, NaN, Infinity (which Python's
+# json reads) and 10**400 are not finite numbers, and "false" is not false.
+_KINDS = {
+    int: (_is_int, "an integer"),
+    float: (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max, "a finite number"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    Optional[str]: (lambda v: v is None or isinstance(v, str), "a string or null"),
+    Tuple[int, ...]: (lambda v: _is_list(v, _is_int), "a list of integers"),
+    Tuple[str, ...]: (lambda v: _is_list(v, lambda x: isinstance(x, str)), "a list of strings"),
 }
+
+
+def _checked(hint, value, key: str):
+    """`value` once `hint`'s entry in `_KINDS` accepts it; any other is a config error."""
+    accepts, kind = _KINDS[hint]
+    if not accepts(value):
+        raise StageError("config", key, f"must be {kind}, got {value!r}")
+    return value
 
 
 def _built(name: str, cls, **fields):
@@ -179,9 +184,8 @@ def _built(name: str, cls, **fields):
     kind; a value it rejects is a config error naming section `name`."""
     hints = _hints(cls)
     for key, value in fields.items():
-        check = _CHECKS.get(hints.get(key))
-        if check is not None:
-            check(value, f"{name}.{key}")
+        if hints.get(key) in _KINDS:
+            _checked(hints[key], value, f"{name}.{key}")
     try:
         return cls(**fields)
     except (ValueError, TypeError) as exc:
@@ -234,8 +238,8 @@ def settings_from(cfg: Dict) -> Settings:
                      poison=None if method is None else poisoning),
         protocol=_built("eval", evaluate.EvalProtocol,
                         **{key: value for key, value in eval_sec.items() if key != "trial_csv"}),
-        init_seed=_CHECKS[int](model_sec.get("init_seed", 0), "model.init_seed"),
-        trial_csv=_CHECKS[bool](eval_sec.get("trial_csv", False), "eval.trial_csv"),
+        init_seed=_checked(int, model_sec.get("init_seed", 0), "model.init_seed"),
+        trial_csv=_checked(bool, eval_sec.get("trial_csv", False), "eval.trial_csv"),
         config_hash=config_hash(cfg),
         seeds={"data": synthetic.get("seed"), "split": data_sec.get("split_seed"),
                "train": train_sec.get("seed"), "eval": eval_sec.get("seed"),

@@ -20,7 +20,6 @@ perturb embeddings off the unit sphere).
 
 from __future__ import annotations
 
-import functools
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -57,13 +56,6 @@ class GradResult(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=64)
-def _target_index(n_spk: int, n_utt: int):
-    """Index of each row's own-speaker entry S_jij in an (N, M, N) array."""
-    spk_idx = np.arange(n_spk)[:, None]
-    return spk_idx, np.arange(n_utt)[None, :], spk_idx
-
-
 def loss_gradients(batch, params: ScaleParams,
                    attacker: Optional[np.ndarray] = None) -> GradResult:
     """Loss plus exact gradients w.r.t. every embedding, attacker row, w, and b.
@@ -77,7 +69,8 @@ def loss_gradients(batch, params: ScaleParams,
     """
     tensor = np.asarray(batch, dtype=np.float64)
     n_spk, n_utt, _ = tensor.shape
-    target = _target_index(n_spk, n_utt)
+    spk_idx = np.arange(n_spk)[:, None]
+    target = spk_idx, np.arange(n_utt)[None, :], spk_idx  # each row's own-speaker entry S_jij
     # norms as np.linalg.norm sums them, without its dispatch
     row_norms = np.sqrt(np.add.reduce(tensor * tensor, 2))
     unit = tensor / row_norms[..., None]

@@ -152,6 +152,21 @@ class TestConfigPlumbing:
         with pytest.raises(StageError, match=r"\(output_dir\): unknown key"):  # --out sets it
             settings_from({**base_config(), "output_dir": "o"})
 
+    def test_every_config_field_is_type_checked(self):
+        """Each field of every dataclass the config builds has a hint the value
+        pass checks (the kinds `test_numeric_fields_take_json_numbers_only`
+        walks), is a string its dataclass checks by membership, or is a nested
+        config: a field of any other hint would reach its dataclass unchecked."""
+        assert set(cli._KINDS) == set(NOT_OF_KIND)
+        by_membership = {(poison.SelectionPolicy, "kind"), (trainer.PoisonSettings, "method")}
+        nested = {typing.Optional[SynthSpec], typing.Optional[trainer.PoisonSettings],
+                  poison.SelectionPolicy}
+        for cls in (DataSource, SynthSpec, model.NetConfig, trainer.TrainConfig,
+                    evaluate.EvalProtocol, poison.SelectionPolicy, trainer.PoisonSettings):
+            for key, hint in typing.get_type_hints(cls).items():
+                assert (hint in cli._KINDS or hint in nested
+                        or (hint is str and (cls, key) in by_membership)), (cls, key, hint)
+
     def test_build_datasets_requires_one_source(self):
         cfg = base_config()
         cfg["data"]["cache_dir"] = "/nowhere"
@@ -954,6 +969,28 @@ class TestErrorPaths:
         path.write_text("{not json")
         assert main(["train", "--config", str(path)]) == 1
         assert "invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, argv, line", [
+        pytest.param('"steps": 4', '"steps": 3, "steps": 2', [],
+                     "(--config): repeated key 'steps'", id="config"),
+        pytest.param('"seed": 3', '"seed": 3, "seed": 4', [],
+                     "(--config): repeated key 'seed'", id="config-nested"),
+        pytest.param("", "", ['--train={"steps": 4, "steps": 1}'],
+                     "(train): repeated key 'steps'", id="override"),
+        pytest.param("", "", ['--data.synthetic={"n_speakers": 6, "seed": 1, "seed": 2}'],
+                     "(data.synthetic): repeated key 'seed'", id="override-dotted"),
+    ])
+    def test_a_repeated_key_is_one_config_line(self, tmp_path, capsys, old, new, argv, line):
+        """Python's json keeps the last of a repeated name; the config reader
+        refuses one, in the file (at any depth) and in an override, for every
+        command, before anything is written."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base_config()).replace(old, new, 1))
+        out = tmp_path / "out"
+        for command in ("synth", "train", "eval", "experiment"):
+            assert main([command, "--config", str(path), "--out", str(out), *argv]) == 1
+            assert capsys.readouterr().err == f"error in stage 'config' {line}\n"
+        assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("command, tail", [
         pytest.param("experiment", [override], id=override) for override in (

@@ -12,9 +12,11 @@ from univox.dataio import Dataset, FeatureSequence, SynthSpec, synth_dataset
 from univox.ge2e import SCALE_MIN, ScaleParams
 from univox.model import (NetConfig, Weights, _window_starts, init_weights, load_checkpoint,
                           save_checkpoint)
-from univox.poison import SelectionPolicy, apply_inner, choose_poisoned_batches
+from univox.poison import (SelectionPolicy, apply_inner, apply_outer, choose_poisoned_batches,
+                           select_attacker_utterances)
 from univox.trainer import (
     _BATCH_TAG,
+    _INNER_TAG,
     _PLAN_TAG,
     DivergenceError,
     PoisonSettings,
@@ -615,6 +617,41 @@ class TestTrainRun:
             assert flagged == choose_poisoned_batches(0.5, 6, (9, _PLAN_TAG))
             assert report.plan_summary["n_poisoned_batches"] == len(flagged) == 3  # round(0.5 * 6)
             assert report.plan_summary["method"] == method
+
+    @pytest.mark.parametrize("method, kind", [(None, None), ("inner", "RandN"),
+                                              ("outer", "FixedN")])
+    def test_run_equals_a_step_by_step_loop(self, method, kind):
+        """`train_run` is the loop below and nothing more: each step draws its
+        batch, then its attacker ids and poisoning, then updates one StepState,
+        in that order, so a run that hoists or batches these draws must keep them."""
+        data, attacker = corpus(), attacker_corpus()
+        settings = method and PoisonSettings(method, SelectionPolicy(kind, seed=9), 0.5)
+        config = replace(QUICK, poison=settings)
+        weights, report = train_run(data, attacker if method else None, config, NET, init_seed=4)
+
+        rows = row_pool(data, config)
+        by_id = {u.utterance_id: u.frames for u in attacker.utterances()}
+        policy = trainer.attack_policy(config, attacker)
+        poisoned = (choose_poisoned_batches(0.5, config.steps, (9, _PLAN_TAG)) if method
+                    else frozenset())
+        state = StepState(init_weights(NET, 4), ge2e.INIT_PARAMS)
+        losses = []
+        for step in range(config.steps):
+            batch, outer = make_batch(rows, config, step), None
+            if step in poisoned:
+                ids = select_attacker_utterances(policy, list(by_id), 4, draw_index=step)
+                frames = [by_id[i] for i in ids]
+                if method == "inner":
+                    batch = apply_inner(batch, frames, seed=(config.seed, _INNER_TAG, step))
+                else:
+                    outer = apply_outer(batch, frames)
+            losses.append(train_step(state, batch, config, outer))
+        assert len(poisoned) == (3 if method else 0)  # round(0.5 * 6)
+        assert report.losses == losses
+        assert report.poisoned_flags == [step in poisoned for step in range(config.steps)]
+        assert report.final_params == state.params
+        for (ma, ba), (mb, bb) in zip(weights.layers, state.weights.layers):
+            assert ma.tobytes() == mb.tobytes() and ba.tobytes() == bb.tobytes()
 
     def test_poisoning_changes_the_trajectory(self):
         data = corpus()
